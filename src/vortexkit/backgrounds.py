@@ -5,6 +5,10 @@ dz_bar/dt = sum_j i*kappa_j/(z - z_j) + i*w(z), its derivative (used by the
 Newton jacobian of the stationary problem), and the complex antiderivative
 (real part = line potential for the electrostatic energy, stream-function
 bookkeeping for the Hamiltonian form).
+
+The other half, the sum over pairs of points, is `pair_sum`, with
+`min_separation` the matching distinctness check.  Both work over blocks of
+_BLOCK rows, so memory stays O(n * _BLOCK) at any n.
 """
 
 from dataclasses import dataclass, field
@@ -12,6 +16,56 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .orthopoly import PolynomialSpec, HERMITE, LAGUERRE, JACOBI
+
+_BLOCK = 128
+# The pairs left out of the sums within the diagonal square of a row block.
+_SELF = np.eye(_BLOCK, dtype=bool)  # j == i
+_SELF_OR_LOWER = np.tri(_BLOCK, dtype=bool)  # j <= i
+
+
+def _row_blocks(z, upper):
+    """Yield (j0, d, square, drop) for each block of rows i0 <= i < i0 + _BLOCK.
+
+    d[r, k] = z[i0 + r] - z[j0 + k], with j0 = i0 when `upper` and 0 otherwise.
+    d[square] is the block's diagonal square, and d[square][drop] are the pairs
+    left out of the sums: j == i, and also j < i when `upper`.
+    """
+    for i0 in range(0, z.size, _BLOCK):
+        j0 = i0 if upper else 0
+        d = z[i0:i0 + _BLOCK, None] - z[None, j0:]
+        b = d.shape[0]
+        yield j0, d, np.s_[:, i0 - j0:i0 - j0 + b], (_SELF_OR_LOWER if upper else _SELF)[:b, :b]
+
+
+def log_abs(d):
+    """ln|d|, the pair term of the interaction energies."""
+    return np.log(np.abs(d))
+
+
+def pair_sum(z, c=1.0, g=np.reciprocal, upper=False):
+    """s_i = sum over j != i of c_j * g(z_i - z_j); over j > i only when `upper`.
+
+    c is a scalar or one weight per point.  `upper` gives the sums over pairs
+    i < j, so that sum(s) counts each unordered pair once.
+    """
+    z = np.asarray(z)
+    c = np.broadcast_to(c, z.shape)
+    parts = []
+    for j0, d, square, drop in _row_blocks(z, upper):
+        d[square][drop] = 1.0  # keeps g finite on the dropped pairs
+        t = c[j0:] * g(d)
+        t[square][drop] = 0.0
+        parts.append(t.sum(axis=1))
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def min_separation(z) -> float:
+    """Smallest |z_i - z_j| over pairs i != j; inf for fewer than two points."""
+    best = np.inf
+    for _, d, square, drop in _row_blocks(np.asarray(z), upper=True):
+        d[square][drop] = np.inf
+        best = np.minimum(best, np.abs(d).min())
+    return float(best)
 
 
 @dataclass(frozen=True)

@@ -117,12 +117,13 @@ def _background_from(doc):
         return NoFlow()
     if kind == "hermite":
         return HermiteLinear()
+    # float() so that a config's "l": 1 reports as 1.0, the same as the flag --l 1
     if kind == "coulomb":
-        return Coulomb(l=doc.get("l", 0.0))
+        return Coulomb(l=float(doc.get("l", 0.0)))
     if kind == "jacobi":
-        return JacobiCharges(p=doc.get("p", 0.5), q=doc.get("q", 0.5))
+        return JacobiCharges(p=float(doc.get("p", 0.5)), q=float(doc.get("q", 0.5)))
     if kind == "conjugate_linear":
-        return ConjugateLinear(omega=doc.get("omega", 0.25))
+        return ConjugateLinear(omega=float(doc.get("omega", 0.25)))
     if kind == "custom":
         return CustomRational(
             poles=tuple(doc.get("poles", [])),
@@ -150,21 +151,8 @@ def cmd_zeros(args):
 
 def cmd_equilibrium(args):
     params = _load_params("equilibrium", args)
-    family = params["family"]
-    if family == "hermite":
-        bg = HermiteLinear()
-    elif family == "coulomb":
-        bg = Coulomb(l=float(params["l"]))
-    elif family == "jacobi":
-        bg = JacobiCharges(p=float(params["p"]), q=float(params["q"]))
-    elif family == "custom":
-        bg = CustomRational(
-            poles=tuple(params["poles"]),
-            residues=tuple(params["residues"]),
-            poly=tuple(params["poly"]),
-        )
-    else:
-        raise ConfigError(f"unknown equilibrium family {family!r}")
+    # EquilibriumProblem refuses the kinds solve() cannot handle (exit 2)
+    bg = _background_from(dict(params, kind=params["family"]))
     n = int(params["n"])
     problem = stieltjes.EquilibriumProblem(n=n, background=bg)
     report = stieltjes.solve(problem, tolerance=float(params["tol"]), max_iter=int(params["max_iter"]))

@@ -1,15 +1,17 @@
 """Laughlin wavefunction, Berry connection, planar equilibria, Landau-level operators.
 
 Stationarity of the log-Laughlin wavefunction reads, per particle j,
-S_j = m * sum_{i != j} 1/(z_j - z_i) - conj(z_j)/(4 l_B^2) = 0,
-the Kirchhoff form with conjugate-linear confinement.  The symmetric pair
-solves in closed form at radius l_B * sqrt(2 m).
+S_j = m * sum_{i != j} 1/(z_j - z_i) - conj(z_j)/(4 l_B^2) = 0: the Kirchhoff
+field of vortices of strength kappa = m in the background ConjugateLinear(omega),
+omega = 1/(4 l_B^2), and computed as such.  The symmetric pair solves in closed
+form at radius l_B * sqrt(2 m).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .backgrounds import ConjugateLinear, min_separation, pair_sum
 from .paraxial import BeamField
 
 
@@ -44,19 +46,13 @@ class QuasiholeSet:
     def __post_init__(self):
         eta = np.atleast_1d(np.asarray(self.eta, dtype=complex))
         object.__setattr__(self, "eta", eta)
-        if eta.size > 1:
-            d = np.abs(eta[:, None] - eta[None, :])
-            np.fill_diagonal(d, np.inf)
-            if d.min() == 0.0:
-                raise ValueError("quasihole positions must be pairwise distinct")
+        if min_separation(eta) == 0.0:
+            raise ValueError("quasihole positions must be pairwise distinct")
 
 
 def _check_distinct(z):
-    if z.size > 1:
-        d = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(d, np.inf)
-        if d.min() == 0.0:
-            raise ValueError("coincident particles")
+    if min_separation(z) == 0.0:
+        raise ValueError("coincident particles")
 
 
 def log_laughlin(z, params: LaughlinParams) -> complex:
@@ -67,22 +63,20 @@ def log_laughlin(z, params: LaughlinParams) -> complex:
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_distinct(z)
-    out = 0.0 + 0.0j
-    for i in range(z.size):
-        for j in range(i + 1, z.size):
-            out += params.m_exp * np.log(z[j] - z[i])
-    out -= np.sum(np.abs(z) ** 2) / (4.0 * params.l_B**2)
-    return complex(out)
+    # Over -z the differences are z_j - z_i exactly, signed zeros included, so
+    # each factor keeps its principal branch.
+    pairs = np.sum(pair_sum(-z, params.m_exp, np.log, upper=True))
+    return complex(pairs - np.sum(np.abs(z) ** 2) / (4.0 * params.l_B**2))
 
 
 def berry_connection(holes: QuasiholeSet, j: int, l_B: float) -> complex:
-    """A(eta_j) = -(i nu / 2) sum_{k != j} 1/(eta_k - eta_j) + i nu conj(eta_j)/(4 l_B^2)."""
+    """A(eta_j) = -(i nu / 2) sum_{k != j} 1/(eta_k - eta_j) + i nu conj(eta_j)/(4 l_B^2).
+
+    A negative j counts from the end, as in indexing.
+    """
     eta = holes.eta
-    s = 0.0 + 0.0j
-    for k in range(eta.size):
-        if k != j:
-            s += 1.0 / (eta[k] - eta[j])
-    return complex(-0.5j * holes.nu * s + 1j * holes.nu * np.conj(eta[j]) / (4.0 * l_B**2))
+    s = pair_sum(eta)[j]  # sum_{k != j} 1/(eta_j - eta_k)
+    return complex(0.5j * holes.nu * s + 1j * holes.nu * np.conj(eta[j]) / (4.0 * l_B**2))
 
 
 def laughlin_stationarity_residual(z, params: LaughlinParams) -> np.ndarray:
@@ -94,15 +88,29 @@ def laughlin_stationarity_residual(z, params: LaughlinParams) -> np.ndarray:
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_distinct(z)
+    return pair_sum(z, params.m_exp) + ConjugateLinear(params.omega).w(z)
+
+
+def _planar_jacobian(z, params: LaughlinParams) -> np.ndarray:
+    """d(Re S_j, Im S_j)/d(x_i, y_i), rows and columns interleaved, from the Wirtinger blocks.
+
+    a = dS_j/dz_i is m/(z_j - z_i)^2 off the diagonal and minus the row sum on
+    it; b = dS_j/dzbar_i = -omega delta_ij; dS/dx = a + b and dS/dy = i(a - b).
+    """
     n = z.size
-    s = np.zeros(n, dtype=complex)
-    for j in range(n):
-        acc = 0.0 + 0.0j
-        for i in range(n):
-            if i != j:
-                acc += 1.0 / (z[j] - z[i])
-        s[j] = params.m_exp * acc - np.conj(z[j]) * params.omega
-    return s
+    d = z[:, None] - z[None, :]
+    np.fill_diagonal(d, 1.0)  # complex inf would square to nan
+    a = params.m_exp / d**2
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, -a.sum(axis=1))
+    b = -params.omega * np.eye(n)
+    dsx, dsy = a + b, 1j * (a - b)
+    jac = np.empty((2 * n, 2 * n))
+    jac[0::2, 0::2] = dsx.real
+    jac[0::2, 1::2] = dsy.real
+    jac[1::2, 0::2] = dsx.imag
+    jac[1::2, 1::2] = dsy.imag
+    return jac
 
 
 def solve_planar_equilibrium(params: LaughlinParams, guess, tol: float = 1e-10, max_iter: int = 200):
@@ -116,9 +124,6 @@ def solve_planar_equilibrium(params: LaughlinParams, guess, tol: float = 1e-10, 
     if z.size != params.N:
         raise ValueError(f"guess size {z.size} does not match N={params.N}")
     _check_distinct(z)
-    n = params.N
-    omega = params.omega
-    m = params.m_exp
     best = z.copy()
     best_res = np.inf
     converged = False
@@ -130,34 +135,11 @@ def solve_planar_equilibrium(params: LaughlinParams, guess, tol: float = 1e-10, 
         if rmax <= tol:
             converged = True
             break
-        # Wirtinger blocks: dS_j/dz_j = -m sum 1/(z_j-z_i)^2, dS_j/dz_i = +m/(z_j-z_i)^2,
-        # dS_j/dzbar_j = -omega
-        dz = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            for i in range(n):
-                if i != j:
-                    q = m / (z[j] - z[i]) ** 2
-                    dz[j, i] = q
-                    dz[j, j] -= q
-        jac = np.zeros((2 * n, 2 * n))
-        for j in range(n):
-            for i in range(n):
-                a = dz[j, i]
-                b = -omega if i == j else 0.0
-                # dS/dx = a + b, dS/dy = i(a - b)
-                dsx = a + b
-                dsy = 1j * (a - b)
-                jac[2 * j, 2 * i] = dsx.real
-                jac[2 * j, 2 * i + 1] = dsy.real
-                jac[2 * j + 1, 2 * i] = dsx.imag
-                jac[2 * j + 1, 2 * i + 1] = dsy.imag
-        rvec = np.empty(2 * n)
-        rvec[0::2] = s.real
-        rvec[1::2] = s.imag
-        step, *_ = np.linalg.lstsq(jac, -rvec, rcond=None)
+        # s.view(float) is (Re S_0, Im S_0, Re S_1, ...), the Jacobian's row order
+        step, *_ = np.linalg.lstsq(_planar_jacobian(z, params), -s.view(float), rcond=None)
         lam = 1.0
         for _ in range(30):
-            zn = z + lam * (step[0::2] + 1j * step[1::2])
+            zn = z + lam * step.view(complex)
             try:
                 sn = laughlin_stationarity_residual(zn, params)
             except ValueError:

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import orthopoly
-from .backgrounds import HermiteLinear, Coulomb, JacobiCharges, CustomRational
+from .backgrounds import HermiteLinear, Coulomb, JacobiCharges, CustomRational, log_abs, min_separation, pair_sum
 
 _SOLVABLE = (HermiteLinear, Coulomb, JacobiCharges, CustomRational)
 
@@ -87,12 +87,10 @@ def _inside(x, bg):
 def residual(x, background) -> np.ndarray:
     """R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k)."""
     x = np.asarray(x, dtype=float)
-    if x.size > 1 and np.any(np.diff(np.sort(x)) == 0):
+    if min_separation(x) == 0.0:
         raise DomainError("coincident points")
     _check_domain(x, background)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, np.inf)
-    return np.sum(1.0 / diff, axis=1) - np.real(background.w(x))
+    return pair_sum(x) - np.real(background.w(x))
 
 
 def jacobian(x, background) -> np.ndarray:
@@ -101,20 +99,15 @@ def jacobian(x, background) -> np.ndarray:
     _check_domain(x, background)
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, np.inf)
-    inv2 = 1.0 / diff**2
-    jac = inv2.copy()
-    np.fill_diagonal(jac, -np.sum(inv2, axis=1) - np.real(background.dw(x)))
+    jac = 1.0 / diff**2
+    np.fill_diagonal(jac, -np.sum(jac, axis=1) - np.real(background.dw(x)))
     return jac
 
 
 def energy(x, background) -> float:
     """Electrostatic energy whose gradient is -R."""
     x = np.asarray(x, dtype=float)
-    e = float(np.sum(np.real(background.antiderivative(x))))
-    for i in range(x.size):
-        for j in range(i + 1, x.size):
-            e -= np.log(abs(x[i] - x[j]))
-    return e
+    return float(np.sum(np.real(background.antiderivative(x))) - np.sum(pair_sum(x, 1.0, log_abs, upper=True)))
 
 
 def default_guess(n, background) -> np.ndarray:

@@ -55,6 +55,21 @@ class TestEquilibrium:
         }))
         assert run(["--config", str(config), "--out", str(tmp_path), "equilibrium"]) == 0
 
+    def test_integer_config_reports_like_flag(self, tmp_path):
+        flag, conf = tmp_path / "flag", tmp_path / "conf"
+        assert run(["--out", str(flag), "equilibrium", "--family", "coulomb", "--n", "4",
+                    "--l", "1"]) == 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"equilibrium": {"family": "coulomb", "n": 4, "l": 1}}))
+        assert run(["--config", str(config), "--out", str(conf), "equilibrium"]) == 0
+        report = (flag / "equilibrium.json").read_bytes()
+        assert b'"l": 1.0' in report
+        assert (conf / "equilibrium.json").read_bytes() == report
+
+    @pytest.mark.parametrize("family", ["none", "conjugate_linear", "chebyshov"])
+    def test_unsolvable_family_exit_2(self, tmp_path, family):
+        assert run(["--out", str(tmp_path), "equilibrium", "--family", family]) == 2
+
     def test_unreachable_tolerance_exit_3(self, tmp_path):
         assert run(["--out", str(tmp_path), "--tol", "1e-30", "equilibrium",
                     "--family", "hermite", "--n", "5"]) == 3

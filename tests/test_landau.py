@@ -6,6 +6,7 @@ import pytest
 from vortexkit.landau import (
     LaughlinParams,
     QuasiholeSet,
+    _planar_jacobian,
     berry_connection,
     dlu_residual,
     ladder_apply,
@@ -77,6 +78,13 @@ class TestBerryConnection:
         got = berry_connection(QuasiholeSet(np.array([eta0, eta1]), nu), 0, l_b)
         assert got == pytest.approx(complex(expected))
 
+    def test_negative_index_counts_from_the_end(self):
+        rng = np.random.default_rng(3)
+        holes = QuasiholeSet(rng.normal(size=5) + 1j * rng.normal(size=5), 1.0 / 3.0)
+        last = berry_connection(holes, -1, 1.2)
+        assert np.isfinite(last)
+        assert last == berry_connection(holes, 4, 1.2)
+
     def test_structural_match_with_stationarity(self):
         # same pole locations and conjugate-linear term, up to -nu/2 vs m normalization
         rng = np.random.default_rng(4)
@@ -143,6 +151,31 @@ class TestStationarityResidual:
             gy = (logmod(1j * h) - logmod(-1j * h)) / (2 * h)
             two_dzbar = gx + 1j * gy
             assert two_dzbar + params.omega * z[j] == pytest.approx(np.conj(s[j]), abs=1e-6)
+
+
+class TestPlanarJacobian:
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(77)
+        worst = 0.0
+        for params in (LaughlinParams(2, 1, 1.0), LaughlinParams(5, 3, 1.1), LaughlinParams(7, 1, 0.7)):
+            n = params.N
+            while True:
+                z = 2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                d = np.abs(z[:, None] - z[None, :]) + np.eye(n)
+                if d.min() > 0.3:
+                    break
+            jac = _planar_jacobian(z, params)
+            h = 1e-6
+            for i in range(n):
+                for col, step in ((2 * i, h), (2 * i + 1, 1j * h)):
+                    zp, zm = z.copy(), z.copy()
+                    zp[i] += step
+                    zm[i] -= step
+                    fd = (laughlin_stationarity_residual(zp, params)
+                          - laughlin_stationarity_residual(zm, params)) / (2 * h)
+                    worst = max(worst, np.abs(jac[0::2, col] - fd.real).max(),
+                                np.abs(jac[1::2, col] - fd.imag).max())
+        assert worst < 1e-6
 
 
 class TestPlanarEquilibrium:

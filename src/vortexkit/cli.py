@@ -23,7 +23,7 @@ from .backgrounds import (
     CustomRational,
 )
 from .landau import LaughlinParams, solve_planar_equilibrium
-from .paraxial import AliasingWarning, find_vortices, lg_mode, propagate, save_field
+from .paraxial import AliasingWarning, _slices, find_vortices, lg_mode, save_field
 from .vortex import CollisionError, StepLimitError, VortexConfiguration, integrate
 
 EXIT_OK = 0
@@ -238,14 +238,15 @@ def cmd_beam(args):
     if z_total is None:
         z_total = 0.5 * k * w0**2  # one Rayleigh range
     slices = int(params["slices"])
+    if slices < 1:
+        raise ConfigError(f"slices must be >= 1, got {slices}")
     dz = float(z_total) / slices
     rows = []
     charges = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", AliasingWarning)
         try:
-            current = field
-            for s in range(slices + 1):
+            for s, current in enumerate(_slices(field, dz, slices)):
                 vortices = find_vortices(current)
                 total = sum(c for _, c in vortices)
                 charges.append(total)
@@ -253,8 +254,6 @@ def cmd_beam(args):
                     rows.append((current.z, vx, vy, c))
                 if params["save_fields"]:
                     save_field(current, os.path.join(args.out, f"field_{s:03d}.bin"))
-                if s < slices:
-                    current = propagate(current, dz)
         except AliasingWarning as exc:
             _say(args, f"aliasing: {exc}")
             return EXIT_ALIASING

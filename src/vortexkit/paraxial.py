@@ -1,8 +1,11 @@
 """Paraxial beam propagation, Laguerre-Gaussian vortex modes, vortex detection.
 
 Fields live on uniform power-of-two grids; free-space propagation applies the
-exact spectral phase exp(-i (kx^2+ky^2) dz / 2k) per step, so the split-step
-structure carries no splitting error and conserves energy to rounding.
+exact spectral phase exp(-i (kx^2+ky^2) dz / 2k) to the numpy.fft spectrum, so
+the split-step structure carries no splitting error and conserves energy to
+rounding.  The phase has unit modulus, so |spectrum| never changes along z: a
+run of slices takes the forward transform, the aliasing check and the phase
+factor once, and then costs one multiply and one inverse transform per slice.
 """
 
 import struct
@@ -11,8 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import eval_genlaguerre
-
-from . import fourier
 
 _MAGIC = b"VKFIELD1"
 
@@ -83,8 +84,8 @@ def lg_mode(p, ell, w0, nx, ny, dx, dy, k, z=0.0) -> BeamField:
 
 
 def _spectral_energy_fraction_outer(spec_sq, nx, ny):
-    fx = fourier.freq(nx)
-    fy = fourier.freq(ny)
+    fx = np.fft.fftfreq(nx)
+    fy = np.fft.fftfreq(ny)
     fx_lim = np.abs(fx).max()
     fy_lim = np.abs(fy).max()
     outer = (np.abs(fx)[None, :] / fx_lim > 0.75) | (np.abs(fy)[:, None] / fy_lim > 0.75)
@@ -94,24 +95,35 @@ def _spectral_energy_fraction_outer(spec_sq, nx, ny):
     return float(spec_sq[outer].sum() / total)
 
 
-def propagate(field: BeamField, dz, steps: int = 1) -> BeamField:
-    """Free-space propagation by steps * dz using the exact spectral factor."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    kx = 2.0 * np.pi * fourier.freq(field.nx, field.dx)
-    ky = 2.0 * np.pi * fourier.freq(field.ny, field.dy)
+def _slices(field: BeamField, dz, count):
+    """Yield `field` itself, then `count` fields each dz further along z.
+
+    One forward transform serves every slice: slice s is ifft2(spec * phase**s),
+    with the running product kept in place.  The transform and the aliasing
+    check run only when the first propagated slice is asked for.
+    """
+    yield field
+    kx = 2.0 * np.pi * np.fft.fftfreq(field.nx, field.dx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(field.ny, field.dy)
     k2 = kx[None, :] ** 2 + ky[:, None] ** 2
-    spec = fourier.fft2(field.amplitude)
+    spec = np.fft.fft2(field.amplitude)
     frac = _spectral_energy_fraction_outer(np.abs(spec) ** 2, field.nx, field.ny)
     if frac > 0.01:
         warnings.warn(
             f"{100 * frac:.2f}% of energy in outer quarter of spectrum", AliasingWarning
         )
     phase = np.exp(-1j * k2 * dz / (2.0 * field.k))
-    for _ in range(steps):
-        spec = spec * phase
-    u = fourier.ifft2(spec)
-    return replace(field, amplitude=u, z=field.z + steps * dz)
+    for s in range(1, count + 1):
+        spec *= phase
+        yield replace(field, amplitude=np.fft.ifft2(spec), z=field.z + s * dz)
+
+
+def propagate(field: BeamField, dz, steps: int = 1) -> BeamField:
+    """Free-space propagation by steps * dz using the exact spectral factor."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    _, out = _slices(field, steps * dz, 1)
+    return out
 
 
 def _bilinear(amp, xi, yi):
@@ -155,6 +167,11 @@ def _wrap(a):
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
+# the 8 neighbours of a pixel as (dy, dx), counter-clockwise from the lower left
+# corner; the ring closes back on the first one
+_RING = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
+
+
 def find_vortices(field: BeamField, margin: int = 4):
     """Per-plaquette phase-winding scan with bilinear sub-pixel refinement.
 
@@ -163,7 +180,8 @@ def find_vortices(field: BeamField, margin: int = 4):
     Returns a list of ((x, y), charge) in physical coordinates.
     """
     amp = field.amplitude
-    peak = np.abs(amp).max()
+    mag = np.abs(amp)
+    peak = mag.max()
     if peak == 0.0:
         return []
     phi = np.angle(amp)
@@ -173,11 +191,11 @@ def find_vortices(field: BeamField, margin: int = 4):
     d4 = _wrap(phi[:-1, :-1] - phi[1:, :-1])   # left edge, -y
     winding = np.rint((d1 + d2 + d3 + d4) / (2.0 * np.pi)).astype(int)
     # a core sitting on a sample point leaves its four plaquettes phase-ambiguous
-    dead = np.abs(amp) < 1e-10 * peak
+    dead = mag < 1e-10 * peak
     corner_dead = dead[:-1, :-1] | dead[:-1, 1:] | dead[1:, :-1] | dead[1:, 1:]
     winding[corner_dead] = 0
     # plaquettes whose whole neighborhood is near the noise floor carry no signal
-    faint = np.abs(amp) < 1e-6 * peak
+    faint = mag < 1e-6 * peak
     all_faint = faint[:-1, :-1] & faint[:-1, 1:] & faint[1:, :-1] & faint[1:, 1:]
     winding[all_faint & ~corner_dead] = 0
     if margin > 0:
@@ -185,26 +203,25 @@ def find_vortices(field: BeamField, margin: int = 4):
         winding[-margin:, :] = 0
         winding[:, :margin] = 0
         winding[:, -margin:] = 0
-    ys, xs = np.nonzero(winding)
     x = field.x()
     y = field.y()
-    out = []
+    # a dead pixel at least max(1, margin) from the edge with no dead neighbour:
+    # its charge is the winding of the ring of its 8 neighbours
     ny, nx = amp.shape
-    for iy, ix in zip(*np.nonzero(dead)):
-        lo = max(1, margin)
-        if iy < lo or ix < lo or iy > ny - 1 - lo or ix > nx - 1 - lo:
-            continue
-        loop = [(iy - 1, ix - 1), (iy - 1, ix), (iy - 1, ix + 1), (iy, ix + 1),
-                (iy + 1, ix + 1), (iy + 1, ix), (iy + 1, ix - 1), (iy, ix - 1),
-                (iy - 1, ix - 1)]
-        if any(dead[p] for p in loop[:-1]):
-            continue
-        acc = 0.0
-        for a, b in zip(loop[:-1], loop[1:]):
-            acc += _wrap(phi[b] - phi[a])
-        q = int(round(acc / (2.0 * np.pi)))
-        if q != 0:
-            out.append(((float(x[ix]), float(y[iy])), q))
+    lo = max(1, margin)
+    isolated = dead[lo:ny - lo, lo:nx - lo].copy()
+    for dy, dx in _RING:
+        isolated &= ~dead[lo + dy:ny - lo + dy, lo + dx:nx - lo + dx]
+    cy, cx = np.nonzero(isolated)
+    cy, cx = cy + lo, cx + lo
+    ring = [phi[cy + dy, cx + dx] for dy, dx in _RING + _RING[:1]]
+    acc = np.zeros(cy.size)
+    for p0, p1 in zip(ring[:-1], ring[1:]):
+        acc += _wrap(p1 - p0)
+    charge = np.rint(acc / (2.0 * np.pi)).astype(int)
+    out = [((float(x[i]), float(y[j])), q)
+           for j, i, q in zip(cy.tolist(), cx.tolist(), charge.tolist()) if q]
+    ys, xs = np.nonzero(winding)
     for iy, ix in zip(ys, xs):
         # local plane fit of Re u and Im u over the plaquette corners
         u00, u01 = amp[iy, ix], amp[iy, ix + 1]
@@ -258,14 +275,12 @@ def load_field(path) -> BeamField:
 
 def intensity_phase_csv(field: BeamField, path):
     """CSV slice export: x, y, intensity, phase per grid point."""
-    x = field.x()
-    y = field.y()
+    xg, yg = field.grid()
+    amp = field.amplitude
+    # ** on Python floats is libm pow, which keeps the bytes of earlier exports;
+    # numpy squares by multiplying, and %.17g shows the last-digit difference
+    intensity = np.hypot(amp.real, amp.imag).astype(object) ** 2
+    cols = np.stack([xg, yg, intensity, np.angle(amp)], axis=-1)
     with open(path, "w", newline="") as fh:
         fh.write("x,y,intensity,phase\n")
-        for iy in range(field.ny):
-            for ix in range(field.nx):
-                u = field.amplitude[iy, ix]
-                fh.write(
-                    "%.17g,%.17g,%.17g,%.17g\n"
-                    % (x[ix], y[iy], abs(u) ** 2, np.angle(u))
-                )
+        fh.write("%.17g,%.17g,%.17g,%.17g\n" * amp.size % tuple(cols.ravel().tolist()))

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import orthopoly
-from .backgrounds import HermiteLinear, Coulomb, JacobiCharges, CustomRational, log_abs, min_separation, pair_sum
+from .backgrounds import HermiteLinear, Coulomb, JacobiCharges, CustomRational, log_abs, pair_sum
 
 _SOLVABLE = (HermiteLinear, Coulomb, JacobiCharges, CustomRational)
 
@@ -87,7 +87,7 @@ def _inside(x, bg):
 def residual(x, background) -> np.ndarray:
     """R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k)."""
     x = np.asarray(x, dtype=float)
-    if min_separation(x) == 0.0:
+    if np.any(np.diff(np.sort(x)) == 0):
         raise DomainError("coincident points")
     _check_domain(x, background)
     return pair_sum(x) - np.real(background.w(x))

@@ -147,6 +147,12 @@ class TestBeam:
     def test_under_resolved_grid_exit_2(self, tmp_path):
         assert run(["--out", str(tmp_path), "beam", "--grid", "32", "--w0", "0.2"]) == 2
 
+    def test_no_slices_exit_2(self, tmp_path):
+        # 0 used to divide by zero, a negative count to write an empty track
+        for slices in ("0", "-2"):
+            assert run(["--out", str(tmp_path), "beam", "--slices", slices]) == 2
+        assert not (tmp_path / "vortex_track.csv").exists()
+
     def test_aliasing_exit_5(self, tmp_path):
         config = tmp_path / "cfg.json"
         # high-order mode whose spectrum spills past half-Nyquist

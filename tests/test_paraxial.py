@@ -1,10 +1,19 @@
-"""Beam synthesis, propagation, vortex detection, field I/O."""
+"""Beam synthesis, propagation, vortex detection, field I/O.
+
+The transform checks of the former radix-2 module live here, against the
+numpy.fft path `propagate` uses: DFT agreement (dense-matrix oracle), frequency
+layout and the power-of-two rule.  Round trip, Parseval and linearity are
+covered by TestPropagate's reversibility, energy and linearity tests.
+"""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from vortexkit.paraxial import (
     AliasingWarning,
+    _slices,
     BeamField,
     find_vortices,
     intensity_phase_csv,
@@ -23,6 +32,97 @@ def measured_width(field):
     return np.sqrt(2.0 * np.sum((xg**2 + yg**2) * intensity) / np.sum(intensity))
 
 
+def old_freq(n, d):
+    """Frequency layout of the removed radix-2 module: 0..n/2-1, then -n/2..-1."""
+    k = np.arange(n)
+    k[n // 2:] -= n
+    return k / (n * d)
+
+
+def propagate_quietly(field, dz, steps=1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AliasingWarning)
+        return propagate(field, dz, steps)
+
+
+def _wrap(a):
+    return (a + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def find_vortices_reference(field, margin=4):
+    """find_vortices as it was with a per-pixel loop over the dead pixels."""
+    amp = field.amplitude
+    peak = np.abs(amp).max()
+    if peak == 0.0:
+        return []
+    phi = np.angle(amp)
+    d1 = _wrap(phi[:-1, 1:] - phi[:-1, :-1])
+    d2 = _wrap(phi[1:, 1:] - phi[:-1, 1:])
+    d3 = _wrap(phi[1:, :-1] - phi[1:, 1:])
+    d4 = _wrap(phi[:-1, :-1] - phi[1:, :-1])
+    winding = np.rint((d1 + d2 + d3 + d4) / (2.0 * np.pi)).astype(int)
+    dead = np.abs(amp) < 1e-10 * peak
+    corner_dead = dead[:-1, :-1] | dead[:-1, 1:] | dead[1:, :-1] | dead[1:, 1:]
+    winding[corner_dead] = 0
+    faint = np.abs(amp) < 1e-6 * peak
+    all_faint = faint[:-1, :-1] & faint[:-1, 1:] & faint[1:, :-1] & faint[1:, 1:]
+    winding[all_faint & ~corner_dead] = 0
+    if margin > 0:
+        winding[:margin, :] = 0
+        winding[-margin:, :] = 0
+        winding[:, :margin] = 0
+        winding[:, -margin:] = 0
+    ys, xs = np.nonzero(winding)
+    x = field.x()
+    y = field.y()
+    out = []
+    ny, nx = amp.shape
+    for iy, ix in zip(*np.nonzero(dead)):
+        lo = max(1, margin)
+        if iy < lo or ix < lo or iy > ny - 1 - lo or ix > nx - 1 - lo:
+            continue
+        loop = [(iy - 1, ix - 1), (iy - 1, ix), (iy - 1, ix + 1), (iy, ix + 1),
+                (iy + 1, ix + 1), (iy + 1, ix), (iy + 1, ix - 1), (iy, ix - 1),
+                (iy - 1, ix - 1)]
+        if any(dead[p] for p in loop[:-1]):
+            continue
+        acc = 0.0
+        for a, b in zip(loop[:-1], loop[1:]):
+            acc += _wrap(phi[b] - phi[a])
+        q = int(round(acc / (2.0 * np.pi)))
+        if q != 0:
+            out.append(((float(x[ix]), float(y[iy])), q))
+    for iy, ix in zip(ys, xs):
+        u00, u01 = amp[iy, ix], amp[iy, ix + 1]
+        u10, u11 = amp[iy + 1, ix], amp[iy + 1, ix + 1]
+        gx = 0.5 * ((u01 - u00) + (u11 - u10))
+        gy = 0.5 * ((u10 - u00) + (u11 - u01))
+        u0 = 0.25 * (u00 + u01 + u10 + u11)
+        a = np.array([[gx.real, gy.real], [gx.imag, gy.imag]])
+        b = -np.array([u0.real, u0.imag])
+        try:
+            t = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            t = np.zeros(2)
+        t = np.clip(t, -0.5, 0.5)
+        px = x[ix] + (0.5 + t[0]) * field.dx
+        py = y[iy] + (0.5 + t[1]) * field.dy
+        out.append(((float(px), float(py)), int(winding[iy, ix])))
+    return out
+
+
+def intensity_phase_csv_reference(field, path):
+    """intensity_phase_csv as it was, one formatted line per pixel."""
+    x = field.x()
+    y = field.y()
+    with open(path, "w", newline="") as fh:
+        fh.write("x,y,intensity,phase\n")
+        for iy in range(field.ny):
+            for ix in range(field.nx):
+                u = field.amplitude[iy, ix]
+                fh.write("%.17g,%.17g,%.17g,%.17g\n" % (x[ix], y[iy], abs(u) ** 2, np.angle(u)))
+
+
 @pytest.fixture
 def gauss_beam():
     return lg_mode(0, 0, 1.0, 256, 256, 8.0 / 256, 8.0 / 256, 100.0)
@@ -34,6 +134,11 @@ class TestBeamField:
             BeamField(np.zeros((8, 8), dtype=complex), 0.1, 0.1, 1.0)
         with pytest.raises(ValueError):
             BeamField(np.zeros((48, 64), dtype=complex), 0.1, 0.1, 1.0)
+
+    def test_non_power_of_two_rejected(self):
+        for shape in ((16, 12), (12, 16), (16, 48), (96, 64)):
+            with pytest.raises(ValueError, match="powers of two"):
+                BeamField(np.zeros(shape, dtype=complex), 0.1, 0.1, 1.0)
 
     def test_rejects_bad_scalars(self):
         amp = np.zeros((16, 16), dtype=complex)
@@ -111,6 +216,38 @@ class TestPropagate:
         with pytest.warns(AliasingWarning):
             propagate(f, 0.1)
 
+    def test_slices_from_one_transform(self, gauss_beam):
+        slices = list(_slices(gauss_beam, 4.0, 3))
+        assert slices[0] is gauss_beam
+        for s, f in enumerate(slices[1:], 1):
+            assert f.z == s * 4.0
+            assert np.abs(f.amplitude - propagate(gauss_beam, 4.0, s).amplitude).max() < 1e-12
+
+    def test_matches_dft_matrix_oracle(self):
+        # F^-1 diag(phase) F with dense DFT matrices, on a non-square grid
+        ny, nx, dx, dy, k, dz, steps = 16, 32, 0.1, 0.2, 10.0, 0.3, 3
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(ny, nx)) + 1j * rng.normal(size=(ny, nx))
+        fy, fx = (np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) for n in (ny, nx))
+        k2 = (2.0 * np.pi) ** 2 * (old_freq(nx, dx)[None, :] ** 2 + old_freq(ny, dy)[:, None] ** 2)
+        phase = np.exp(-1j * k2 * steps * dz / (2.0 * k))
+        want = fy.conj() @ ((fy @ a @ fx) * phase) @ fx.conj() / (nx * ny)
+        out = propagate_quietly(BeamField(a, dx, dy, k), dz, steps)
+        assert np.abs(out.amplitude - want).max() < 1e-12
+        assert out.z == steps * dz
+
+    def test_freq_layout(self):
+        assert np.fft.fftfreq(8, d=0.5) == pytest.approx([0, 0.25, 0.5, 0.75, -1.0, -0.75, -0.5, -0.25])
+        # each grid plane wave picks up exp(-i (2 pi f)^2 dz / 2k), f in that layout
+        n, d, k, dz = 16, 0.5, 10.0, 0.7
+        j = np.arange(n)
+        for m, f in zip(j, old_freq(n, d)):
+            row = np.tile(np.exp(2j * np.pi * m * j / n), (n, 1))
+            want = row * np.exp(-1j * (2.0 * np.pi * f) ** 2 * dz / (2.0 * k))
+            for wave, expect in ((row, want), (row.T.copy(), want.T)):
+                out = propagate_quietly(BeamField(wave, d, d, k), dz)
+                assert np.abs(out.amplitude - expect).max() < 1e-12
+
 
 class TestTopologicalCharge:
     @pytest.mark.parametrize("ell", [-3, -2, -1, 0, 1, 2, 3])
@@ -174,6 +311,72 @@ class TestFindVortices:
         assert find_vortices(gauss_beam) == []
 
 
+def _vortex_field(n, cores, dx=0.1):
+    """Gaussian times (z - z_c) or its conjugate per (iy, ix, sign): exact zeros on pixels."""
+    x = (np.arange(n) - n // 2) * dx
+    xg, yg = np.meshgrid(x, x)
+    z = xg + 1j * yg
+    u = np.exp(-np.abs(z) ** 2 / (0.1 * (n * dx) ** 2))
+    for iy, ix, sign in cores:
+        zc = z - z[iy, ix]
+        u = u * (zc if sign > 0 else zc.conj())
+    return BeamField(u, dx, dx, 10.0)
+
+
+def _random_with_zeros(n=64):
+    u = np.random.default_rng(8).normal(size=(n, n, 2)) @ [1.0, 1j]
+    for iy, ix in ((10, 10), (10, 11), (20, 20), (21, 21), (30, 45), (40, 12), (41, 12), (50, 50), (55, 5)):
+        u[iy, ix] = 0.0
+    return BeamField(u, 0.1, 0.1, 10.0)
+
+
+def _edge_cores(lo, n=32):
+    """Cores on the first scanned ring (lo) and one pixel outside it (lo - 1), each side."""
+    cores = [(lo, 10, 1), (n - 1 - lo, 20, -1), (12, lo, 1), (22, n - 1 - lo, 1)]
+    if lo > 0:
+        cores += [(lo - 1, 16, 1), (n - lo, 6, 1), (6, lo - 1, -1), (16, n - lo, 1)]
+    return _vortex_field(n, cores)
+
+
+def _lg(p, ell, n=256, z=0.0):
+    dx = 0.0625 if n >= 256 else 8.0 / n
+    f = lg_mode(p, ell, 1.0, n, n, dx, dx, 100.0)
+    return propagate(f, z) if z else f
+
+
+SCAN_CASES = {
+    "lg01_g256": (lambda: _lg(0, 1), 4),
+    "lg23_g256": (lambda: _lg(2, 3), 4),
+    "lg23_g256_z25": (lambda: _lg(2, 3, z=25.0), 4),
+    "lg1m2_g256": (lambda: _lg(1, -2), 4),
+    "random_planted_zeros": (_random_with_zeros, 4),
+    "random_planted_zeros_margin0": (_random_with_zeros, 0),
+    "edge_cores_margin4": (lambda: _edge_cores(4), 4),
+    "edge_cores_margin1": (lambda: _edge_cores(1), 1),
+    "edge_cores_margin0": (lambda: _edge_cores(1), 0),
+    "grid16": (lambda: _vortex_field(16, [(5, 5, 1), (8, 10, -1), (10, 6, 1), (11, 11, 1)]), 4),
+    "grid16_margin0": (lambda: _vortex_field(16, [(0, 5, 1), (1, 8, -1), (8, 8, 1), (14, 3, 1)]), 0),
+    "grid16_margin7": (lambda: _vortex_field(16, [(7, 8, 1), (5, 5, -1)]), 7),
+    "lg01_g64_margin_half": (lambda: _lg(0, 1, n=64), 32),
+    "lg01_g64_margin_above_half": (lambda: _lg(0, 1, n=64), 33),
+    "lg01_g64_margin_huge": (lambda: _lg(0, 1, n=64), 1000),
+}
+
+
+class TestFindVorticesOracle:
+    @pytest.mark.parametrize("case", SCAN_CASES)
+    def test_matches_per_pixel_reference(self, case):
+        make, margin = SCAN_CASES[case]
+        field = make()
+        assert find_vortices(field, margin) == find_vortices_reference(field, margin)
+
+    def test_cases_reach_the_dead_pixel_path(self):
+        assert find_vortices(_lg(0, 1)) == [((0.0, 0.0), 1)]
+        found = find_vortices(_edge_cores(4), 4)
+        assert sorted(c for _, c in found) == [-1, 1, 1, 1]
+        assert [c for _, c in find_vortices(_vortex_field(16, [(7, 8, 1), (5, 5, -1)]), 7)] == [1]
+
+
 class TestParaxialValidity:
     def test_collimated_beam_small_ratio(self):
         f = lg_mode(0, 0, 1.0, 256, 256, 8.0 / 256, 8.0 / 256, 100.0)  # k w0 = 100
@@ -216,3 +419,10 @@ class TestFieldIO:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,y,intensity,phase"
         assert len(lines) == 64 * 64 + 1
+
+    def test_csv_bytes_match_per_pixel_reference(self, tmp_path):
+        f = lg_mode(0, 1, 1.0, 64, 64, 8.0 / 64, 8.0 / 64, 10.0)
+        for field in (f, propagate(f, 0.3)):
+            intensity_phase_csv(field, tmp_path / "fast.csv")
+            intensity_phase_csv_reference(field, tmp_path / "ref.csv")
+            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -39,6 +39,12 @@ class TestResidual:
         with pytest.raises(DomainError):
             residual(np.array([0.0, 1.5]), JacobiCharges(1.0, 1.0))
 
+    def test_coincident_points(self):
+        # unsorted, the repeated pair not adjacent; -0.0 and 0.0 coincide too
+        for x in ([0.3, -1.0, 0.7, 0.3], [0.0, 2.0, -0.0]):
+            with pytest.raises(DomainError):
+                residual(np.array(x), HermiteLinear())
+
 
 class TestJacobian:
     def test_single_hermite(self):

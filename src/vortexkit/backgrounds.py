@@ -8,7 +8,9 @@ bookkeeping for the Hamiltonian form).
 
 The other half, the sum over pairs of points, is `pair_sum`, with
 `min_separation` the matching distinctness check.  Both work over blocks of
-_BLOCK rows, so memory stays O(n * _BLOCK) at any n.
+_BLOCK rows, so memory stays O(n * _BLOCK) at any n.  `pair_jacobian` is the
+derivative of that sum, and `newton` the damped Newton loop that both
+stationary problems (points on a line, points in the plane) are solved with.
 """
 
 from dataclasses import dataclass, field
@@ -57,6 +59,53 @@ def pair_sum(z, c=1.0, g=np.reciprocal, upper=False):
         t[square][drop] = 0.0
         parts.append(t.sum(axis=1))
     return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def pair_jacobian(z, c=1.0):
+    """J[i, k] = d pair_sum(z, c)[i] / dz_k: c_k/(z_i - z_k)^2 off the diagonal, minus the row sum on it.
+
+    c is a scalar or one weight per point.
+    """
+    z = np.asarray(z)
+    d = z[:, None] - z[None, :]
+    np.fill_diagonal(d, 1.0)  # complex inf would square to nan
+    jac = c / d**2
+    np.fill_diagonal(jac, 0.0)
+    np.fill_diagonal(jac, -jac.sum(axis=1))
+    return jac
+
+
+def newton(residual, step, z, tol, max_iter):
+    """Damped Newton on residual(z) = 0; returns (z, max|r|, steps).
+
+    step(z, r) gives the full Newton step at z, where the residual is r.  Each
+    iteration takes the full step, halving it at most 30 times until residual()
+    is defined there (raises no ValueError) and max|r| strictly decreases; the
+    accepted trial's residual is reused, so an iteration evaluates it once.
+    Stops at max|r| <= tol, after max_iter steps, or when no halving decreases
+    max|r|.
+    """
+    r = residual(z)
+    rmax = np.abs(r).max()
+    steps = 0
+    while rmax > tol and steps < max_iter:
+        dz = step(z, r)
+        lam = 1.0
+        for _ in range(31):
+            zn = z + lam * dz
+            lam *= 0.5
+            try:
+                rn = residual(zn)
+            except ValueError:
+                continue
+            rn_max = np.abs(rn).max()
+            if rn_max < rmax:
+                z, r, rmax = zn, rn, rn_max
+                break
+        else:
+            break
+        steps += 1
+    return z, float(rmax), steps
 
 
 def min_separation(z) -> float:

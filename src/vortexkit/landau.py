@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import ConjugateLinear, min_separation, pair_sum
+from .backgrounds import ConjugateLinear, min_separation, newton, pair_jacobian, pair_sum
 from .paraxial import BeamField
 
 
@@ -94,18 +94,13 @@ def laughlin_stationarity_residual(z, params: LaughlinParams) -> np.ndarray:
 def _planar_jacobian(z, params: LaughlinParams) -> np.ndarray:
     """d(Re S_j, Im S_j)/d(x_i, y_i), rows and columns interleaved, from the Wirtinger blocks.
 
-    a = dS_j/dz_i is m/(z_j - z_i)^2 off the diagonal and minus the row sum on
-    it; b = dS_j/dzbar_i = -omega delta_ij; dS/dx = a + b and dS/dy = i(a - b).
+    a = dS_j/dz_i is `pair_jacobian(z, m)`; b = dS_j/dzbar_i = -omega delta_ij;
+    dS/dx = a + b and dS/dy = i(a - b).
     """
-    n = z.size
-    d = z[:, None] - z[None, :]
-    np.fill_diagonal(d, 1.0)  # complex inf would square to nan
-    a = params.m_exp / d**2
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(a, -a.sum(axis=1))
-    b = -params.omega * np.eye(n)
+    a = pair_jacobian(z, params.m_exp)
+    b = -params.omega * np.eye(z.size)
     dsx, dsy = a + b, 1j * (a - b)
-    jac = np.empty((2 * n, 2 * n))
+    jac = np.empty((2 * z.size, 2 * z.size))
     jac[0::2, 0::2] = dsx.real
     jac[0::2, 1::2] = dsy.real
     jac[1::2, 0::2] = dsx.imag
@@ -114,44 +109,22 @@ def _planar_jacobian(z, params: LaughlinParams) -> np.ndarray:
 
 
 def solve_planar_equilibrium(params: LaughlinParams, guess, tol: float = 1e-10, max_iter: int = 200):
-    """Newton in 2N real variables on Re/Im of the stationarity residual.
+    """Damped Newton (`backgrounds.newton`) in 2N real variables on Re/Im of the stationarity residual.
 
     The rotational family makes the jacobian singular for N >= 2; the Newton
     step is the least-squares solution.  Returns (positions, residual_inf,
-    converged).
+    converged), residual_inf being max_j |S_j|.
     """
-    z = np.atleast_1d(np.asarray(guess, dtype=complex)).copy()
+    z = np.atleast_1d(np.asarray(guess, dtype=complex))
     if z.size != params.N:
         raise ValueError(f"guess size {z.size} does not match N={params.N}")
-    _check_distinct(z)
-    best = z.copy()
-    best_res = np.inf
-    converged = False
-    for _ in range(max_iter):
-        s = laughlin_stationarity_residual(z, params)
-        rmax = np.abs(s).max()
-        if rmax < best_res:
-            best, best_res = z.copy(), rmax
-        if rmax <= tol:
-            converged = True
-            break
+
+    def step(z, s):
         # s.view(float) is (Re S_0, Im S_0, Re S_1, ...), the Jacobian's row order
-        step, *_ = np.linalg.lstsq(_planar_jacobian(z, params), -s.view(float), rcond=None)
-        lam = 1.0
-        for _ in range(30):
-            zn = z + lam * step.view(complex)
-            try:
-                sn = laughlin_stationarity_residual(zn, params)
-            except ValueError:
-                lam *= 0.5
-                continue
-            if np.abs(sn).max() < rmax:
-                z = zn
-                break
-            lam *= 0.5
-        else:
-            break
-    return best, float(best_res), converged
+        return np.linalg.lstsq(_planar_jacobian(z, params), -s.view(float), rcond=None)[0].view(complex)
+
+    z, res, _ = newton(lambda z: laughlin_stationarity_residual(z, params), step, z, tol, max_iter)
+    return z, res, res <= tol
 
 
 def ladder_apply(field: BeamField, which: str, l_B: float) -> BeamField:

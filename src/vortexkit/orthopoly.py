@@ -17,6 +17,7 @@ LAGUERRE = "laguerre"
 JACOBI = "jacobi"
 
 _FAMILIES = (HERMITE, LAGUERRE, JACOBI)
+_POLISH_STEPS = 2
 
 
 class EigensolveError(RuntimeError):
@@ -91,7 +92,7 @@ def recurrence(spec: PolynomialSpec) -> RecurrenceCoefficients:
 
 
 def _eval_all(rec: RecurrenceCoefficients, n: int, x: float):
-    """Value and first two derivatives of the monic degree-n polynomial at x."""
+    """Value and first two derivatives of the monic degree-n polynomial at x (scalar or array)."""
     p_prev, p = 0.0, 1.0
     d_prev, d = 0.0, 0.0
     s_prev, s = 0.0, 0.0
@@ -116,11 +117,13 @@ def evaluate(spec: PolynomialSpec, x: float):
     return p, d
 
 
-def zeros(spec: PolynomialSpec, newton_steps: int = 2) -> np.ndarray:
+def zeros(spec: PolynomialSpec) -> np.ndarray:
     """All n real zeros, strictly increasing.
 
     Eigenvalues of the symmetric tridiagonal (Jacobi) matrix built from the
-    recurrence, followed by a short Newton polish with the recurrence derivative.
+    recurrence, followed by _POLISH_STEPS Newton steps with the recurrence
+    derivative.  Where the monic recurrence overflows (large n) the step is
+    not finite and the eigenvalue is kept.
     """
     rec = recurrence(spec)
     n = spec.n
@@ -132,11 +135,11 @@ def zeros(spec: PolynomialSpec, newton_steps: int = 2) -> np.ndarray:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise EigensolveError(f"tridiagonal eigensolve failed for {spec}") from exc
         x = np.sort(x)
-    for _ in range(newton_steps):
-        for i in range(n):
-            p, d, _ = _eval_all(rec, n, x[i])
-            if d != 0.0:
-                x[i] -= p / d
+    for _ in range(_POLISH_STEPS):
+        with np.errstate(all="ignore"):
+            p, d, _ = _eval_all(rec, n, x)
+            dx = p / d
+        x = np.where(np.isfinite(dx), x - dx, x)
     return np.sort(x)
 
 

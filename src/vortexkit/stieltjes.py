@@ -1,10 +1,11 @@
 """Stationary vortex configurations on a line (Stieltjes electrostatics).
 
 Solves R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k) = 0 by damped Newton with an
-analytic jacobian, falling back to gradient flow on the electrostatic energy
-E = -sum_{i<j} ln|x_i - x_j| + sum_k V(x_k) (V the antiderivative of w) when
-Newton leaves the domain.  Converged equilibria are certified against the
-zeros of the matching classical orthogonal polynomial.
+analytic jacobian, the Newton loop shared with the planar problem: a step is halved
+until the points stay in the domain and max|R| decreases.  The equilibria are
+the critical points of the electrostatic energy E = -sum_{i<j} ln|x_i - x_j| +
+sum_k V(x_k) (V the antiderivative of w).  Converged equilibria are certified
+against the zeros of the matching classical orthogonal polynomial.
 """
 
 import json
@@ -14,7 +15,9 @@ from typing import Optional
 import numpy as np
 
 from . import orthopoly
-from .backgrounds import HermiteLinear, Coulomb, JacobiCharges, CustomRational, log_abs, pair_sum
+from .backgrounds import (
+    HermiteLinear, Coulomb, JacobiCharges, CustomRational, log_abs, newton, pair_jacobian, pair_sum,
+)
 
 _SOLVABLE = (HermiteLinear, Coulomb, JacobiCharges, CustomRational)
 
@@ -74,16 +77,6 @@ def _check_domain(x, bg):
             raise DomainError(f"point coincides with fixed pole at {pole}")
 
 
-def _inside(x, bg):
-    lo, hi = bg.domain
-    if np.any(x <= lo) or np.any(x >= hi):
-        return False
-    for pole in getattr(bg, "poles", ()):
-        if np.any(x == np.real(pole)):
-            return False
-    return bool(np.all(np.diff(x) > 0))
-
-
 def residual(x, background) -> np.ndarray:
     """R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k)."""
     x = np.asarray(x, dtype=float)
@@ -97,17 +90,17 @@ def jacobian(x, background) -> np.ndarray:
     """Analytic dR_k/dx_m: off-diagonal 1/(x_k-x_m)^2, diagonal -sum - w'(x_k)."""
     x = np.asarray(x, dtype=float)
     _check_domain(x, background)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, np.inf)
-    jac = 1.0 / diff**2
-    np.fill_diagonal(jac, -np.sum(jac, axis=1) - np.real(background.dw(x)))
+    jac = pair_jacobian(x)
+    jac[np.diag_indices_from(jac)] -= np.real(background.dw(x))
     return jac
 
 
 def energy(x, background) -> float:
     """Electrostatic energy whose gradient is -R."""
     x = np.asarray(x, dtype=float)
-    return float(np.sum(np.real(background.antiderivative(x))) - np.sum(pair_sum(x, 1.0, log_abs, upper=True)))
+    # complex, so that the logarithms of the fixed charges take |x - pole| on either side
+    v = np.real(background.antiderivative(x.astype(complex)))
+    return float(np.sum(v) - np.sum(pair_sum(x, 1.0, log_abs, upper=True)))
 
 
 def default_guess(n, background) -> np.ndarray:
@@ -120,66 +113,18 @@ def default_guess(n, background) -> np.ndarray:
     return np.sqrt(2.0 * n) * c if n > 1 else np.array([0.5])
 
 
-def _gradient_flow(x, background, max_iter, tol):
-    """Backtracking descent on the electrostatic energy; strictly monotone."""
-    e = energy(x, background)
-    it = 0
-    while it < max_iter:
-        r = residual(x, background)
-        if np.abs(r).max() <= tol:
-            break
-        step = 1.0 / (1.0 + np.abs(r).max())
-        accepted = False
-        for _ in range(40):
-            xn = x + step * r  # r = -grad E
-            if _inside(xn, background) and energy(xn, background) < e:
-                x, e = xn, energy(xn, background)
-                accepted = True
-                break
-            step *= 0.5
-        it += 1
-        if not accepted:
-            break
-    return x, it
-
-
 def solve(problem: EquilibriumProblem, tolerance: float = 1e-12, max_iter: int = 200) -> EquilibriumReport:
-    """Damped Newton with gradient-flow fallback; positions returned sorted."""
+    """Damped Newton (`backgrounds.newton`) with the analytic jacobian; positions returned sorted."""
     bg = problem.background
     x = problem.guess if problem.guess is not None else default_guess(problem.n, bg)
-    x = np.sort(np.asarray(x, dtype=float))
-    method = "Newton"
-    iterations = 0
-    used_flow = False
-    for _ in range(max_iter):
-        r = residual(x, bg)
-        rmax = np.abs(r).max()
-        if rmax <= tolerance:
-            break
-        step = np.linalg.solve(jacobian(x, bg), -r)
-        lam = 1.0
-        moved = False
-        for _ in range(30):
-            xn = x + lam * step
-            if _inside(xn, bg):
-                x = xn
-                moved = True
-                break
-            lam *= 0.5
-        iterations += 1
-        if not moved:
-            x, flow_it = _gradient_flow(x, bg, 50, tolerance)
-            iterations += flow_it
-            used_flow = True
-    if used_flow:
-        method = "Hybrid"
-    r = residual(x, bg)
-    return EquilibriumReport(
-        positions=np.sort(x),
-        residual_inf=float(np.abs(r).max()),
-        iterations=iterations,
-        method=method,
+    x, rmax, iterations = newton(
+        lambda x: residual(x, bg),
+        lambda x, r: np.linalg.solve(jacobian(x, bg), -r),
+        np.sort(np.asarray(x, dtype=float)),
+        tolerance,
+        max_iter,
     )
+    return EquilibriumReport(positions=np.sort(x), residual_inf=rmax, iterations=iterations, method="Newton")
 
 
 def certify(report: EquilibriumReport, spec: orthopoly.PolynomialSpec, tol: float = 1e-10) -> EquilibriumReport:

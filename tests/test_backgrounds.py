@@ -1,4 +1,5 @@
-"""Blocked pair kernel: agreement with explicit double loops, and bounded memory."""
+"""Blocked pair kernel and its jacobian: agreement with explicit double loops, and
+bounded memory; the shared damped Newton loop."""
 
 import tracemalloc
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from vortexkit import stieltjes
-from vortexkit.backgrounds import _BLOCK, HermiteLinear, JacobiCharges, log_abs, min_separation, pair_sum
+from vortexkit.backgrounds import (
+    _BLOCK, HermiteLinear, JacobiCharges, log_abs, min_separation, newton, pair_jacobian, pair_sum,
+)
 from vortexkit.vortex import VortexConfiguration, conserved, rhs
 
 SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
@@ -80,6 +83,62 @@ def test_min_separation_matches_loop(n):
 def test_fewer_than_two_points():
     assert min_separation(np.array([1.0 + 2.0j])) == np.inf
     assert pair_sum(np.array([1.0 + 2.0j]), 3.0).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_pair_jacobian_matches_loop(n):
+    rng = np.random.default_rng(400 + n)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    c = mixed_weights(rng, n)
+    ref = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for k in range(n):
+            if k != i:
+                ref[i, k] = c[k] / (z[i] - z[k]) ** 2
+        ref[i, i] = -ref[i].sum()
+    scale = np.abs(ref).sum(axis=1, keepdims=True)
+    assert np.all(np.abs(pair_jacobian(z, c) - ref) <= 4 * EPS * scale)
+
+
+class TestNewton:
+    def test_one_residual_per_iteration(self):
+        calls = []
+
+        def residual(z):
+            calls.append(z)
+            return z**3 - 2.0
+
+        z, res, steps = newton(residual, lambda z, r: -r / (3.0 * z**2), np.array([1.5]), 1e-14, 50)
+        assert res <= 1e-14 and z == pytest.approx([2.0 ** (1 / 3)], abs=1e-14)
+        assert 0 < steps and len(calls) == steps + 1  # every full step was accepted
+
+    def test_undefined_trials_are_halved(self):
+        def residual(z):
+            if np.any(z <= 0):
+                raise ValueError("outside the domain")
+            return np.log(z)
+
+        # the first full step lands at 8 - 8 ln 8 < 0
+        z, res, steps = newton(residual, lambda z, r: -r * z, np.array([8.0]), 1e-12, 50)
+        assert res <= 1e-12 and z == pytest.approx([1.0], abs=1e-12)
+
+    def test_stops_when_no_halving_decreases(self):
+        calls = []
+
+        def residual(z):
+            calls.append(z)
+            return z - 1.0
+
+        # an uphill step: no trial decreases |r|
+        z, res, steps = newton(residual, lambda z, r: r, np.array([3.0]), 1e-12, 50)
+        assert (z.tolist(), res, steps) == ([3.0], 2.0, 0)
+        assert len(calls) == 1 + 31  # the full step and 30 halvings
+
+    def test_max_iter_and_met_tolerance(self):
+        cube = (lambda z: z**3 - 2.0, lambda z, r: -r / (3.0 * z**2))
+        z, res, steps = newton(*cube, np.array([1.5]), 1e-14, 2)
+        assert steps == 2 and res > 1e-14
+        assert newton(*cube, z, res, 50)[1:] == (res, 0)
 
 
 def peak_mib(fn):

@@ -212,6 +212,18 @@ class TestPlanarEquilibrium:
         assert np.abs(z) == pytest.approx([best] * 3, abs=1e-4)
 
 
+    @pytest.mark.parametrize("n", [10, 30])
+    def test_returned_residual_is_max_modulus(self, n):
+        # the modulus of the complex S_j, not the largest of its real and imaginary parts
+        params = LaughlinParams(n)
+        rng = np.random.default_rng(n)
+        angles = 2.0 * np.pi * np.arange(n) / n + 0.01 * rng.standard_normal(n)
+        guess = 0.9 * np.sqrt(2.0 * (n - 1)) * np.exp(1j * angles)
+        z, res, conv = solve_planar_equilibrium(params, guess)
+        assert conv
+        assert res == np.abs(laughlin_stationarity_residual(z, params)).max()
+
+
 class TestLadder:
     @pytest.mark.parametrize("prefactor", [None, lambda z: z])
     def test_lowering_annihilates_lll(self, prefactor):

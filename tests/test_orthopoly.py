@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import roots_genlaguerre, roots_hermite, roots_jacobi
 
 from vortexkit import orthopoly
 from vortexkit.orthopoly import PolynomialSpec, evaluate, ode_residual_relative, recurrence, zeros
@@ -150,6 +151,20 @@ class TestZeros:
     def test_jacobi_equal_parameters_symmetry(self):
         x = zeros(PolynomialSpec("jacobi", 9, alpha=1.5, beta=1.5))
         assert np.abs(x + x[::-1]).max() < 1e-14
+
+    @pytest.mark.parametrize("spec,roots,args", [
+        (PolynomialSpec("hermite", 300), roots_hermite, (300,)),
+        (PolynomialSpec("hermite", 1000), roots_hermite, (1000,)),
+        (PolynomialSpec("laguerre", 200, alpha=3.0), roots_genlaguerre, (200, 3.0)),
+        (PolynomialSpec("jacobi", 1000), roots_jacobi, (1000, 0.0, 0.0)),
+    ], ids=["hermite300", "hermite1000", "laguerre3_200", "jacobi1000"])
+    def test_large_n_finite_and_accurate(self, spec, roots, args):
+        # The monic recurrence overflows here; the eigenvalues must survive the polish.
+        x = zeros(spec)
+        ref = roots(*args)[0]
+        assert np.all(np.isfinite(x))
+        assert np.all(np.diff(x) > 0)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_domains(self):
         assert np.all(zeros(PolynomialSpec("laguerre", 15, alpha=3.0)) > 0)

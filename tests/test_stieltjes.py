@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from vortexkit import orthopoly, stieltjes
+from vortexkit import orthopoly
 from vortexkit.backgrounds import Coulomb, CustomRational, HermiteLinear, JacobiCharges
 from vortexkit.orthopoly import PolynomialSpec
 from vortexkit.stieltjes import (
@@ -76,6 +76,24 @@ class TestJacobian:
                 assert j[:, m] == pytest.approx(fd, abs=1e-5)
 
 
+class TestEnergy:
+    @pytest.mark.parametrize("bg,x", [
+        (HermiteLinear(), [-2.0, -0.3, 0.4, 1.7]),
+        (Coulomb(1.0), [0.5, 2.0, 4.5, 9.0]),
+        (JacobiCharges(1.0, 2.0), [-0.8, -0.1, 0.3, 0.85]),
+    ])
+    def test_gradient_is_minus_residual(self, bg, x):
+        x = np.array(x)
+        h = 1e-6
+        grad = np.empty(x.size)
+        for m in range(x.size):
+            xp, xm = x.copy(), x.copy()
+            xp[m] += h
+            xm[m] -= h
+            grad[m] = (energy(xp, bg) - energy(xm, bg)) / (2 * h)
+        assert grad == pytest.approx(-residual(x, bg), abs=1e-6)
+
+
 class TestSolve:
     def test_hermite_n5(self):
         rep = solve(EquilibriumProblem(5, HermiteLinear()))
@@ -109,15 +127,31 @@ class TestSolve:
         rep = solve(EquilibriumProblem(3, bg, guess=np.array([-1.0, 0.1, 1.0])))
         assert rep.residual_inf < 1e-12
 
-    def test_gradient_flow_monotone(self):
-        bg = HermiteLinear()
-        x = np.array([-4.0, -3.5, 3.5, 4.0])
-        energies = [energy(x, bg)]
-        for _ in range(15):
-            x, _ = stieltjes._gradient_flow(x, bg, 1, 0.0)
-            energies.append(energy(x, bg))
-        diffs = np.diff(energies)
-        assert np.all(diffs[np.abs(diffs) > 0] < 0)
+    def test_residual_decreases_over_accepted_iterates(self):
+        # far from equilibrium, so that full steps leave the domain or overshoot
+        for bg, guess in (
+            (HermiteLinear(), [-4.0, -3.5, 3.5, 4.0]),
+            (Coulomb(1.0), [30.0, 31.0, 32.0, 60.0]),
+            (JacobiCharges(2.0, 0.5), [-0.99, -0.98, 0.97, 0.999]),
+        ):
+            problem = EquilibriumProblem(4, bg, guess=np.array(guess))
+            res = []
+            for k in range(40):
+                rep = solve(problem, max_iter=k)
+                if rep.iterations < k:
+                    break
+                res.append(rep.residual_inf)
+            assert len(res) > 3
+            assert np.all(np.diff(res) < 0)
+
+    def test_jacobi_half_stops_on_stagnation(self):
+        # max|R| stalls near 3e-10 above the 1e-12 tolerance: the solve must
+        # stop there rather than run out max_iter
+        rep = solve(EquilibriumProblem(100, JacobiCharges(0.5, 0.5)), tolerance=1e-12)
+        assert rep.iterations < 20
+        assert rep.method == "Newton"
+        ref = orthopoly.zeros(PolynomialSpec("jacobi", 100))
+        assert np.abs(rep.positions - ref).max() <= 1e-14
 
 
 class TestCertify:

@@ -4,6 +4,11 @@ All polynomials are monic internally.  Conversion factors to the conventional
 normalizations (physicists' Hermite H_n = 2^n p_n, Laguerre L_n^(a) = (-1)^n/n! p_n,
 Jacobi P_n^(a,b) = binom(2n+a+b, n)/2^n p_n) follow from the leading coefficients
 and are not exposed.
+
+One evaluator, `_eval_all`, gives p, p', p'' divided by 2^e and the exponent e,
+so nothing overflows at any degree.  The zeros polish and the relative ODE
+residual are ratios and use the scaled values; `evaluate` and `ode_residual`
+multiply 2^e back in.
 """
 
 from dataclasses import dataclass
@@ -18,6 +23,7 @@ JACOBI = "jacobi"
 
 _FAMILIES = (HERMITE, LAGUERRE, JACOBI)
 _POLISH_STEPS = 2
+_RESCALE = 16
 
 
 class EigensolveError(RuntimeError):
@@ -91,100 +97,93 @@ def recurrence(spec: PolynomialSpec) -> RecurrenceCoefficients:
     return RecurrenceCoefficients(a=a, b=b)
 
 
-def _eval_all(rec: RecurrenceCoefficients, n: int, x: float):
-    """Value and first two derivatives of the monic degree-n polynomial at x (scalar or array)."""
-    p_prev, p = 0.0, 1.0
-    d_prev, d = 0.0, 0.0
-    s_prev, s = 0.0, 0.0
+def _eval_all(rec: RecurrenceCoefficients, n: int, x):
+    """Value and first two derivatives of the monic degree-n polynomial at x (scalar or array).
+
+    Returns (p, d, s, e): the monic values are p·2^e, d·2^e, s·2^e.  Every
+    _RESCALE steps the whole state is divided by a power of two per point, so
+    nothing overflows; the scaling is exact, so ratios such as p/d equal the
+    unscaled ones bit for bit.
+    """
+    p_prev, p, d_prev, d, s_prev, s, e = 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0
     for k in range(n):
-        ak = rec.a[k]
+        t = x - rec.a[k]
         bk = rec.b[k] if k >= 1 else 0.0
-        p_next = (x - ak) * p - bk * p_prev
-        d_next = (x - ak) * d + p - bk * d_prev
-        s_next = (x - ak) * s + 2.0 * d - bk * s_prev
+        p_next = t * p - bk * p_prev
+        d_next = t * d + p - bk * d_prev
+        s_next = t * s + 2.0 * d - bk * s_prev
         p_prev, p = p, p_next
         d_prev, d = d, d_next
         s_prev, s = s, s_next
-    return p, d, s
+        if k % _RESCALE == _RESCALE - 1:
+            state = [p_prev, p, d_prev, d, s_prev, s]
+            shift = np.frexp(np.max(np.abs(state), axis=0))[1]
+            p_prev, p, d_prev, d, s_prev, s = np.ldexp(state, -shift)
+            e = e + shift
+    return p, d, s, e
 
 
 def evaluate(spec: PolynomialSpec, x: float):
     """Value and first derivative of the monic polynomial at x."""
     if not np.isfinite(x):
         raise ValueError("x must be finite")
-    rec = recurrence(spec)
-    p, d, _ = _eval_all(rec, spec.n, float(x))
-    return p, d
+    p, d, _, e = _eval_all(recurrence(spec), spec.n, float(x))
+    return np.ldexp(p, e), np.ldexp(d, e)
 
 
 def zeros(spec: PolynomialSpec) -> np.ndarray:
     """All n real zeros, strictly increasing.
 
     Eigenvalues of the symmetric tridiagonal (Jacobi) matrix built from the
-    recurrence, followed by _POLISH_STEPS Newton steps with the recurrence
-    derivative.  Where the monic recurrence overflows (large n) the step is
-    not finite and the eigenvalue is kept.
+    recurrence, followed by _POLISH_STEPS Newton steps p/d with the rescaled
+    recurrence, which stays finite at every degree.  A step that is still not
+    finite (d = 0) is skipped and the eigenvalue kept.
     """
     rec = recurrence(spec)
-    n = spec.n
-    if n == 1:
-        x = np.array([rec.a[0]])
-    else:
-        try:
-            x = eigh_tridiagonal(rec.a, np.sqrt(rec.b[1:]), eigvals_only=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise EigensolveError(f"tridiagonal eigensolve failed for {spec}") from exc
-        x = np.sort(x)
+    try:
+        x = eigh_tridiagonal(rec.a, np.sqrt(rec.b[1:]), eigvals_only=True)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigensolveError(f"tridiagonal eigensolve failed for {spec}") from exc
     for _ in range(_POLISH_STEPS):
+        p, d, _, _ = _eval_all(rec, spec.n, x)
         with np.errstate(all="ignore"):
-            p, d, _ = _eval_all(rec, n, x)
             dx = p / d
         x = np.where(np.isfinite(dx), x - dx, x)
     return np.sort(x)
 
 
-def ode_residual(spec: PolynomialSpec, x: float) -> float:
-    """Residual of the family's second-order ODE at x for the monic polynomial.
+def _ode(spec: PolynomialSpec, x):
+    """The family's ODE at x as (coefficient, size bound) pairs of f'', f' and f.
 
     Hermite: f'' - 2x f' + 2n f; Laguerre: x f'' + (alpha+1-x) f' + n f;
     Jacobi: (1-x^2) f'' + [beta-alpha-(alpha+beta+2)x] f' + n(n+alpha+beta+1) f.
     """
-    rec = recurrence(spec)
-    n = spec.n
-    x = float(x)
-    p, d, s = _eval_all(rec, n, x)
+    n, al, be = spec.n, spec.alpha, spec.beta
     if spec.family == HERMITE:
-        return s - 2.0 * x * d + 2.0 * n * p
+        return (1.0, 1.0), (-2.0 * x, 2.0 * abs(x)), (2.0 * n, 2.0 * n)
     if spec.family == LAGUERRE:
-        return x * s + (spec.alpha + 1.0 - x) * d + n * p
-    al, be = spec.alpha, spec.beta
-    return (1.0 - x * x) * s + (be - al - (al + be + 2.0) * x) * d + n * (n + al + be + 1.0) * p
+        return (x, abs(x)), (al + 1.0 - x, abs(al + 1.0) + abs(x)), (n, n)
+    c, j = n * (n + al + be + 1.0), al + be + 2.0
+    return (1.0 - x * x, abs(1.0 - x * x)), (be - al - j * x, abs(be - al) + j * abs(x)), (c, c)
 
 
-def ode_residual_relative(spec: PolynomialSpec, x: float) -> float:
-    """ODE residual scaled by the magnitude of its largest term."""
-    rec = recurrence(spec)
-    n = spec.n
-    x = float(x)
-    p, d, s = _eval_all(rec, n, x)
-    if spec.family == HERMITE:
-        terms = (s, -2.0 * x * d, 2.0 * n * p)
-        scale = abs(s) + 2.0 * abs(x) * abs(d) + 2.0 * n * abs(p)
-    elif spec.family == LAGUERRE:
-        terms = (x * s, (spec.alpha + 1.0 - x) * d, n * p)
-        scale = abs(x) * abs(s) + (abs(spec.alpha + 1.0) + abs(x)) * abs(d) + n * abs(p)
-    else:
-        al, be = spec.alpha, spec.beta
-        terms = (
-            (1.0 - x * x) * s,
-            (be - al - (al + be + 2.0) * x) * d,
-            n * (n + al + be + 1.0) * p,
-        )
-        scale = (
-            abs(1.0 - x * x) * abs(s)
-            + (abs(be - al) + (al + be + 2.0) * abs(x)) * abs(d)
-            + n * (n + al + be + 1.0) * abs(p)
-        )
-    if scale == 0.0:
-        return 0.0
-    return sum(terms) / scale
+def _ode_terms(spec: PolynomialSpec, x):
+    """The three ODE terms, their size bounds (both scaled by 2^-e) and e, at x."""
+    x = np.asarray(x, dtype=float)
+    p, d, s, e = _eval_all(recurrence(spec), spec.n, x)
+    pairs = list(zip(_ode(spec, x), (s, d, p)))
+    return [c * f for (c, _), f in pairs], [b * abs(f) for (_, b), f in pairs], e
+
+
+def ode_residual(spec: PolynomialSpec, x):
+    """Residual of the family's second-order ODE (see `_ode`) for the monic polynomial at x."""
+    terms, _, e = _ode_terms(spec, x)
+    return np.ldexp(sum(terms), e)[()]
+
+
+def ode_residual_relative(spec: PolynomialSpec, x):
+    """ODE residual at x (scalar or array) scaled by the sum of its terms' size bounds."""
+    terms, bounds, _ = _ode_terms(spec, x)
+    scale = sum(bounds)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(scale == 0.0, 0.0, sum(terms) / scale)[()]

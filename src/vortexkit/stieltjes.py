@@ -128,14 +128,14 @@ def solve(problem: EquilibriumProblem, tolerance: float = 1e-12, max_iter: int =
 
 
 def certify(report: EquilibriumReport, spec: orthopoly.PolynomialSpec, tol: float = 1e-10) -> EquilibriumReport:
-    """Compare equilibrium positions against polynomial zeros and the ODE residual."""
+    """Compare positions against the polynomial zeros and the ODE residual; both must be finite."""
     if spec.n != report.positions.size:
         raise ValueError(f"spec degree {spec.n} does not match {report.positions.size} positions")
     ref = orthopoly.zeros(spec)
+    if not (np.all(np.isfinite(report.positions)) and np.all(np.isfinite(ref))):
+        raise ValueError("cannot certify non-finite positions or reference zeros")
     dev = float(np.abs(np.sort(report.positions) - ref).max())
-    ode_ok = all(
-        abs(orthopoly.ode_residual_relative(spec, x)) <= 1e-8 for x in report.positions
-    )
+    ode_ok = np.all(np.abs(orthopoly.ode_residual_relative(spec, report.positions)) <= 1e-8)
     return replace(report, certified=bool(dev <= tol and ode_ok), max_zero_deviation=dev)
 
 

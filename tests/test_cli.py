@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from vortexkit import cli
+from vortexkit import cli, orthopoly
 
 
 def run(argv):
@@ -32,6 +33,16 @@ class TestZeros:
         assert run(["--quiet", "--out", str(tmp_path), "zeros"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_nan_residual_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(orthopoly, "ode_residual_relative", lambda spec, x: x * np.nan)
+        assert run(["--out", str(tmp_path), "zeros", "--n", "5"]) == 3
+
+    def test_large_n_residuals_finite(self, tmp_path, capsys):
+        assert run(["--out", str(tmp_path), "zeros", "--family", "hermite", "--n", "300"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 301
+        assert "nan" not in out.lower()
+
 
 class TestEquilibrium:
     def test_hermite_certified(self, tmp_path):
@@ -40,6 +51,15 @@ class TestEquilibrium:
         doc = json.loads((tmp_path / "equilibrium.json").read_text())
         assert doc["certified"] is True
         assert len(doc["positions"]) == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "hermite", "--n", "300"],
+        ["--family", "coulomb", "--l", "1", "--n", "200"],
+    ], ids=["hermite300", "coulomb_l1_200"])
+    def test_large_n_certified(self, tmp_path, argv):
+        assert run(["--out", str(tmp_path), "equilibrium"] + argv) == 0
+        doc = json.loads((tmp_path / "equilibrium.json").read_text())
+        assert doc["certified"] is True
 
     def test_coulomb_and_jacobi(self, tmp_path):
         assert run(["--out", str(tmp_path), "equilibrium", "--family", "coulomb",

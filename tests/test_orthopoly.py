@@ -159,12 +159,15 @@ class TestZeros:
         (PolynomialSpec("jacobi", 1000), roots_jacobi, (1000, 0.0, 0.0)),
     ], ids=["hermite300", "hermite1000", "laguerre3_200", "jacobi1000"])
     def test_large_n_finite_and_accurate(self, spec, roots, args):
-        # The monic recurrence overflows here; the eigenvalues must survive the polish.
+        # The unscaled monic recurrence overflows here; the polish and the ODE
+        # certificate must not.
         x = zeros(spec)
         ref = roots(*args)[0]
         assert np.all(np.isfinite(x))
         assert np.all(np.diff(x) > 0)
-        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+        res = ode_residual_relative(spec, x)
+        assert np.all(np.isfinite(res)) and np.abs(res).max() <= 1e-8
 
     def test_domains(self):
         assert np.all(zeros(PolynomialSpec("laguerre", 15, alpha=3.0)) > 0)
@@ -179,10 +182,78 @@ class TestZeros:
     def test_zero_certification(self, spec):
         rec = orthopoly.recurrence(spec)
         for x in zeros(spec):
-            p, d, _ = orthopoly._eval_all(rec, spec.n, x)
+            p, d, _, _ = orthopoly._eval_all(rec, spec.n, x)
             # Newton correction below 1e-12 at the returned zero
             assert abs(p) <= 1e-12 * abs(d) * max(1.0, abs(x))
             assert abs(ode_residual_relative(spec, x)) < 1e-8
+
+
+def eval_unscaled(rec, n, x):
+    """The unscaled scalar monic recurrence: p, p', p'' at x (overflows at large n)."""
+    p_prev, p, d_prev, d, s_prev, s = 0.0, 1.0, 0.0, 0.0, 0.0, 0.0
+    for k in range(n):
+        ak, bk = rec.a[k], (rec.b[k] if k >= 1 else 0.0)
+        p_prev, p = p, (x - ak) * p - bk * p_prev
+        d_prev, d = d, (x - ak) * d + p_prev - bk * d_prev
+        s_prev, s = s, (x - ak) * s + 2.0 * d_prev - bk * s_prev
+    return p, d, s
+
+
+def ode_residual_relative_unscaled(spec, x):
+    """Relative ODE residual from `eval_unscaled`, each family's terms written out."""
+    n, al, be = spec.n, spec.alpha, spec.beta
+    p, d, s = eval_unscaled(recurrence(spec), n, x)
+    if spec.family == "hermite":
+        terms = (s, -2.0 * x * d, 2.0 * n * p)
+        scale = abs(s) + 2.0 * abs(x) * abs(d) + 2.0 * n * abs(p)
+    elif spec.family == "laguerre":
+        terms = (x * s, (al + 1.0 - x) * d, n * p)
+        scale = abs(x) * abs(s) + (abs(al + 1.0) + abs(x)) * abs(d) + n * abs(p)
+    else:
+        terms = ((1.0 - x * x) * s, (be - al - (al + be + 2.0) * x) * d, n * (n + al + be + 1.0) * p)
+        scale = (abs(1.0 - x * x) * abs(s) + (abs(be - al) + (al + be + 2.0) * abs(x)) * abs(d)
+                 + n * (n + al + be + 1.0) * abs(p))
+    return 0.0 if scale == 0.0 else sum(terms) / scale
+
+
+class TestRescaledRecurrence:
+    @pytest.mark.parametrize("family,kwargs", [
+        ("hermite", {}),
+        ("laguerre", {"alpha": 3.0}),
+        ("jacobi", {"alpha": 0.5, "beta": -0.5}),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 33, 100, 250])
+    def test_matches_unscaled_reference(self, family, kwargs, n):
+        # Power-of-two rescaling is exact: ratios are bit-identical wherever
+        # the unscaled recurrence is finite.
+        spec = PolynomialSpec(family, n, **kwargs)
+        z = zeros(spec)
+        x = np.concatenate([z, np.random.default_rng(n).uniform(z[0] - 1.0, z[-1] + 1.0, 20)])
+        p, d, _, _ = orthopoly._eval_all(recurrence(spec), n, x)
+        rel = ode_residual_relative(spec, x)
+        compared = 0
+        with np.errstate(all="ignore"):
+            for i, xi in enumerate(x):
+                pr, dr, sr = eval_unscaled(recurrence(spec), n, float(xi))
+                ref = ode_residual_relative_unscaled(spec, float(xi))
+                if np.isfinite([pr, dr, sr]).all() and dr != 0.0:
+                    assert p[i] / d[i] == pr / dr
+                    assert evaluate(spec, xi) == (pr, dr)
+                    compared += 1
+                if np.isfinite(ref):
+                    assert rel[i] == ref
+        # the unscaled Laguerre recurrence overflows at every point of degree 250
+        assert compared > 0 or (family, n) == ("laguerre", 250)
+
+    def test_finite_where_unscaled_overflows(self):
+        spec = PolynomialSpec("laguerre", 500, alpha=50.0)
+        x = zeros(spec)
+        with np.errstate(all="ignore"):
+            ref = [ode_residual_relative_unscaled(spec, float(xi)) for xi in x]
+        assert not np.all(np.isfinite(ref))
+        res = ode_residual_relative(spec, x)
+        assert np.all(np.isfinite(res)) and np.abs(res).max() <= 1e-8
+        assert np.all(np.isfinite(orthopoly._eval_all(recurrence(spec), spec.n, x)[:3]))
 
 
 class TestOdeResidual:

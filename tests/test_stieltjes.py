@@ -181,6 +181,21 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify(rep, PolynomialSpec("hermite", 4))
 
+    def test_non_finite_positions_raise(self):
+        # A NaN must not reach the report as certified=False, max_zero_deviation=NaN.
+        from dataclasses import replace
+
+        rep = solve(EquilibriumProblem(3, HermiteLinear()))
+        bad = replace(rep, positions=np.array([np.nan, 0.0, 1.0]))
+        with pytest.raises(ValueError):
+            certify(bad, PolynomialSpec("hermite", 3))
+
+    def test_non_finite_reference_zeros_raise(self, monkeypatch):
+        rep = solve(EquilibriumProblem(3, HermiteLinear()))
+        monkeypatch.setattr(orthopoly, "zeros", lambda spec: np.full(spec.n, np.nan))
+        with pytest.raises(ValueError):
+            certify(rep, PolynomialSpec("hermite", 3))
+
 
 class TestPartnerPotentials:
     def test_linear_superpotential(self):

@@ -4,7 +4,9 @@ Each family provides the flow term w(z) entering the velocity
 dz_bar/dt = sum_j i*kappa_j/(z - z_j) + i*w(z), its derivative (used by the
 Newton jacobian of the stationary problem), and the complex antiderivative
 (real part = line potential for the electrostatic energy, stream-function
-bookkeeping for the Hamiltonian form).
+bookkeeping for the Hamiltonian form).  All but ConjugateLinear are rational,
+w(z) = sum_m r_m/(z - p_m) + polynomial(z): they are CustomRationals that only
+set their poles, residues and polynomial.
 
 The other half, the sum over pairs of points, is `pair_sum`, with
 `min_separation` the matching distinctness check.  Both work over blocks of
@@ -14,6 +16,7 @@ stationary problems (points on a line, points in the plane) are solved with.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -117,72 +120,112 @@ def min_separation(z) -> float:
     return float(best)
 
 
+def _horner(coeffs, z):
+    """sum_m coeffs[m] * z**m by Horner from the leading coefficient; None without coefficients."""
+    if not coeffs:
+        return None
+    out = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out = out * z + c if c else out * z  # so that w(z) = z is 1.0 * z and not 1.0 * z + 0.0
+    return out
+
+
 @dataclass(frozen=True)
-class NoFlow:
-    poles = ()
+class CustomRational:
+    """w(z) = sum_m residues[m]/(z - poles[m]) + polynomial(z) (ascending coeffs).
+
+    The one evaluation of w, w' and the antiderivative Phi: the families below
+    only set poles, residues and poly.  A result that does not depend on z (w
+    of NoFlow, w' of HermiteLinear) is a scalar, which broadcasts against z.
+    """
+
+    poles: tuple = ()
+    residues: tuple = ()
+    poly: tuple = ()
+
+    def __post_init__(self):
+        if len(self.poles) != len(self.residues):
+            raise ValueError("poles and residues must have equal length")
+        if len(set(self.poles)) != len(self.poles):
+            raise ValueError("poles must be distinct")
+
     domain = (-np.inf, np.inf)
 
+    def _add_poles(self, z, out, term):
+        """out plus term(r, z - p) for each pole p with residue r; out is the polynomial part or None."""
+        for p, r in zip(self.poles, self.residues):
+            t = term(r, z - p if p else z)  # z - 0 is z: one numpy operation less for Coulomb
+            out = t if out is None else out + t
+        return 0.0 if out is None else out
+
     def w(self, z):
-        return np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0.0
+        return self._add_poles(z, _horner(self.poly, z), lambda r, d: r / d)
 
     def dw(self, z):
-        return np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0.0
+        return self._add_poles(z, _horner(self._derived_polys[0], z), lambda r, d: -r / (d * d))
 
     def antiderivative(self, z):
-        return np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0.0
+        ipoly = _horner(self._derived_polys[1], z)
+        return self._add_poles(z, None if ipoly is None else ipoly * z, lambda r, d: r * np.log(d))
+
+    @cached_property
+    def _derived_polys(self):
+        """Ascending coefficients of polynomial'(z) and of (the antiderivative of polynomial(z)) / z."""
+        return [m * c for m, c in enumerate(self.poly)][1:], [c / (m + 1) for m, c in enumerate(self.poly)]
+
+    def polynomial_spec(self, n):
+        """The classical polynomial whose zeros are the n-point equilibrium; None for a general field."""
+        return None
 
 
 @dataclass(frozen=True)
-class HermiteLinear:
+class _Family(CustomRational):
+    """A CustomRational that sets its own poles, residues and poly.
+
+    They are no constructor arguments: a family sets them as class attributes,
+    or in __post_init__ when they depend on its parameters.
+    """
+
+    poles: tuple = field(init=False, repr=False)
+    residues: tuple = field(init=False, repr=False)
+    poly: tuple = field(init=False, repr=False)
+
+
+@dataclass(frozen=True)
+class NoFlow(_Family):
+    """w(z) = 0: no background flow."""
+
+
+@dataclass(frozen=True)
+class HermiteLinear(_Family):
     """w(z) = z; stationary points sit at Hermite zeros."""
 
-    poles = ()
-    domain = (-np.inf, np.inf)
-
-    def w(self, z):
-        return z
-
-    def dw(self, z):
-        return np.ones_like(np.asarray(z, dtype=float)) if np.ndim(z) else 1.0
-
-    def antiderivative(self, z):
-        return 0.5 * z * z
+    poly = (0.0, 1.0)
 
     def polynomial_spec(self, n):
         return PolynomialSpec(HERMITE, n)
 
 
 @dataclass(frozen=True)
-class Coulomb:
+class Coulomb(_Family):
     """w(r) = 1/2 - (l+1)/r on (0, inf); stationary points at Laguerre(2l+1) zeros."""
 
     l: float = 0.0
+    poles = (0.0,)
+    poly = (0.5,)
+    domain = (0.0, np.inf)
 
     def __post_init__(self):
         if self.l < 0:
             raise ValueError(f"l must be >= 0, got {self.l}")
-
-    @property
-    def poles(self):
-        return (0.0,)
-
-    domain = (0.0, np.inf)
-
-    def w(self, z):
-        return 0.5 - (self.l + 1.0) / z
-
-    def dw(self, z):
-        return (self.l + 1.0) / (z * z)
-
-    def antiderivative(self, z):
-        return 0.5 * z - (self.l + 1.0) * np.log(z)
+        object.__setattr__(self, "residues", (-(self.l + 1.0),))
 
     def polynomial_spec(self, n):
         return PolynomialSpec(LAGUERRE, n, alpha=2.0 * self.l + 1.0)
 
 
 @dataclass(frozen=True)
-class JacobiCharges:
+class JacobiCharges(_Family):
     """Fixed charges p at +1 and q at -1; w(x) = -p/(x-1) - q/(x+1) on (-1, 1).
 
     Stationary points sit at Jacobi(2p-1, 2q-1) zeros.
@@ -190,25 +233,13 @@ class JacobiCharges:
 
     p: float = 0.5
     q: float = 0.5
+    poles = (1.0, -1.0)
+    domain = (-1.0, 1.0)
 
     def __post_init__(self):
         if self.p <= 0 or self.q <= 0:
             raise ValueError(f"fixed charges must be positive, got p={self.p}, q={self.q}")
-
-    @property
-    def poles(self):
-        return (-1.0, 1.0)
-
-    domain = (-1.0, 1.0)
-
-    def w(self, z):
-        return -self.p / (z - 1.0) - self.q / (z + 1.0)
-
-    def dw(self, z):
-        return self.p / (z - 1.0) ** 2 + self.q / (z + 1.0) ** 2
-
-    def antiderivative(self, z):
-        return -self.p * np.log(z - 1.0) - self.q * np.log(z + 1.0)
+        object.__setattr__(self, "residues", (-self.p, -self.q))
 
     def polynomial_spec(self, n):
         return PolynomialSpec(JACOBI, n, alpha=2.0 * self.p - 1.0, beta=2.0 * self.q - 1.0)
@@ -228,49 +259,6 @@ class ConjugateLinear:
             raise ValueError(f"omega must be > 0, got {self.omega}")
 
     poles = ()
-    domain = (-np.inf, np.inf)
 
     def w(self, z):
         return -self.omega * np.conj(z)
-
-
-@dataclass(frozen=True)
-class CustomRational:
-    """w(z) = sum_m residues[m]/(z - poles[m]) + polynomial(z) (ascending coeffs)."""
-
-    poles: tuple = ()
-    residues: tuple = ()
-    poly: tuple = field(default=())
-
-    def __post_init__(self):
-        if len(self.poles) != len(self.residues):
-            raise ValueError("poles and residues must have equal length")
-        if len(set(self.poles)) != len(self.poles):
-            raise ValueError("poles must be distinct")
-
-    domain = (-np.inf, np.inf)
-
-    def w(self, z):
-        out = np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0.0 + 0.0j
-        for p, r in zip(self.poles, self.residues):
-            out = out + r / (z - p)
-        for m, c in enumerate(self.poly):
-            out = out + c * z**m
-        return out
-
-    def dw(self, z):
-        out = np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0.0 + 0.0j
-        for p, r in zip(self.poles, self.residues):
-            out = out - r / (z - p) ** 2
-        for m, c in enumerate(self.poly):
-            if m >= 1:
-                out = out + m * c * z ** (m - 1)
-        return out
-
-    def antiderivative(self, z):
-        out = np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0.0 + 0.0j
-        for p, r in zip(self.poles, self.residues):
-            out = out + r * np.log(z - p)
-        for m, c in enumerate(self.poly):
-            out = out + c * z ** (m + 1) / (m + 1)
-        return out

@@ -10,18 +10,12 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
 from . import orthopoly, stieltjes
-from .backgrounds import (
-    NoFlow,
-    HermiteLinear,
-    Coulomb,
-    JacobiCharges,
-    ConjugateLinear,
-    CustomRational,
-)
+from .backgrounds import NoFlow, HermiteLinear, Coulomb, JacobiCharges, ConjugateLinear, CustomRational
 from .landau import LaughlinParams, solve_planar_equilibrium
 from .paraxial import AliasingWarning, _slices, find_vortices, lg_mode, save_field
 from .vortex import CollisionError, StepLimitError, VortexConfiguration, integrate
@@ -35,6 +29,10 @@ EXIT_ALIASING = 5
 
 class ConfigError(ValueError):
     pass
+
+
+_BACKGROUNDS = {"none": NoFlow, "hermite": HermiteLinear, "coulomb": Coulomb, "jacobi": JacobiCharges,
+                "conjugate_linear": ConjugateLinear, "custom": CustomRational}
 
 
 _DEFAULTS = {
@@ -113,24 +111,12 @@ def _say(args, msg):
 
 def _background_from(doc):
     kind = doc.get("kind", "none")
-    if kind == "none":
-        return NoFlow()
-    if kind == "hermite":
-        return HermiteLinear()
-    # float() so that a config's "l": 1 reports as 1.0, the same as the flag --l 1
-    if kind == "coulomb":
-        return Coulomb(l=float(doc.get("l", 0.0)))
-    if kind == "jacobi":
-        return JacobiCharges(p=float(doc.get("p", 0.5)), q=float(doc.get("q", 0.5)))
-    if kind == "conjugate_linear":
-        return ConjugateLinear(omega=float(doc.get("omega", 0.25)))
-    if kind == "custom":
-        return CustomRational(
-            poles=tuple(doc.get("poles", [])),
-            residues=tuple(doc.get("residues", [])),
-            poly=tuple(doc.get("poly", [])),
-        )
-    raise ConfigError(f"unknown background kind {kind!r}")
+    if kind not in _BACKGROUNDS:
+        raise ConfigError(f"unknown background kind {kind!r}")
+    cls = _BACKGROUNDS[kind]
+    # A background's parameters are its constructor fields, converted to their declared type:
+    # float() so that a config's "l": 1 reports as 1.0, the same as the flag --l 1.
+    return cls(**{f.name: f.type(doc.get(f.name, f.default)) for f in fields(cls) if f.init})
 
 
 def cmd_zeros(args):
@@ -158,8 +144,9 @@ def cmd_equilibrium(args):
         _say(args, f"non-convergence: residual {report.residual_inf:.3e}")
         return EXIT_NONCONVERGENCE
     certified = None
-    if not isinstance(bg, CustomRational):
-        report = stieltjes.certify(report, bg.polynomial_spec(n))
+    spec = bg.polynomial_spec(n)
+    if spec is not None:
+        report = stieltjes.certify(report, spec)
         certified = report.certified
     stieltjes.report_to_json(report, bg, n, os.path.join(args.out, params["output"]))
     _say(args, f"residual_inf {report.residual_inf:.3e}  certified {certified}")

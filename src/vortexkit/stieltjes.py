@@ -9,17 +9,15 @@ against the zeros of the matching classical orthogonal polynomial.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from . import orthopoly
 from .backgrounds import (
-    HermiteLinear, Coulomb, JacobiCharges, CustomRational, log_abs, newton, pair_jacobian, pair_sum,
+    NoFlow, Coulomb, JacobiCharges, CustomRational, log_abs, newton, pair_jacobian, pair_sum,
 )
-
-_SOLVABLE = (HermiteLinear, Coulomb, JacobiCharges, CustomRational)
 
 
 class DomainError(ValueError):
@@ -35,7 +33,8 @@ class EquilibriumProblem:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not isinstance(self.background, _SOLVABLE):
+        # without a background field the points repel without bound
+        if not isinstance(self.background, CustomRational) or isinstance(self.background, NoFlow):
             raise ValueError(f"unsupported background {type(self.background).__name__}")
         if self.guess is not None:
             g = np.sort(np.asarray(self.guess, dtype=float))
@@ -149,17 +148,8 @@ def partner_potentials(w, dw, energy_shift, x):
 def report_to_json(report: EquilibriumReport, background, n, path=None) -> str:
     """Structured-text export: family, parameters, n, and the report fields."""
     family = type(background).__name__
-    params = {}
-    if isinstance(background, Coulomb):
-        params = {"l": background.l}
-    elif isinstance(background, JacobiCharges):
-        params = {"p": background.p, "q": background.q}
-    elif isinstance(background, CustomRational):
-        params = {
-            "poles": list(background.poles),
-            "residues": list(background.residues),
-            "poly": list(background.poly),
-        }
+    # the constructor arguments: l, p and q, or a custom field's poles, residues and poly
+    params = {f.name: getattr(background, f.name) for f in fields(background) if f.init}
     doc = {"family": family, "parameters": params, "n": int(n)}
     doc.update(report.to_json())
     text = json.dumps(doc, indent=2, sort_keys=True)

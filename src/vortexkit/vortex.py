@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import NoFlow, HermiteLinear, Coulomb, JacobiCharges, log_abs, min_separation, pair_sum
+from .backgrounds import CustomRational, NoFlow, log_abs, min_separation, pair_sum
 
 
 class CollisionError(RuntimeError):
@@ -108,7 +108,7 @@ def hamiltonian_rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -
     where Phi is the complex antiderivative of the background flow w, with the
     bracket {f, g} = sum_k (1/kappa_k)(f_x g_y - f_y g_x).
     """
-    if not isinstance(bg, (NoFlow, HermiteLinear, Coulomb, JacobiCharges)):
+    if not isinstance(bg, CustomRational):
         raise UnsupportedBackgroundError(
             f"{type(bg).__name__} background has no real line potential in this form"
         )
@@ -127,11 +127,10 @@ def hamiltonian_rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -
             # xdot_k = (1/kappa_k) dH/dy_k, ydot_k = -(1/kappa_k) dH/dx_k
             xdot += kappa[j] * dxy.imag / r2
             ydot += -kappa[j] * dxy.real / r2
-        if not isinstance(bg, NoFlow):
-            wk = bg.w(z[k])
-            # d/dy Re Phi = -Im Phi' = -Im w; d/dx Re Phi = Re w (Cauchy-Riemann)
-            xdot += -np.imag(wk)
-            ydot += -np.real(wk)
+        wk = bg.w(z[k])
+        # d/dy Re Phi = -Im Phi' = -Im w; d/dx Re Phi = Re w (Cauchy-Riemann)
+        xdot += -np.imag(wk)
+        ydot += -np.real(wk)
         v[k] = xdot + 1j * ydot
     return v
 
@@ -218,6 +217,8 @@ def integrate(
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) integration of the vortex equations.
 
+    Six velocity evaluations per attempted step: an accepted step's 7th stage is the next one's 1st (FSAL).
+
     Trajectory is sampled exactly at sample_times (default: start and end).
     Drift is the max deviation of Q+iP, I, H over all accepted steps.
     """
@@ -239,8 +240,8 @@ def integrate(
         samples.append(VortexConfiguration(z.copy(), cfg.kappa, t))
         si += 1
 
-    v0 = _velocity(z, cfg.kappa, bg, eps)
-    speed = np.abs(v0).max()
+    k1 = _velocity(z, cfg.kappa, bg, eps)
+    speed = np.abs(k1).max()
     dt = min(t_end - t0, 0.01 * (1.0 + np.abs(z).max()) / max(speed, 1e-8))
     nsteps = 0
     while t < t_end:
@@ -248,7 +249,7 @@ def integrate(
             raise StepLimitError(f"step budget {max_steps} exhausted at t={t:.6g}")
         target = sample_times[si] if si < sample_times.size else t_end
         h = min(dt, target - t, t_end - t)
-        ks = [_velocity(z, cfg.kappa, bg, eps)]
+        ks = [k1]
         for stage in range(1, 7):
             zi = z + h * sum(a * k for a, k in zip(_DP_A[stage], ks))
             ks.append(_velocity(zi, cfg.kappa, bg, eps))
@@ -259,7 +260,7 @@ def integrate(
         nsteps += 1
         if emax <= 1.0:
             t = t + h
-            z = z5
+            z, k1 = z5, ks[6]  # first same as last: the 7th stage was evaluated at z5
             c = _conserved(z, cfg.kappa)
             drift_lin = max(drift_lin, abs(c.linear_impulse - c0.linear_impulse))
             drift_ang = max(drift_ang, abs(c.angular_impulse - c0.angular_impulse))

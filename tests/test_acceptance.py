@@ -227,3 +227,29 @@ def test_09_cli_determinism(tmp_path):
         identical,
         f"{len(snapshots[0])} files compared",
     )
+
+
+def test_10_stieltjes_equilibria_are_stationary_vortices():
+    # sum_{j != k} 1/(x_k - x_j) = w(x_k) makes the vortex velocity
+    # conj(i (sum_j kappa_j/(z_k - z_j) + w(z_k))) vanish when every kappa_j = -1.
+    # The Jacobi equilibrium is unstable (it drifts O(1) by t = 1), so it is not integrated.
+    cases = [(HermiteLinear(), 5, True), (HermiteLinear(), 30, False), (Coulomb(1.0), 4, True),
+             (Coulomb(1.0), 20, False), (JacobiCharges(1.0, 1.5), 6, False)]
+    still, moving, moved = 0.0, np.inf, 0.0
+    for bg, n, run in cases:
+        rep = stieltjes.solve(stieltjes.EquilibriumProblem(n, bg))
+        assert stieltjes.certify(rep, bg.polynomial_spec(n)).certified
+        z = rep.positions.astype(complex)
+        d = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(d, np.inf)
+        terms = np.sum(1.0 / d, axis=1) + np.abs(bg.w(z))
+        rel = {k: np.max(np.abs(rhs(VortexConfiguration(z, np.full(n, k)), bg)) / terms) for k in (-1.0, 1.0)}
+        still, moving = max(still, rel[-1.0]), min(moving, rel[1.0])
+        if run:
+            traj = integrate(VortexConfiguration(z, -np.ones(n)), bg, 1.0)
+            moved = max(moved, np.abs(traj.configurations[-1].z - z).max())
+    report(
+        "10 certified equilibria stand still as kappa = -1 vortices (1e-12 of the terms; moved < 1e-10 by t = 1)",
+        still <= 1e-12 and moving >= 0.5 and moved < 1e-10,
+        f"kappa = -1 {still:.1e}, kappa = +1 {moving:.2f}, moved {moved:.1e}",
+    )

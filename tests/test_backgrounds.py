@@ -1,5 +1,6 @@
 """Blocked pair kernel and its jacobian: agreement with explicit double loops, and
-bounded memory; the shared damped Newton loop."""
+bounded memory; the shared damped Newton loop; the background families against
+their closed forms."""
 
 import tracemalloc
 
@@ -8,7 +9,8 @@ import pytest
 
 from vortexkit import stieltjes
 from vortexkit.backgrounds import (
-    _BLOCK, HermiteLinear, JacobiCharges, log_abs, min_separation, newton, pair_jacobian, pair_sum,
+    _BLOCK, Coulomb, CustomRational, HermiteLinear, JacobiCharges, NoFlow, log_abs, min_separation,
+    newton, pair_jacobian, pair_sum,
 )
 from vortexkit.vortex import VortexConfiguration, conserved, rhs
 
@@ -165,3 +167,98 @@ def test_memory_stays_blocked_at_n5000():
         "stieltjes.energy": peak_mib(lambda: stieltjes.energy(x, HermiteLinear())),
     }
     assert all(p < 100.0 for p in peaks.values()), peaks
+
+
+# The families' w, w' and Phi written out by hand: the oracle for their evaluation
+# as CustomRational.  The shared evaluation must reproduce these bit for bit.
+def zero_form(z):
+    return np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0.0
+
+
+def closed_forms(bg):
+    if isinstance(bg, NoFlow):
+        return zero_form, zero_form, zero_form
+    if isinstance(bg, HermiteLinear):
+        return (lambda z: z,
+                lambda z: np.ones_like(np.real(z), dtype=float) if np.ndim(z) else 1.0,
+                lambda z: 0.5 * z * z)
+    if isinstance(bg, Coulomb):
+        l = bg.l
+        return (lambda z: 0.5 - (l + 1.0) / z,
+                lambda z: (l + 1.0) / (z * z),
+                lambda z: 0.5 * z - (l + 1.0) * np.log(z))
+    p, q = bg.p, bg.q
+    return (lambda z: -p / (z - 1.0) - q / (z + 1.0),
+            lambda z: p / (z - 1.0) ** 2 + q / (z + 1.0) ** 2,
+            lambda z: -p * np.log(z - 1.0) - q * np.log(z + 1.0))
+
+
+FAMILIES = [NoFlow(), HermiteLinear(), Coulomb(0.0), Coulomb(1.0), Coulomb(2.5),
+            JacobiCharges(), JacobiCharges(1.0, 1.5), JacobiCharges(0.3, 4.0)]
+# Real points on both sides of the poles 0 and +-1, some within 1e-12 of them.
+REAL = np.array([-7.5, -1.0 - 1e-9, -1.0 + 1e-12, -0.6, -1e-12, 3e-13, 0.25,
+                 1.0 - 1e-12, 1.0 + 1e-9, 2.0, 300.0])
+COMPLEX = REAL + 1j * np.array([0.5, 1e-10, -1e-12, -2.0, 1e-12, 0.0, 0.7, -1e-9, 3.0, -0.25, 1e-3])
+
+
+@pytest.mark.parametrize("bg", FAMILIES, ids=repr)
+def test_family_matches_closed_form(bg):
+    with np.errstate(divide="ignore", invalid="ignore"):  # the logarithm of a negative real
+        for form, method in zip(closed_forms(bg), (bg.w, bg.dw, bg.antiderivative)):
+            for z in (REAL, COMPLEX):
+                np.testing.assert_array_equal(method(z), form(z))
+                for v in z:
+                    for scalar in (v, v.item()):  # numpy and Python scalars
+                        np.testing.assert_array_equal(method(scalar), form(scalar))
+
+
+def test_custom_rational_matches_term_sum():
+    bg = CustomRational(poles=(0.5, -2.0 + 1.0j), residues=(1.5, -0.5j), poly=(0.25, -1.0, 0.5, 2.0))
+    z = COMPLEX
+    w = 1.5 / (z - 0.5) - 0.5j / (z + 2.0 - 1.0j) + 0.25 - z + 0.5 * z**2 + 2.0 * z**3
+    dw = -1.5 / (z - 0.5) ** 2 + 0.5j / (z + 2.0 - 1.0j) ** 2 - 1.0 + z + 6.0 * z**2
+    phi = (1.5 * np.log(z - 0.5) - 0.5j * np.log(z + 2.0 - 1.0j)
+           + 0.25 * z - 0.5 * z**2 + z**3 / 6.0 + 0.5 * z**4)
+    for got, ref in ((bg.w(z), w), (bg.dw(z), dw), (bg.antiderivative(z), phi)):
+        assert np.all(np.abs(got - ref) <= 64 * EPS * (1.0 + np.abs(ref)))
+
+
+class TestFamilyConstructors:
+    def test_old_arguments(self):
+        assert (JacobiCharges(1.0, 1.5).p, JacobiCharges(1.0, 1.5).q) == (1.0, 1.5)
+        assert (JacobiCharges(q=2.0).p, JacobiCharges(q=2.0).q) == (0.5, 2.0)
+        assert Coulomb(2.0).l == 2.0 and Coulomb().l == 0.0
+        assert repr(Coulomb(1.0)) == "Coulomb(l=1.0)" and repr(HermiteLinear()) == "HermiteLinear()"
+        assert JacobiCharges(1.0, 1.5).domain == (-1.0, 1.0) and Coulomb().domain == (0.0, np.inf)
+        assert Coulomb(1.0).polynomial_spec(4).alpha == 3.0
+        assert CustomRational().polynomial_spec(4) is None
+
+    def test_family_data(self):
+        assert (Coulomb(1.0).poles, Coulomb(1.0).residues, Coulomb(1.0).poly) == ((0.0,), (-2.0,), (0.5,))
+        jac = JacobiCharges(1.0, 1.5)
+        assert (jac.poles, jac.residues, jac.poly) == ((1.0, -1.0), (-1.0, -1.5), ())
+        assert HermiteLinear().poly == (0.0, 1.0) and NoFlow().poly == ()
+        assert all(isinstance(bg, CustomRational) for bg in FAMILIES)
+
+    @pytest.mark.parametrize("make", [lambda: Coulomb(-1), lambda: JacobiCharges(0, 1),
+                                      lambda: JacobiCharges(1, -0.5)])
+    def test_invalid_parameters_raise(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("make", [lambda: Coulomb(1.0, poles=(2.0,)), lambda: NoFlow(poly=(1.0,)),
+                                      lambda: HermiteLinear(residues=()), lambda: JacobiCharges(1, 1, 1)])
+    def test_no_settable_rational_data(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_frozen(self):
+        bg = Coulomb(1.0)
+        with pytest.raises(AttributeError):
+            bg.l = 2.0
+        with pytest.raises(AttributeError):
+            bg.residues = (1.0,)
+
+    def test_no_flow_has_no_equilibrium(self):
+        with pytest.raises(ValueError):
+            stieltjes.EquilibriumProblem(3, NoFlow())

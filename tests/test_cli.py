@@ -64,8 +64,10 @@ class TestEquilibrium:
     def test_coulomb_and_jacobi(self, tmp_path):
         assert run(["--out", str(tmp_path), "equilibrium", "--family", "coulomb",
                     "--n", "4", "--l", "1.0"]) == 0
+        assert json.loads((tmp_path / "equilibrium.json").read_text())["certified"] is True
         assert run(["--out", str(tmp_path), "equilibrium", "--family", "jacobi",
                     "--n", "5", "--p", "1.0", "--q", "1.5"]) == 0
+        assert json.loads((tmp_path / "equilibrium.json").read_text())["certified"] is True
 
     def test_custom_background_no_certificate(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -74,6 +76,7 @@ class TestEquilibrium:
                             "poles": [], "residues": [], "poly": [0.0, 1.0]}
         }))
         assert run(["--config", str(config), "--out", str(tmp_path), "equilibrium"]) == 0
+        assert "certified" not in json.loads((tmp_path / "equilibrium.json").read_text())
 
     def test_integer_config_reports_like_flag(self, tmp_path):
         flag, conf = tmp_path / "flag", tmp_path / "conf"

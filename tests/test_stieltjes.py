@@ -226,3 +226,13 @@ class TestExport:
         assert doc["certified"] is True
         assert len(doc["positions"]) == 3
         assert {"residual_inf", "iterations", "max_zero_deviation"} <= set(doc)
+
+    @pytest.mark.parametrize("bg, params", [
+        (HermiteLinear(), {}),
+        (JacobiCharges(1.0, 1.5), {"p": 1.0, "q": 1.5}),
+        (CustomRational(poles=(-2.0, 2.0), residues=(-1.0, -1.0), poly=(0.0, 1.0)),
+         {"poles": [-2.0, 2.0], "residues": [-1.0, -1.0], "poly": [0.0, 1.0]}),
+    ])
+    def test_json_parameters_per_family(self, bg, params):
+        rep = solve(EquilibriumProblem(4, bg))
+        assert json.loads(report_to_json(rep, bg, 4))["parameters"] == params

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from vortexkit.backgrounds import Coulomb, ConjugateLinear, HermiteLinear, JacobiCharges, NoFlow
+from vortexkit import vortex
+from vortexkit.backgrounds import (
+    Coulomb, ConjugateLinear, CustomRational, HermiteLinear, JacobiCharges, NoFlow,
+)
 from vortexkit.vortex import (
     CollisionError,
+    StepLimitError,
     UnsupportedBackgroundError,
     VortexConfiguration,
     conserved,
@@ -125,6 +129,24 @@ class TestIntegrate:
         with pytest.raises(CollisionError):
             integrate(cfg, Coulomb(0.0), 50.0, max_steps=20000, eps=0.06)
 
+    def test_six_velocity_evaluations_per_step(self, monkeypatch):
+        # Dormand-Prince is first-same-as-last: after the initial speed estimate,
+        # each attempted step evaluates stages 2-7 only, whether accepted or not.
+        calls = []
+        velocity = vortex._velocity
+
+        def counted(*args):
+            calls.append(args[0])
+            return velocity(*args)
+
+        monkeypatch.setattr(vortex, "_velocity", counted)
+        cfg = VortexConfiguration(np.exp(2j * np.pi * np.arange(5) / 5) * (1.0 + 0.01 * np.arange(5)),
+                                  np.ones(5))
+        steps = 12
+        with pytest.raises(StepLimitError):
+            integrate(cfg, Coulomb(1.0), 1e3, max_steps=steps)
+        assert len(calls) == 1 + 6 * steps
+
     def test_csv_export(self, tmp_path):
         cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
         traj = integrate(cfg, NoFlow(), 1.0, sample_times=np.linspace(0, 1, 5))
@@ -173,7 +195,12 @@ class TestPoissonBracket:
 
 
 class TestHamiltonianRhs:
-    @pytest.mark.parametrize("bg", [NoFlow(), HermiteLinear(), Coulomb(1.0), JacobiCharges(1.0, 2.0)])
+    @pytest.mark.parametrize("bg", [
+        NoFlow(), HermiteLinear(), Coulomb(1.0), JacobiCharges(1.0, 2.0),
+        # two poles and a quadratic polynomial; random_admissible keeps clear of 0 and +-1
+        CustomRational(poles=(1.0, 0.0), residues=(0.7, -1.3), poly=(0.2, -0.5, 0.3)),
+        CustomRational(poles=(-1.0, 1.0), residues=(0.5 - 0.25j, 2.0), poly=(0.1j, 1.0, -0.4 + 0.2j)),
+    ])
     def test_matches_rhs_random(self, bg):
         rng = np.random.default_rng(17)
         for _ in range(25):

@@ -19,7 +19,7 @@ from .vortex import (
     poisson_bracket,
     integrate,
 )
-from .stieltjes import EquilibriumProblem, EquilibriumReport, residual, jacobian, solve, certify, partner_potentials
+from .stieltjes import EquilibriumProblem, EquilibriumReport, residual, solve, certify, partner_potentials
 from .landau import (
     LaughlinParams,
     QuasiholeSet,

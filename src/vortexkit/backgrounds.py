@@ -1,18 +1,16 @@
-"""Background-flow / superpotential families added to the point-vortex velocity.
+"""Background flows w and the Kirchhoff field F_i = sum_{j != i} kappa_j/(z_i - z_j) + w(z_i).
 
-Each family provides the flow term w(z) entering the velocity
-dz_bar/dt = sum_j i*kappa_j/(z - z_j) + i*w(z), its derivative (used by the
-Newton jacobian of the stationary problem), and the complex antiderivative
-(real part = line potential for the electrostatic energy, stream-function
-bookkeeping for the Hamiltonian form).  All but ConjugateLinear are rational,
-w(z) = sum_m r_m/(z - p_m) + polynomial(z): they are CustomRationals that only
-set their poles, residues and polynomial.
+Each family provides w(z), its Wirtinger derivatives dw/dz and dw/dzbar, and the
+complex antiderivative (real part = line potential for the electrostatic energy,
+stream-function bookkeeping for the Hamiltonian form).  All but ConjugateLinear
+are rational, w(z) = sum_m r_m/(z - p_m) + polynomial(z): CustomRationals that
+only set their poles, residues and polynomial.
 
-The other half, the sum over pairs of points, is `pair_sum`, with
-`min_separation` the matching distinctness check.  Both work over blocks of
-_BLOCK rows, so memory stays O(n * _BLOCK) at any n.  `pair_jacobian` is the
-derivative of that sum, and `newton` the damped Newton loop that both
-stationary problems (points on a line, points in the plane) are solved with.
+`pair_sum` is the sum over pairs, with `min_separation` the matching distinctness
+check; both work over blocks of _BLOCK rows, so memory stays O(n * _BLOCK).
+`kirchhoff_field` is F, written once: vortices move with conj(i F), and the
+stationary problems (kappa = -1 on a line, kappa = m in ConjugateLinear for
+Laughlin) are F = 0, solved by `newton` with the step from `kirchhoff_jacobian`.
 """
 
 from dataclasses import dataclass, field
@@ -78,37 +76,68 @@ def pair_jacobian(z, c=1.0):
     return jac
 
 
-def newton(residual, step, z, tol, max_iter):
-    """Damped Newton on residual(z) = 0; returns (z, max|r|, steps).
+def kirchhoff_field(z, kappa, bg):
+    """F_i = sum_{j != i} kappa_j/(z_i - z_j) + w(z_i); vortex i moves with conj(i F_i)."""
+    return pair_sum(z, kappa) + bg.w(z)
 
-    step(z, r) gives the full Newton step at z, where the residual is r.  Each
-    iteration takes the full step, halving it at most 30 times until residual()
-    is defined there (raises no ValueError) and max|r| strictly decreases; the
-    accepted trial's residual is reused, so an iteration evaluates it once.
-    Stops at max|r| <= tol, after max_iter steps, or when no halving decreases
-    max|r|.
+
+def kirchhoff_jacobian(z, kappa, bg):
+    """The Wirtinger blocks of F: a[i, k] = dF_i/dz_k and dF_i/dzbar_k = b delta_ik, b = dw/dzbar.
+
+    So dF/dx = a + diag(b) and dF/dy = i(a - diag(b)); b is 0 for an analytic w.
     """
-    r = residual(z)
-    rmax = np.abs(r).max()
+    a = pair_jacobian(z, kappa)
+    a[np.diag_indices_from(a)] += bg.dw(z)
+    return a, bg.dwbar(z)
+
+
+def _newton_step(z, kappa, bg, f):
+    """The full Newton step at z, where F is f: an n x n solve for an analytic F (real
+    on the real line), else least squares in 2n reals (rotations make it singular).
+    """
+    a, b = kirchhoff_jacobian(z, kappa, bg)
+    if not np.any(b):
+        return np.linalg.solve(a, -f)
+    b = np.eye(z.size) * b
+    # jac[2i + r, 2k + c]: part r (Re, Im) of dF_i/dx_k (c = 0) or dF_i/dy_k (c = 1)
+    jac = np.stack([a + b, 1j * (a - b)], -1).view(float).reshape(z.size, z.size, 2, 2)
+    jac = jac.transpose(0, 3, 1, 2).reshape(2 * z.size, 2 * z.size)
+    return np.linalg.lstsq(jac, -f.view(float), rcond=None)[0].view(complex)
+
+
+def newton(residual, z, kappa, bg, tol, max_iter):
+    """Damped Newton on F(z) = 0; returns (z, max|F|, steps).
+
+    residual(z) is `kirchhoff_field(z, kappa, bg)`, raising ValueError at the
+    trial points its caller rejects.  Each iteration takes the full step, halved
+    at most 30 times until residual() is defined and max|F| strictly decreases (the
+    accepted trial's F is reused).  Stops at max|F| <= tol, after max_iter steps,
+    when no halving decreases max|F|, or at a singular step (LinAlgError).
+    """
+    f = residual(z)
+    fmax = np.abs(f).max()
     steps = 0
-    while rmax > tol and steps < max_iter:
-        dz = step(z, r)
+    while fmax > tol and steps < max_iter:
+        try:
+            dz = _newton_step(z, kappa, bg, f)
+        except np.linalg.LinAlgError:
+            break
         lam = 1.0
         for _ in range(31):
             zn = z + lam * dz
             lam *= 0.5
             try:
-                rn = residual(zn)
+                fn = residual(zn)
             except ValueError:
                 continue
-            rn_max = np.abs(rn).max()
-            if rn_max < rmax:
-                z, r, rmax = zn, rn, rn_max
+            fn_max = np.abs(fn).max()
+            if fn_max < fmax:
+                z, f, fmax = zn, fn, fn_max
                 break
         else:
             break
         steps += 1
-    return z, float(rmax), steps
+    return z, float(fmax), steps
 
 
 def min_separation(z) -> float:
@@ -163,6 +192,9 @@ class CustomRational:
 
     def dw(self, z):
         return self._add_poles(z, _horner(self._derived_polys[0], z), lambda r, d: -r / (d * d))
+
+    def dwbar(self, z):
+        return 0.0  # w is analytic
 
     def antiderivative(self, z):
         ipoly = _horner(self._derived_polys[1], z)
@@ -262,3 +294,9 @@ class ConjugateLinear:
 
     def w(self, z):
         return -self.omega * np.conj(z)
+
+    def dw(self, z):
+        return 0.0  # w depends on conj(z) alone
+
+    def dwbar(self, z):
+        return -self.omega

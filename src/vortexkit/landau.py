@@ -3,15 +3,15 @@
 Stationarity of the log-Laughlin wavefunction reads, per particle j,
 S_j = m * sum_{i != j} 1/(z_j - z_i) - conj(z_j)/(4 l_B^2) = 0: the Kirchhoff
 field of vortices of strength kappa = m in the background ConjugateLinear(omega),
-omega = 1/(4 l_B^2), and computed as such.  The symmetric pair solves in closed
-form at radius l_B * sqrt(2 m).
+omega = 1/(4 l_B^2), computed and solved (`backgrounds.newton`) as such.  The
+symmetric pair solves in closed form at radius l_B * sqrt(2 m).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import ConjugateLinear, min_separation, newton, pair_jacobian, pair_sum
+from .backgrounds import ConjugateLinear, kirchhoff_field, min_separation, newton, pair_sum
 from .paraxial import BeamField
 
 
@@ -88,42 +88,20 @@ def laughlin_stationarity_residual(z, params: LaughlinParams) -> np.ndarray:
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_distinct(z)
-    return pair_sum(z, params.m_exp) + ConjugateLinear(params.omega).w(z)
-
-
-def _planar_jacobian(z, params: LaughlinParams) -> np.ndarray:
-    """d(Re S_j, Im S_j)/d(x_i, y_i), rows and columns interleaved, from the Wirtinger blocks.
-
-    a = dS_j/dz_i is `pair_jacobian(z, m)`; b = dS_j/dzbar_i = -omega delta_ij;
-    dS/dx = a + b and dS/dy = i(a - b).
-    """
-    a = pair_jacobian(z, params.m_exp)
-    b = -params.omega * np.eye(z.size)
-    dsx, dsy = a + b, 1j * (a - b)
-    jac = np.empty((2 * z.size, 2 * z.size))
-    jac[0::2, 0::2] = dsx.real
-    jac[0::2, 1::2] = dsy.real
-    jac[1::2, 0::2] = dsx.imag
-    jac[1::2, 1::2] = dsy.imag
-    return jac
+    return kirchhoff_field(z, params.m_exp, ConjugateLinear(params.omega))
 
 
 def solve_planar_equilibrium(params: LaughlinParams, guess, tol: float = 1e-10, max_iter: int = 200):
-    """Damped Newton (`backgrounds.newton`) in 2N real variables on Re/Im of the stationarity residual.
+    """`backgrounds.newton` on S = 0, strengths m in ConjugateLinear(omega).
 
-    The rotational family makes the jacobian singular for N >= 2; the Newton
-    step is the least-squares solution.  Returns (positions, residual_inf,
-    converged), residual_inf being max_j |S_j|.
+    S depends on conj(z): the step is the least-squares one in 2N real variables.
+    Returns (positions, residual_inf, converged), residual_inf being max_j |S_j|.
     """
     z = np.atleast_1d(np.asarray(guess, dtype=complex))
     if z.size != params.N:
         raise ValueError(f"guess size {z.size} does not match N={params.N}")
-
-    def step(z, s):
-        # s.view(float) is (Re S_0, Im S_0, Re S_1, ...), the Jacobian's row order
-        return np.linalg.lstsq(_planar_jacobian(z, params), -s.view(float), rcond=None)[0].view(complex)
-
-    z, res, _ = newton(lambda z: laughlin_stationarity_residual(z, params), step, z, tol, max_iter)
+    z, res, _ = newton(lambda z: laughlin_stationarity_residual(z, params), z,
+                       params.m_exp, ConjugateLinear(params.omega), tol, max_iter)
     return z, res, res <= tol
 
 

@@ -1,11 +1,10 @@
 """Stationary vortex configurations on a line (Stieltjes electrostatics).
 
-Solves R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k) = 0 by damped Newton with an
-analytic jacobian, the Newton loop shared with the planar problem: a step is halved
-until the points stay in the domain and max|R| decreases.  The equilibria are
-the critical points of the electrostatic energy E = -sum_{i<j} ln|x_i - x_j| +
-sum_k V(x_k) (V the antiderivative of w).  Converged equilibria are certified
-against the zeros of the matching classical orthogonal polynomial.
+Solves R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k) = 0.  R = -F, F the Kirchhoff
+field of vortices of strength -1: the equilibria are stationary vortices, solved
+as such by `backgrounds.newton`.  They are the critical points of the energy
+E = -sum_{i<j} ln|x_i - x_j| + sum_k V(x_k) (V the antiderivative of w), and are
+certified against the zeros of the matching classical orthogonal polynomial.
 """
 
 import json
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import orthopoly
 from .backgrounds import (
-    NoFlow, Coulomb, JacobiCharges, CustomRational, log_abs, newton, pair_jacobian, pair_sum,
+    Coulomb, JacobiCharges, CustomRational, kirchhoff_field, log_abs, newton, pair_sum,
 )
 
 
@@ -31,16 +30,17 @@ class EquilibriumProblem:
     guess: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        bg = self.background
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        # without a background field the points repel without bound
-        if not isinstance(self.background, CustomRational) or isinstance(self.background, NoFlow):
-            raise ValueError(f"unsupported background {type(self.background).__name__}")
+        # refused by its field: with w = 0 the points repel without bound
+        if not isinstance(bg, CustomRational) or not (any(bg.residues) or any(bg.poly)):
+            raise ValueError(f"unsupported background {bg!r}: the field must be rational and not zero")
         if self.guess is not None:
             g = np.sort(np.asarray(self.guess, dtype=float))
             if g.size != self.n or np.any(np.diff(g) <= 0):
                 raise ValueError("guess must hold n distinct entries")
-            _check_domain(g, self.background)
+            _check_domain(g, bg)
             object.__setattr__(self, "guess", g)
 
 
@@ -53,13 +53,9 @@ class EquilibriumReport:
     certified: Optional[bool] = None
     max_zero_deviation: Optional[float] = None
 
-    def to_json(self, background=None, n=None):
-        doc = {
-            "positions": [float(x) for x in self.positions],
-            "residual_inf": float(self.residual_inf),
-            "iterations": int(self.iterations),
-            "method": self.method,
-        }
+    def to_json(self):
+        doc = {"positions": [float(x) for x in self.positions], "residual_inf": float(self.residual_inf),
+               "iterations": int(self.iterations), "method": self.method}
         if self.certified is not None:
             doc["certified"] = bool(self.certified)
         if self.max_zero_deviation is not None:
@@ -77,21 +73,12 @@ def _check_domain(x, bg):
 
 
 def residual(x, background) -> np.ndarray:
-    """R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k)."""
+    """R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k): minus the Kirchhoff field of strengths -1."""
     x = np.asarray(x, dtype=float)
     if np.any(np.diff(np.sort(x)) == 0):
         raise DomainError("coincident points")
     _check_domain(x, background)
-    return pair_sum(x) - np.real(background.w(x))
-
-
-def jacobian(x, background) -> np.ndarray:
-    """Analytic dR_k/dx_m: off-diagonal 1/(x_k-x_m)^2, diagonal -sum - w'(x_k)."""
-    x = np.asarray(x, dtype=float)
-    _check_domain(x, background)
-    jac = pair_jacobian(x)
-    jac[np.diag_indices_from(jac)] -= np.real(background.dw(x))
-    return jac
+    return -kirchhoff_field(x, -1.0, background)
 
 
 def energy(x, background) -> float:
@@ -113,16 +100,11 @@ def default_guess(n, background) -> np.ndarray:
 
 
 def solve(problem: EquilibriumProblem, tolerance: float = 1e-12, max_iter: int = 200) -> EquilibriumReport:
-    """Damped Newton (`backgrounds.newton`) with the analytic jacobian; positions returned sorted."""
+    """`backgrounds.newton` on F = -R with strengths -1; positions returned sorted."""
     bg = problem.background
     x = problem.guess if problem.guess is not None else default_guess(problem.n, bg)
-    x, rmax, iterations = newton(
-        lambda x: residual(x, bg),
-        lambda x, r: np.linalg.solve(jacobian(x, bg), -r),
-        np.sort(np.asarray(x, dtype=float)),
-        tolerance,
-        max_iter,
-    )
+    x = np.sort(np.asarray(x, dtype=float))
+    x, rmax, iterations = newton(lambda x: -residual(x, bg), x, -1.0, bg, tolerance, max_iter)
     return EquilibriumReport(positions=np.sort(x), residual_inf=rmax, iterations=iterations, method="Newton")
 
 

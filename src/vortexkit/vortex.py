@@ -1,10 +1,10 @@
 """Time-dependent point-vortex dynamics in the plane.
 
-The velocity of vortex i is dz_i/dt = conj( sum_{j != i} i*kappa_j/(z_i - z_j)
-+ i*w(z_i) ), with kappa_j the circulation of the inducing vortex and w the
-background flow.  Integration is adaptive embedded Runge-Kutta (Dormand-Prince
-5(4)) with step rejection; linear impulse Q+iP, angular impulse I and the
-interaction energy H are monitored as integration-quality diagnostics.
+Vortex i moves with dz_i/dt = conj(i F_i), F the Kirchhoff field of strengths
+kappa in the background flow w (`backgrounds.kirchhoff_field`).  Integration is
+adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) with step rejection; linear
+impulse Q+iP, angular impulse I and the interaction energy H are monitored as
+integration-quality diagnostics.
 """
 
 import csv
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import CustomRational, NoFlow, log_abs, min_separation, pair_sum
+from .backgrounds import CustomRational, NoFlow, kirchhoff_field, log_abs, min_separation, pair_sum
 
 
 class CollisionError(RuntimeError):
@@ -84,7 +84,7 @@ def _check_separation(z, bg, eps):
 
 def _velocity(z, kappa, bg, eps):
     _check_separation(z, bg, eps)
-    return np.conj(1j * (pair_sum(z, kappa) + bg.w(z)))
+    return np.conj(1j * kirchhoff_field(z, kappa, bg))
 
 
 def rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -> np.ndarray:

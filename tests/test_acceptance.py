@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from vortexkit import cli, orthopoly, stieltjes
-from vortexkit.backgrounds import Coulomb, HermiteLinear, JacobiCharges, NoFlow
+from vortexkit.backgrounds import Coulomb, HermiteLinear, JacobiCharges, NoFlow, kirchhoff_jacobian
 from vortexkit.landau import LaughlinParams, ladder_apply, solve_planar_equilibrium
 from vortexkit.paraxial import BeamField, find_vortices, lg_mode, propagate, topological_charge
 from vortexkit.vortex import VortexConfiguration, hamiltonian_rhs, integrate, rhs
@@ -190,13 +190,13 @@ def test_08_jacobian_vs_central_differences():
             if np.diff(x).min() < 0.05:
                 continue
             count += 1
-            jac = stieltjes.jacobian(x, bg)
+            jac = kirchhoff_jacobian(x, -1.0, bg)[0]  # of F = -R, strengths -1
             h = 1e-6
             for col in range(n):
                 xp, xm = x.copy(), x.copy()
                 xp[col] += h
                 xm[col] -= h
-                fd = (stieltjes.residual(xp, bg) - stieltjes.residual(xm, bg)) / (2 * h)
+                fd = (stieltjes.residual(xm, bg) - stieltjes.residual(xp, bg)) / (2 * h)
                 worst = max(worst, np.abs(jac[:, col] - fd).max())
     report(
         "8 analytic Jacobian matches central differences (1e-6, 50 points/family)",

@@ -1,16 +1,16 @@
 """Blocked pair kernel and its jacobian: agreement with explicit double loops, and
-bounded memory; the shared damped Newton loop; the background families against
-their closed forms."""
+bounded memory; the Kirchhoff field's damped Newton solver, and its jacobian and
+solutions off the line; the background families against their closed forms."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from vortexkit import stieltjes
+from vortexkit import orthopoly, stieltjes
 from vortexkit.backgrounds import (
-    _BLOCK, Coulomb, CustomRational, HermiteLinear, JacobiCharges, NoFlow, log_abs, min_separation,
-    newton, pair_jacobian, pair_sum,
+    _BLOCK, Coulomb, CustomRational, HermiteLinear, JacobiCharges, NoFlow, kirchhoff_field,
+    kirchhoff_jacobian, log_abs, min_separation, newton, pair_jacobian, pair_sum,
 )
 from vortexkit.vortex import VortexConfiguration, conserved, rhs
 
@@ -102,45 +102,103 @@ def test_pair_jacobian_matches_loop(n):
     assert np.all(np.abs(pair_jacobian(z, c) - ref) <= 4 * EPS * scale)
 
 
+# One point: no pairs, F = w.  w = z^3 - 2 makes the step -F / (3 z^2).
+CUBE = CustomRational(poly=(-2.0, 0.0, 0.0, 1.0))
+
+
+def cube(z):
+    return kirchhoff_field(z, 1.0, CUBE)
+
+
 class TestNewton:
     def test_one_residual_per_iteration(self):
         calls = []
 
-        def residual(z):
+        def field(z):
             calls.append(z)
-            return z**3 - 2.0
+            return cube(z)
 
-        z, res, steps = newton(residual, lambda z, r: -r / (3.0 * z**2), np.array([1.5]), 1e-14, 50)
+        z, res, steps = newton(field, np.array([1.5]), 1.0, CUBE, 1e-14, 50)
         assert res <= 1e-14 and z == pytest.approx([2.0 ** (1 / 3)], abs=1e-14)
         assert 0 < steps and len(calls) == steps + 1  # every full step was accepted
 
     def test_undefined_trials_are_halved(self):
-        def residual(z):
+        bg = Coulomb(1.0)  # w = 1/2 - 2/x, zero at x = 4
+
+        def field(z):
             if np.any(z <= 0):
                 raise ValueError("outside the domain")
-            return np.log(z)
+            return kirchhoff_field(z, 1.0, bg)
 
-        # the first full step lands at 8 - 8 ln 8 < 0
-        z, res, steps = newton(residual, lambda z, r: -r * z, np.array([8.0]), 1e-12, 50)
-        assert res <= 1e-12 and z == pytest.approx([1.0], abs=1e-12)
+        # the first full step lands at 20 - 80 < 0
+        z, res, steps = newton(field, np.array([20.0]), 1.0, bg, 1e-12, 50)
+        assert res <= 1e-12 and z == pytest.approx([4.0], abs=1e-12)
 
     def test_stops_when_no_halving_decreases(self):
         calls = []
+        bg = CustomRational(poly=(-1.0, 1.0))
 
-        def residual(z):
+        def field(z):
             calls.append(z)
-            return z - 1.0
+            return -kirchhoff_field(z, 1.0, bg)  # the sign opposite to the jacobian's
 
-        # an uphill step: no trial decreases |r|
-        z, res, steps = newton(residual, lambda z, r: r, np.array([3.0]), 1e-12, 50)
+        # an uphill step: no trial decreases |F|
+        z, res, steps = newton(field, np.array([3.0]), 1.0, bg, 1e-12, 50)
         assert (z.tolist(), res, steps) == ([3.0], 2.0, 0)
         assert len(calls) == 1 + 31  # the full step and 30 halvings
 
     def test_max_iter_and_met_tolerance(self):
-        cube = (lambda z: z**3 - 2.0, lambda z, r: -r / (3.0 * z**2))
-        z, res, steps = newton(*cube, np.array([1.5]), 1e-14, 2)
+        z, res, steps = newton(cube, np.array([1.5]), 1.0, CUBE, 1e-14, 2)
         assert steps == 2 and res > 1e-14
-        assert newton(*cube, z, res, 50)[1:] == (res, 0)
+        assert newton(cube, z, 1.0, CUBE, res, 50)[1:] == (res, 0)
+
+    @pytest.mark.parametrize("x", [[0.3], [-1.0, 1.0]])
+    def test_singular_step_stops(self, x):
+        # a constant field: the F_i sum to n w, so there is no equilibrium, and the
+        # jacobian's rows sum to zero (exactly so at these points)
+        bg = CustomRational(poly=(0.5,))
+        x = np.array(x)
+        z, res, steps = newton(lambda z: kirchhoff_field(z, -1.0, bg), x, -1.0, bg, 1e-12, 50)
+        assert (z.tolist(), steps) == (x.tolist(), 0)
+        assert res == np.abs(kirchhoff_field(x, -1.0, bg)).max()
+
+
+class TestKirchhoff:
+    def test_jacobian_matches_central_differences_off_the_line(self):
+        # complex positions, strengths of both signs, two poles and a polynomial part
+        bg = CustomRational(poles=(1.5, -0.5 + 1.0j), residues=(-2.0, 0.75), poly=(0.3, -1.0, 0.5))
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        for n in (2, 5, 8):
+            while True:
+                z = 1.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                far = np.abs(z[:, None] - np.array(bg.poles)[None, :]).min() > 0.3
+                if min_separation(z) > 0.3 and far:
+                    break
+            kappa = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 2.0, n)
+            a, b = kirchhoff_jacobian(z, kappa, bg)
+            assert not np.any(b)  # a rational field is analytic
+            h = 1e-6
+            for k in range(n):
+                for col, step in ((a[:, k], h), (1j * a[:, k], 1j * h)):  # dF/dx, dF/dy
+                    zp, zm = z.copy(), z.copy()
+                    zp[k] += step
+                    zm[k] -= step
+                    fd = (kirchhoff_field(zp, kappa, bg) - kirchhoff_field(zm, kappa, bg)) / (2 * h)
+                    worst = max(worst, np.abs(col - fd).max())
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_plus_one_hermite_equilibria_are_imaginary(self, n):
+        # sum_j 1/(z_i - z_j) + z_i = 0 at z = i x, x the Hermite zeros: the analytic
+        # step from a complex guess finds them
+        bg = HermiteLinear()
+        x = orthopoly.zeros(orthopoly.PolynomialSpec("hermite", n))
+        rng = np.random.default_rng(n)
+        guess = 1j * x + 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        z, res, steps = newton(lambda z: kirchhoff_field(z, 1.0, bg), guess, 1.0, bg, 1e-13, 50)
+        assert res <= 1e-13 and steps < 50
+        assert np.abs(z[np.argsort(z.imag)] - 1j * x).max() <= 1e-14 * np.abs(x).max()
 
 
 def peak_mib(fn):
@@ -262,3 +320,11 @@ class TestFamilyConstructors:
     def test_no_flow_has_no_equilibrium(self):
         with pytest.raises(ValueError):
             stieltjes.EquilibriumProblem(3, NoFlow())
+
+    @pytest.mark.parametrize("bg", [CustomRational(), CustomRational(poly=(0.0,)),
+                                    CustomRational(poles=(2.0,), residues=(0.0,), poly=(0.0, 0.0))],
+                             ids=repr)
+    def test_zero_custom_field_has_no_equilibrium(self, bg):
+        # refused by its field, not by its type
+        with pytest.raises(ValueError, match="not zero"):
+            stieltjes.EquilibriumProblem(3, bg)

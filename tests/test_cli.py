@@ -89,6 +89,23 @@ class TestEquilibrium:
         assert b'"l": 1.0' in report
         assert (conf / "equilibrium.json").read_bytes() == report
 
+    def test_constant_field_exit_3(self, tmp_path, capsys):
+        # The F_i sum to n * w, so a constant field has no equilibrium; the Newton
+        # step is singular, and that ends the solve as non-convergence, with a report.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"equilibrium": {"family": "custom", "n": 4, "poly": [0.5]}}))
+        assert run(["--config", str(config), "--out", str(tmp_path), "equilibrium"]) == 3
+        assert "non-convergence" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "equilibrium.json").read_text())
+        assert doc["iterations"] == 0 and doc["residual_inf"] > 0.0
+
+    @pytest.mark.parametrize("poly", [[], [0.0]])
+    def test_field_free_custom_exit_2(self, tmp_path, capsys, poly):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"equilibrium": {"family": "custom", "n": 4, "poly": poly}}))
+        assert run(["--config", str(config), "--out", str(tmp_path), "equilibrium"]) == 2
+        assert "not zero" in capsys.readouterr().err
+
     @pytest.mark.parametrize("family", ["none", "conjugate_linear", "chebyshov"])
     def test_unsolvable_family_exit_2(self, tmp_path, family):
         assert run(["--out", str(tmp_path), "equilibrium", "--family", family]) == 2

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from vortexkit import orthopoly
-from vortexkit.backgrounds import Coulomb, CustomRational, HermiteLinear, JacobiCharges
+from vortexkit.backgrounds import Coulomb, CustomRational, HermiteLinear, JacobiCharges, kirchhoff_jacobian
 from vortexkit.orthopoly import PolynomialSpec
 from vortexkit.stieltjes import (
     DomainError,
     EquilibriumProblem,
     certify,
     energy,
-    jacobian,
     partner_potentials,
     report_to_json,
     residual,
@@ -46,14 +45,21 @@ class TestResidual:
                 residual(np.array(x), HermiteLinear())
 
 
+def jacobian(x, bg):
+    """The shared jacobian of F = -R (strengths -1); on the line its zbar block is zero."""
+    a, b = kirchhoff_jacobian(x, -1.0, bg)
+    assert not np.any(b)
+    return a
+
+
 class TestJacobian:
     def test_single_hermite(self):
-        assert jacobian(np.array([0.3]), HermiteLinear()) == pytest.approx(np.array([[-1.0]]))
+        assert jacobian(np.array([0.3]), HermiteLinear()) == pytest.approx(np.array([[1.0]]))
 
     def test_pair_hermite_at_equilibrium(self):
         a = 1 / np.sqrt(2)
         j = jacobian(np.array([-a, a]), HermiteLinear())
-        assert j == pytest.approx(np.array([[-1.5, 0.5], [0.5, -1.5]]))
+        assert j == pytest.approx(np.array([[1.5, -0.5], [-0.5, 1.5]]))
 
     @pytest.mark.parametrize("bg,lo,hi", [
         (HermiteLinear(), -3.0, 3.0),
@@ -72,7 +78,7 @@ class TestJacobian:
                 xp, xm = x.copy(), x.copy()
                 xp[m] += h
                 xm[m] -= h
-                fd = (residual(xp, bg) - residual(xm, bg)) / (2 * h)
+                fd = (residual(xm, bg) - residual(xp, bg)) / (2 * h)  # of F = -R
                 assert j[:, m] == pytest.approx(fd, abs=1e-5)
 
 
@@ -118,7 +124,7 @@ class TestSolve:
     def test_equilibria_are_energy_minima(self):
         for n in range(2, 11):
             rep = solve(EquilibriumProblem(n, HermiteLinear()))
-            hess = -jacobian(rep.positions, HermiteLinear())  # Hessian of E
+            hess = jacobian(rep.positions, HermiteLinear())  # Hessian of E: grad E = -R = F
             assert np.linalg.eigvalsh(hess).min() > 0
 
     def test_custom_rational_solves(self):

@@ -8,11 +8,12 @@ from .backgrounds import (
     JacobiCharges,
     ConjugateLinear,
     CustomRational,
+    DomainError,
+    CollisionError,
 )
 from .vortex import (
     VortexConfiguration,
     ConservedSet,
-    CollisionError,
     rhs,
     hamiltonian_rhs,
     conserved,

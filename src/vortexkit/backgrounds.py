@@ -6,11 +6,12 @@ stream-function bookkeeping for the Hamiltonian form).  All but ConjugateLinear
 are rational, w(z) = sum_m r_m/(z - p_m) + polynomial(z): CustomRationals that
 only set their poles, residues and polynomial.
 
-`pair_sum` is the sum over pairs, with `min_separation` the matching distinctness
-check; both work over blocks of _BLOCK rows, so memory stays O(n * _BLOCK).
+`pair_sum` is the sum over pairs and `min_separation` the distinctness check of
+input configurations, both over blocks of _BLOCK rows (memory O(n * _BLOCK)).
 `kirchhoff_field` is F, written once: vortices move with conj(i F), and the
 stationary problems (kappa = -1 on a line, kappa = m in ConjugateLinear for
 Laughlin) are F = 0, solved by `newton` with the step from `kirchhoff_jacobian`.
+F alone decides where it is defined (CollisionError, found in the pair pass).
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +20,22 @@ from functools import cached_property
 import numpy as np
 
 from .orthopoly import PolynomialSpec, HERMITE, LAGUERRE, JACOBI
+
+
+class DomainError(ValueError):
+    """A point where the Kirchhoff field is not defined, or outside a background's domain."""
+
+
+class CollisionError(DomainError):
+    """Two points, or a point and a pole of w, are not farther apart than epsilon."""
+
+
+def _refuse_within(dist, eps, what):
+    """Raise CollisionError if the smallest of the distances is <= eps; a NaN among them never raises."""
+    d = dist.min(initial=np.inf)
+    if d <= eps:
+        raise CollisionError(f"{what} {d:.3e} not above epsilon {eps:.1e}")
+
 
 _BLOCK = 128
 # The pairs left out of the sums within the diagonal square of a row block.
@@ -45,16 +62,20 @@ def log_abs(d):
     return np.log(np.abs(d))
 
 
-def pair_sum(z, c=1.0, g=np.reciprocal, upper=False):
+def pair_sum(z, c=1.0, g=np.reciprocal, upper=False, eps=None):
     """s_i = sum over j != i of c_j * g(z_i - z_j); over j > i only when `upper`.
 
     c is a scalar or one weight per point.  `upper` gives the sums over pairs
-    i < j, so that sum(s) counts each unordered pair once.
+    i < j, so that sum(s) counts each unordered pair once.  With eps, a pair
+    with |z_i - z_j| <= eps raises CollisionError before g sees its block.
     """
     z = np.asarray(z)
     c = np.broadcast_to(c, z.shape)
     parts = []
     for j0, d, square, drop in _row_blocks(z, upper):
+        if eps is not None:
+            d[square][drop] = np.inf
+            _refuse_within(np.abs(d), eps, "pairwise distance")
         d[square][drop] = 1.0  # keeps g finite on the dropped pairs
         t = c[j0:] * g(d)
         t[square][drop] = 0.0
@@ -76,9 +97,14 @@ def pair_jacobian(z, c=1.0):
     return jac
 
 
-def kirchhoff_field(z, kappa, bg):
-    """F_i = sum_{j != i} kappa_j/(z_i - z_j) + w(z_i); vortex i moves with conj(i F_i)."""
-    return pair_sum(z, kappa) + bg.w(z)
+def kirchhoff_field(z, kappa, bg, eps=0.0):
+    """F_i = sum_{j != i} kappa_j/(z_i - z_j) + w(z_i); vortex i moves with conj(i F_i).
+
+    Raises CollisionError where F is not defined: some |z_i - z_j| or |z_i - pole| is <= eps.
+    """
+    for p in bg.poles:
+        _refuse_within(np.abs(z - p), eps, f"distance to the pole at {p}")
+    return pair_sum(z, kappa, eps=eps) + bg.w(z)
 
 
 def kirchhoff_jacobian(z, kappa, bg):
@@ -248,7 +274,7 @@ class Coulomb(_Family):
     domain = (0.0, np.inf)
 
     def __post_init__(self):
-        if self.l < 0:
+        if not self.l >= 0:
             raise ValueError(f"l must be >= 0, got {self.l}")
         object.__setattr__(self, "residues", (-(self.l + 1.0),))
 
@@ -269,7 +295,7 @@ class JacobiCharges(_Family):
     domain = (-1.0, 1.0)
 
     def __post_init__(self):
-        if self.p <= 0 or self.q <= 0:
+        if not (self.p > 0 and self.q > 0):
             raise ValueError(f"fixed charges must be positive, got p={self.p}, q={self.q}")
         object.__setattr__(self, "residues", (-self.p, -self.q))
 
@@ -287,7 +313,7 @@ class ConjugateLinear:
     omega: float = 0.25
 
     def __post_init__(self):
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
 
     poles = ()

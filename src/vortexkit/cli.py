@@ -96,11 +96,13 @@ def _load_params(command, args):
         if unknown:
             raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
         params.update(section)
-    if args.tol is not None:
-        params["tol"] = args.tol
     for key, value in vars(args).items():
-        if key in params and value is not None and key != "tol":
+        if key in params and value is not None:
             params[key] = value
+    try:  # NaN and inf, from a flag or from the config, nested or not, are not valid JSON
+        json.dumps(params, allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"{command} parameters must be finite numbers") from None
     return params
 
 
@@ -139,20 +141,16 @@ def cmd_equilibrium(args):
     n = int(params["n"])
     problem = stieltjes.EquilibriumProblem(n=n, background=bg)
     report = stieltjes.solve(problem, tolerance=float(params["tol"]), max_iter=int(params["max_iter"]))
-    if report.residual_inf > float(params["tol"]):
-        stieltjes.report_to_json(report, bg, n, os.path.join(args.out, params["output"]))
+    failed = report.residual_inf > float(params["tol"])
+    spec = bg.polynomial_spec(n)
+    if not failed and spec is not None:
+        report = stieltjes.certify(report, spec)
+    stieltjes.report_to_json(report, bg, n, os.path.join(args.out, params["output"]))
+    if failed:
         _say(args, f"non-convergence: residual {report.residual_inf:.3e}")
         return EXIT_NONCONVERGENCE
-    certified = None
-    spec = bg.polynomial_spec(n)
-    if spec is not None:
-        report = stieltjes.certify(report, spec)
-        certified = report.certified
-    stieltjes.report_to_json(report, bg, n, os.path.join(args.out, params["output"]))
-    _say(args, f"residual_inf {report.residual_inf:.3e}  certified {certified}")
-    if certified is None:
-        return EXIT_OK
-    return EXIT_OK if certified else EXIT_NONCONVERGENCE
+    _say(args, f"residual_inf {report.residual_inf:.3e}  certified {report.certified}")
+    return EXIT_NONCONVERGENCE if report.certified is False else EXIT_OK
 
 
 def cmd_simulate(args):
@@ -163,16 +161,8 @@ def cmd_simulate(args):
     bg = _background_from(params["background"])
     t_end = float(params["t_end"])
     times = np.linspace(0.0, t_end, int(params["samples"]))
-    traj = integrate(
-        cfg,
-        bg,
-        t_end,
-        rtol=float(params["rtol"]),
-        atol=float(params["atol"]),
-        max_steps=int(params["max_steps"]),
-        sample_times=times,
-        eps=float(params["collision_eps"]),
-    )
+    traj = integrate(cfg, bg, t_end, rtol=float(params["rtol"]), atol=float(params["atol"]),
+                     max_steps=int(params["max_steps"]), sample_times=times, eps=float(params["collision_eps"]))
     traj.to_csv(os.path.join(args.out, params["output"]))
     d = traj.drift
     _say(args, f"drift |dQ| {d.linear:.3e}  |dI| {d.angular:.3e}  |dH| {d.energy:.3e}")

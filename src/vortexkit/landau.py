@@ -28,7 +28,7 @@ class LaughlinParams:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if self.m_exp < 1 or self.m_exp % 2 == 0:
             raise ValueError(f"m_exp must be a positive odd integer, got {self.m_exp}")
-        if self.l_B <= 0:
+        if not self.l_B > 0:
             raise ValueError(f"l_B must be > 0, got {self.l_B}")
 
     @property
@@ -50,11 +50,6 @@ class QuasiholeSet:
             raise ValueError("quasihole positions must be pairwise distinct")
 
 
-def _check_distinct(z):
-    if min_separation(z) == 0.0:
-        raise ValueError("coincident particles")
-
-
 def log_laughlin(z, params: LaughlinParams) -> complex:
     """log psi = sum_{i<j} m log(z_j - z_i) - sum_j |z_j|^2 / (4 l_B^2).
 
@@ -62,7 +57,8 @@ def log_laughlin(z, params: LaughlinParams) -> complex:
     choices (mod 2 pi).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_distinct(z)
+    if min_separation(z) == 0.0:
+        raise ValueError("coincident particles")
     # Over -z the differences are z_j - z_i exactly, signed zeros included, so
     # each factor keeps its principal branch.
     pairs = np.sum(pair_sum(-z, params.m_exp, np.log, upper=True))
@@ -84,10 +80,10 @@ def laughlin_stationarity_residual(z, params: LaughlinParams) -> np.ndarray:
 
     The conjugate-transpose equation (adiabatic transport of the conjugate
     coordinates) is exactly conj(S_j) evaluated on the conjugated
-    configuration; use np.conj rather than a second evaluator.
+    configuration; use np.conj rather than a second evaluator.  Coincident
+    particles raise CollisionError, a ValueError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_distinct(z)
     return kirchhoff_field(z, params.m_exp, ConjugateLinear(params.omega))
 
 

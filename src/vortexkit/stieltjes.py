@@ -2,7 +2,8 @@
 
 Solves R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k) = 0.  R = -F, F the Kirchhoff
 field of vortices of strength -1: the equilibria are stationary vortices, solved
-as such by `backgrounds.newton`.  They are the critical points of the energy
+as such by `backgrounds.newton`; F also refuses coincident points and points on a
+pole (CollisionError).  They are the critical points of the energy
 E = -sum_{i<j} ln|x_i - x_j| + sum_k V(x_k) (V the antiderivative of w), and are
 certified against the zeros of the matching classical orthogonal polynomial.
 """
@@ -14,13 +15,10 @@ from typing import Optional
 import numpy as np
 
 from . import orthopoly
-from .backgrounds import (
-    Coulomb, JacobiCharges, CustomRational, kirchhoff_field, log_abs, newton, pair_sum,
+from .backgrounds import (  # CollisionError is re-exported
+    CollisionError, Coulomb, CustomRational, DomainError, JacobiCharges, kirchhoff_field, log_abs, newton,
+    pair_sum,
 )
-
-
-class DomainError(ValueError):
-    """Point outside the family's natural domain or coincident with a pole."""
 
 
 @dataclass(frozen=True)
@@ -38,9 +36,9 @@ class EquilibriumProblem:
             raise ValueError(f"unsupported background {bg!r}: the field must be rational and not zero")
         if self.guess is not None:
             g = np.sort(np.asarray(self.guess, dtype=float))
-            if g.size != self.n or np.any(np.diff(g) <= 0):
-                raise ValueError("guess must hold n distinct entries")
-            _check_domain(g, bg)
+            if g.size != self.n:
+                raise ValueError("guess must hold n entries")
+            residual(g, bg)  # raises where F is not defined
             object.__setattr__(self, "guess", g)
 
 
@@ -63,21 +61,12 @@ class EquilibriumReport:
         return doc
 
 
-def _check_domain(x, bg):
-    lo, hi = bg.domain
-    if np.any(x <= lo) or np.any(x >= hi):
-        raise DomainError(f"points outside open domain ({lo}, {hi})")
-    for pole in getattr(bg, "poles", ()):
-        if np.any(x == pole):
-            raise DomainError(f"point coincides with fixed pole at {pole}")
-
-
 def residual(x, background) -> np.ndarray:
     """R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k): minus the Kirchhoff field of strengths -1."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.diff(np.sort(x)) == 0):
-        raise DomainError("coincident points")
-    _check_domain(x, background)
+    lo, hi = background.domain
+    if np.any(x <= lo) or np.any(x >= hi):
+        raise DomainError(f"points outside open domain ({lo}, {hi})")
     return -kirchhoff_field(x, -1.0, background)
 
 

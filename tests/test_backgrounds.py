@@ -1,17 +1,20 @@
 """Blocked pair kernel and its jacobian: agreement with explicit double loops, and
 bounded memory; the Kirchhoff field's damped Newton solver, and its jacobian and
-solutions off the line; the background families against their closed forms."""
+solutions off the line; the background families against their closed forms; the
+one check of where the field is defined."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from vortexkit import orthopoly, stieltjes
+import vortexkit
+from vortexkit import backgrounds, orthopoly, stieltjes, vortex
 from vortexkit.backgrounds import (
-    _BLOCK, Coulomb, CustomRational, HermiteLinear, JacobiCharges, NoFlow, kirchhoff_field,
-    kirchhoff_jacobian, log_abs, min_separation, newton, pair_jacobian, pair_sum,
+    _BLOCK, CollisionError, ConjugateLinear, Coulomb, CustomRational, DomainError, HermiteLinear, JacobiCharges, NoFlow,
+    kirchhoff_field, kirchhoff_jacobian, log_abs, min_separation, newton, pair_jacobian, pair_sum,
 )
+from vortexkit.landau import LaughlinParams, laughlin_stationarity_residual
 from vortexkit.vortex import VortexConfiguration, conserved, rhs
 
 SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
@@ -299,7 +302,9 @@ class TestFamilyConstructors:
         assert all(isinstance(bg, CustomRational) for bg in FAMILIES)
 
     @pytest.mark.parametrize("make", [lambda: Coulomb(-1), lambda: JacobiCharges(0, 1),
-                                      lambda: JacobiCharges(1, -0.5)])
+                                      lambda: JacobiCharges(1, -0.5), lambda: Coulomb(np.nan),
+                                      lambda: JacobiCharges(np.nan, 1), lambda: JacobiCharges(1, np.nan),
+                                      lambda: ConjugateLinear(np.nan)])
     def test_invalid_parameters_raise(self, make):
         with pytest.raises(ValueError):
             make()
@@ -328,3 +333,65 @@ class TestFamilyConstructors:
         # refused by its field, not by its type
         with pytest.raises(ValueError, match="not zero"):
             stieltjes.EquilibriumProblem(3, bg)
+
+
+class TestWhereTheFieldIsDefined:
+    """kirchhoff_field is the one check: a point within eps of another point or of a pole raises
+    CollisionError, found in the pair pass before any division, for every caller of the field."""
+
+    @staticmethod
+    def entry_points():
+        laughlin = LaughlinParams(3)
+        return {
+            "velocity": lambda z, bg: vortex._velocity(np.asarray(z, dtype=complex), 1.0, bg, 1e-12),
+            "stieltjes": lambda z, bg: stieltjes.residual(z, bg),
+            "laughlin": lambda z, bg: laughlin_stationarity_residual(z, laughlin),
+        }
+
+    def test_exception_hierarchy(self):
+        assert issubclass(CollisionError, DomainError) and issubclass(DomainError, ValueError)
+        assert vortex.CollisionError is stieltjes.CollisionError is vortexkit.CollisionError is CollisionError
+        assert vortex.DomainError is stieltjes.DomainError is vortexkit.DomainError is DomainError
+
+    @pytest.mark.parametrize("name", ["velocity", "stieltjes", "laughlin"])
+    def test_coincident_pair_raises_before_dividing(self, name):
+        call = self.entry_points()[name]
+        bg = HermiteLinear()
+        # the pair in different row blocks, and -0.0 against 0.0
+        z = np.linspace(-3.0, 3.0, _BLOCK + 5)
+        z[-1] = z[2]
+        for x in (z, np.array([0.0, 2.0, -0.0])):
+            with np.errstate(all="raise"), pytest.raises(CollisionError):
+                call(x, bg)
+
+    @pytest.mark.parametrize("name", ["velocity", "stieltjes"])
+    def test_point_on_a_pole_raises_before_dividing(self, name):
+        bg = CustomRational(poles=(0.5,), residues=(-1.0,), poly=(0.0, 1.0))
+        with np.errstate(all="raise"), pytest.raises(CollisionError, match="pole"):
+            self.entry_points()[name](np.array([-1.0, 0.5, 2.0]), bg)
+
+    def test_distance_equal_to_eps_is_a_collision(self):
+        with pytest.raises(CollisionError):
+            kirchhoff_field(np.array([0.0, 0.25]), 1.0, NoFlow(), eps=0.25)
+        with pytest.raises(CollisionError):
+            kirchhoff_field(np.array([1.25]), 1.0, Coulomb(1.0), eps=1.25)
+        assert np.all(np.isfinite(kirchhoff_field(np.array([0.0, 0.25]), 1.0, NoFlow(), eps=0.2)))
+
+    def test_nan_distance_does_not_raise(self):
+        # a non-finite Runge-Kutta stage is rejected by the step control, not taken for a collision
+        z = np.array([0.5, np.nan, 1.5]) * (1.0 + 1.0j)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(vortex._velocity(z, 1.0, Coulomb(1.0), 1e-12)).all()
+
+    def test_one_pair_pass_per_evaluation(self, monkeypatch):
+        passes = []
+        blocks = backgrounds._row_blocks
+        monkeypatch.setattr(backgrounds, "_row_blocks", lambda *a, **k: passes.append(1) or blocks(*a, **k))
+        z = np.exp(2j * np.pi * np.arange(5) / 5)
+        cfg = VortexConfiguration(z, np.ones(5))
+        for call in (lambda: rhs(cfg, Coulomb(1.0)),
+                     lambda: laughlin_stationarity_residual(z, LaughlinParams(5)),
+                     lambda: stieltjes.residual(np.arange(1.0, 6.0), Coulomb(1.0))):
+            passes.clear()
+            call()
+            assert len(passes) == 1

@@ -165,6 +165,33 @@ class TestSimulate:
         assert run(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 3
 
 
+    def test_no_samples_exit_2(self, tmp_path):
+        assert run(["--out", str(tmp_path), "simulate", "--samples", "0"]) == 2
+
+
+class TestNonFiniteInput:
+    """A NaN from a flag or a config file is invalid input (exit 2), not a run that exits 0 or 3."""
+
+    def test_nan_t_end_exit_2(self, tmp_path):
+        assert run(["--out", str(tmp_path), "simulate", "--t-end", "nan"]) == 2
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_nan_tol_exit_2(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"equilibrium": {"family": "custom", "n": 5, "poly": [0.3, 1.2]}}))
+        assert run(["--config", str(config), "--out", str(tmp_path), "--tol", "nan", "equilibrium"]) == 2
+        assert not (tmp_path / "equilibrium.json").exists()
+
+    def test_nan_magnetic_length_exit_2(self, tmp_path):
+        assert run(["--out", str(tmp_path), "laughlin", "--l-B", "nan"]) == 2
+        assert not (tmp_path / "laughlin.json").exists()
+
+    def test_nan_background_parameter_exit_2(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"simulate": {"background": {"kind": "coulomb", "l": float("nan")}}}))
+        assert run(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 2
+
+
 class TestLaughlin:
     def test_pair_radius(self, tmp_path):
         assert run(["--out", str(tmp_path), "--tol", "1e-13", "laughlin",

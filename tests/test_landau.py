@@ -52,7 +52,7 @@ class TestLogLaughlin:
         with pytest.raises(ValueError):
             log_laughlin(np.array([1.0 + 0j, 1.0 + 0j]), LaughlinParams(2))
 
-    @pytest.mark.parametrize("bad", [dict(N=0), dict(N=2, m_exp=2), dict(N=2, l_B=0.0)])
+    @pytest.mark.parametrize("bad", [dict(N=0), dict(N=2, m_exp=2), dict(N=2, l_B=0.0), dict(N=2, l_B=np.nan)])
     def test_invalid_params(self, bad):
         with pytest.raises(ValueError):
             LaughlinParams(**{"N": 2, "m_exp": 1, "l_B": 1.0, **bad})

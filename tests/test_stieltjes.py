@@ -9,6 +9,7 @@ from vortexkit import orthopoly
 from vortexkit.backgrounds import Coulomb, CustomRational, HermiteLinear, JacobiCharges, kirchhoff_jacobian
 from vortexkit.orthopoly import PolynomialSpec
 from vortexkit.stieltjes import (
+    CollisionError,
     DomainError,
     EquilibriumProblem,
     certify,
@@ -126,6 +127,14 @@ class TestSolve:
             rep = solve(EquilibriumProblem(n, HermiteLinear()))
             hess = jacobian(rep.positions, HermiteLinear())  # Hessian of E: grad E = -R = F
             assert np.linalg.eigvalsh(hess).min() > 0
+
+    def test_guess_where_the_field_is_undefined_refused(self):
+        bg = CustomRational(poles=(0.5,), residues=(-1.0,), poly=(0.0, 1.0))
+        for guess in ([-1.0, 0.5, 2.0], [-1.0, 2.0, -1.0]):  # on the pole; coincident
+            with np.errstate(all="raise"), pytest.raises(CollisionError):
+                EquilibriumProblem(3, bg, guess=np.array(guess))
+        with pytest.raises(DomainError):
+            EquilibriumProblem(2, Coulomb(1.0), guess=np.array([0.0, 1.0]))
 
     def test_custom_rational_solves(self):
         # two fixed unit charges at +/-2 plus a linear confinement

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vortexkit import vortex
+from vortexkit import backgrounds, vortex
 from vortexkit.backgrounds import (
     Coulomb, ConjugateLinear, CustomRational, HermiteLinear, JacobiCharges, NoFlow,
 )
@@ -147,6 +147,16 @@ class TestIntegrate:
             integrate(cfg, Coulomb(1.0), 1e3, max_steps=steps)
         assert len(calls) == 1 + 6 * steps
 
+    def test_empty_sample_times_rejected(self):
+        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="sample times"):
+            integrate(cfg, NoFlow(), 1.0, sample_times=[])
+
+    def test_coincident_vortices_collide_at_eps_zero(self):
+        # the velocity is not defined there: eps = 0 refuses it instead of returning infinities
+        with np.errstate(all="raise"), pytest.raises(CollisionError):
+            vortex._velocity(np.array([0.5j, 1.0, 0.5j]), np.ones(3), NoFlow(), 0.0)
+
     def test_csv_export(self, tmp_path):
         cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
         traj = integrate(cfg, NoFlow(), 1.0, sample_times=np.linspace(0, 1, 5))
@@ -224,6 +234,33 @@ class TestHamiltonianRhs:
         cfg = VortexConfiguration(np.array([1.0 + 0j]), np.array([1.0]))
         with pytest.raises(UnsupportedBackgroundError):
             hamiltonian_rhs(cfg, ConjugateLinear(0.25))
+
+
+class TestOraclesIndependentOfField:
+    """hamiltonian_rhs and poisson_bracket cross-check the field, so they must not evaluate it."""
+
+    @pytest.fixture(autouse=True)
+    def field_raises(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle evaluated kirchhoff_field")
+
+        monkeypatch.setattr(vortex, "kirchhoff_field", refuse)
+        monkeypatch.setattr(backgrounds, "kirchhoff_field", refuse)
+
+    def test_hamiltonian_rhs(self):
+        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
+        assert hamiltonian_rhs(cfg) == pytest.approx([-0.5j, 0.5j])
+        with pytest.raises(AssertionError):
+            rhs(cfg)
+
+    def test_poisson_bracket(self):
+        cfg = VortexConfiguration(np.array([1.0 + 0.5j]), np.array([2.0]))
+        assert poisson_bracket(lambda z: z[0].real, lambda z: z[0].imag, cfg) == pytest.approx(0.5, abs=1e-9)
+
+    def test_oracles_keep_their_collision_check(self):
+        cfg = VortexConfiguration(np.array([1e-14 + 0j, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(CollisionError):
+            hamiltonian_rhs(cfg, Coulomb(0.0))
 
 
 class TestValidation:

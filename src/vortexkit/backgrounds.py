@@ -31,8 +31,8 @@ class CollisionError(DomainError):
 
 
 def _refuse_within(dist, eps, what):
-    """Raise CollisionError if the smallest of the distances is <= eps; a NaN among them never raises."""
-    d = dist.min(initial=np.inf)
+    """Raise CollisionError if the smallest of the distances is <= eps; a NaN distance is skipped, never raises."""
+    d = np.fmin.reduce(dist, axis=None, initial=np.inf)
     if d <= eps:
         raise CollisionError(f"{what} {d:.3e} not above epsilon {eps:.1e}")
 

@@ -3,9 +3,10 @@
 Vortex i moves with dz_i/dt = conj(i F_i), F the Kirchhoff field of strengths
 kappa in the background flow w (`backgrounds.kirchhoff_field`, which raises
 CollisionError within eps of another vortex or a pole of w).  Integration is
-adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) with step rejection; linear
-impulse Q+iP, angular impulse I and the interaction energy H are monitored as
-integration-quality diagnostics.
+adaptive embedded Runge-Kutta with step rejection, driven by one Dormand-Prince
+5(4) tableau (_DP_A, whose last row is the 5th-order weights, and the error row
+_DP_E); linear impulse Q+iP, angular impulse I and the interaction energy H are
+monitored as integration-quality diagnostics.
 """
 
 import csv
@@ -157,20 +158,19 @@ def poisson_bracket(f, g, cfg: VortexConfiguration, step: float = 1e-5, eps: flo
     return float(np.sum((fx * gy - fy * gx) / kappa))
 
 
-# Dormand-Prince 5(4) tableau
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+# Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer-Norsett-Wanner I, Table II.5.2).  Stage s is
+# evaluated at z + h * (_DP_A[s, :s] @ k[:s]).  The last row is the 5th-order weights b5, so the 7th
+# stage is evaluated at the step's result (first same as last); _DP_E = b5 - b4 weights the error.
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
 @dataclass(frozen=True)
@@ -212,61 +212,59 @@ def integrate(
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) integration of the vortex equations.
 
-    Six velocity evaluations per attempted step: an accepted step's 7th stage is the next one's 1st (FSAL).
+    One step evaluates stages 2-7 of the tableau _DP_A: six velocity evaluations per attempted
+    step, since the 7th stage is evaluated at the accepted point and is the next step's 1st (FSAL).
+    The error estimate h * (_DP_E @ k) must not exceed atol + rtol * max(|z|, |z_new|); max_steps
+    bounds the attempted steps (StepLimitError).  rtol >= 0, atol > 0 and eps >= 0 are required,
+    since any other value turns off the error control or the collision check (ValueError).
 
-    Trajectory is sampled exactly at sample_times (default: start and end).
+    Trajectory is sampled exactly at sample_times (default: start and end), finite and in [t, t_end].
     Drift is the max deviation of Q+iP, I, H over all accepted steps.
     """
     t0 = cfg.t
-    if t_end <= t0:
-        raise ValueError(f"t_end {t_end} must exceed initial time {t0}")
+    if not (np.isfinite(t_end) and t_end > t0):
+        raise ValueError(f"t_end {t_end} must be finite and exceed initial time {t0}")
+    if not (rtol >= 0.0 and atol > 0.0 and eps >= 0.0):
+        raise ValueError(f"need rtol >= 0, atol > 0 and eps >= 0, got {rtol}, {atol} and {eps}")
     if sample_times is None:
         sample_times = np.array([t0, t_end])
     sample_times = np.sort(np.asarray(sample_times, dtype=float))
-    if sample_times.size == 0 or sample_times[0] < t0 or sample_times[-1] > t_end:
+    # a NaN sorts last and fails the comparison
+    if sample_times.size == 0 or not (t0 <= sample_times[0] and sample_times[-1] <= t_end):
         raise ValueError("sample times must be given and lie in [t, t_end]")
 
     c0 = conserved(cfg)
     drift_lin = drift_ang = drift_en = 0.0
     samples = []
     si = 0
-    t, z = t0, cfg.z.copy()
-    while si < sample_times.size and sample_times[si] <= t:
-        samples.append(VortexConfiguration(z.copy(), cfg.kappa, t))
-        si += 1
-
-    k1 = _velocity(z, cfg.kappa, bg, eps)
-    speed = np.abs(k1).max()
+    t, z = t0, cfg.z
+    k = np.empty((7, z.size), dtype=complex)
+    k[0] = _velocity(z, cfg.kappa, bg, eps)
+    speed = np.abs(k[0]).max()
     dt = min(t_end - t0, 0.01 * (1.0 + np.abs(z).max()) / max(speed, 1e-8))
     nsteps = 0
-    while t < t_end:
+    while True:
+        while si < sample_times.size and sample_times[si] <= t + 1e-14 * max(1.0, abs(t)):
+            samples.append(VortexConfiguration(z.copy(), cfg.kappa, sample_times[si]))
+            si += 1
+        if t >= t_end:
+            return Trajectory(samples, DriftReport(drift_lin, drift_ang, drift_en))
         if nsteps >= max_steps:
             raise StepLimitError(f"step budget {max_steps} exhausted at t={t:.6g}")
         target = sample_times[si] if si < sample_times.size else t_end
-        h = min(dt, target - t, t_end - t)
-        ks = [k1]
-        for stage in range(1, 7):
-            zi = z + h * sum(a * k for a, k in zip(_DP_A[stage], ks))
-            ks.append(_velocity(zi, cfg.kappa, bg, eps))
-        z5 = z + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        z4 = z + h * sum(b * k for b, k in zip(_DP_B4, ks))
-        err = np.abs(z5 - z4) / (atol + rtol * np.maximum(np.abs(z), np.abs(z5)))
-        emax = err.max()
+        h = min(dt, target - t)
+        for s in range(1, 7):  # the last stage point zs is the 5th-order step
+            zs = z + h * (_DP_A[s, :s] @ k[:s])
+            k[s] = _velocity(zs, cfg.kappa, bg, eps)
+        emax = (np.abs(h * (_DP_E @ k)) / (atol + rtol * np.maximum(np.abs(z), np.abs(zs)))).max()
         nsteps += 1
         if emax <= 1.0:
-            t = t + h
-            z, k1 = z5, ks[6]  # first same as last: the 7th stage was evaluated at z5
+            t, z = t + h, zs
+            k[0] = k[6]
             c = _conserved(z, cfg.kappa)
             drift_lin = max(drift_lin, abs(c.linear_impulse - c0.linear_impulse))
             drift_ang = max(drift_ang, abs(c.angular_impulse - c0.angular_impulse))
             drift_en = max(drift_en, abs(c.interaction_energy - c0.interaction_energy))
-            while si < sample_times.size and sample_times[si] <= t + 1e-14 * max(1.0, abs(t)):
-                samples.append(VortexConfiguration(z.copy(), cfg.kappa, sample_times[si]))
-                si += 1
             dt = dt * min(5.0, max(0.2, 0.9 * emax ** (-0.2))) if emax > 0 else dt * 5.0
         else:
             dt = dt * max(0.2, 0.9 * emax ** (-0.2))
-    while si < sample_times.size:
-        samples.append(VortexConfiguration(z.copy(), cfg.kappa, sample_times[si]))
-        si += 1
-    return Trajectory(samples, DriftReport(drift_lin, drift_ang, drift_en))

@@ -379,9 +379,17 @@ class TestWhereTheFieldIsDefined:
 
     def test_nan_distance_does_not_raise(self):
         # a non-finite Runge-Kutta stage is rejected by the step control, not taken for a collision
-        z = np.array([0.5, np.nan, 1.5]) * (1.0 + 1.0j)
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(vortex._velocity(z, 1.0, Coulomb(1.0), 1e-12)).all()
+        for z in (np.array([0.5, np.nan, 1.5]), np.full(3, np.nan)):
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(vortex._velocity(z * (1.0 + 1.0j), 1.0, Coulomb(1.0), 1e-12)).all()
+
+    @pytest.mark.parametrize("z, bg, what", [
+        (np.array([0.0, np.nan, 1.0]), Coulomb(1.0), "pole"),
+        (np.array([0.5, np.nan, 0.5, 2.0]), NoFlow(), "pairwise"),  # the pair in the NaN's row block
+    ], ids=["point_on_pole", "pair"])
+    def test_nan_does_not_hide_a_collision(self, z, bg, what):
+        with np.errstate(all="raise"), pytest.raises(CollisionError, match=what):
+            vortex._velocity(z * (1.0 + 1.0j), 1.0, bg, 1e-12)
 
     def test_one_pair_pass_per_evaluation(self, monkeypatch):
         passes = []

@@ -164,6 +164,11 @@ class TestSimulate:
         }))
         assert run(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 3
 
+    def test_negative_rtol_exit_2(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"simulate": {"rtol": -1e-10}}))
+        assert run(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 2
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_no_samples_exit_2(self, tmp_path):
         assert run(["--out", str(tmp_path), "simulate", "--samples", "0"]) == 2

@@ -169,6 +169,59 @@ class TestIntegrate:
         assert row[1:5] == pytest.approx([1.0, 0.0, -1.0, 0.0])
 
 
+class TestStepper:
+    """The one Dormand-Prince 5(4) tableau: its nodes, its order conditions and a closed-form run."""
+
+    def test_row_sums_are_the_nodes(self):
+        nodes = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+        assert np.allclose(vortex._DP_A.sum(axis=1), nodes, rtol=0, atol=1e-14)
+        assert np.all(np.triu(vortex._DP_A) == 0.0)
+
+    def test_quadrature_conditions(self):
+        c = vortex._DP_A.sum(axis=1)
+        b5 = vortex._DP_A[6]
+        b4 = b5 - vortex._DP_E
+        for k in range(5):
+            assert b5 @ c**k == pytest.approx(1 / (k + 1), abs=1e-14)
+        for k in range(4):
+            assert b4 @ c**k == pytest.approx(1 / (k + 1), abs=1e-14)
+        assert b4 @ c**4 != pytest.approx(1 / 5, abs=1e-6)  # b4 is order 4, not 5
+
+    def test_hermite_linear_hyperbolic_flow(self):
+        # w(z) = z: one vortex moves with xdot = -y, ydot = -x
+        x0, y0 = 0.3, 0.7
+        times = np.linspace(0.0, 2.0, 9)
+        traj = integrate(VortexConfiguration(np.array([x0 + 1j * y0]), np.ones(1)), HermiteLinear(), 2.0,
+                         sample_times=times)
+        exact = (x0 * np.cosh(times) - y0 * np.sinh(times)) + 1j * (y0 * np.cosh(times) - x0 * np.sinh(times))
+        got = np.array([c.z[0] for c in traj.configurations])
+        assert [c.t for c in traj.configurations] == list(times)
+        assert np.all(np.abs(got - exact) <= 1e-9 * np.abs(exact))
+
+
+class TestIntegrateRefusesDisabledChecks:
+    """Inputs that would turn off the error control, the collision check or the sampling are ValueErrors."""
+
+    pair = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
+    triple = VortexConfiguration(np.array([1.0, -0.5 + 0.5j, 0.2 - 0.8j]), np.array([1.0, 2.0, -1.0]))
+    at_rest = VortexConfiguration(np.array([0.0j]), np.ones(1))
+
+    @pytest.mark.parametrize("cfg, kwargs, match", [
+        # every error estimate would be negative, so every step would be accepted
+        (triple, dict(t_end=5.0, rtol=-1e-10), "rtol"),
+        (pair, dict(rtol=0.0, atol=0.0, max_steps=50), "atol"),
+        # the error estimate of a vortex at rest at the origin would be 0/0
+        (at_rest, dict(atol=0.0, max_steps=50), "atol"),
+        (pair, dict(t_end=np.nan), "t_end"),
+        (pair, dict(sample_times=[0.0, np.nan, 1.0]), "sample times"),
+        (pair, dict(eps=-1.0), "eps"),
+    ], ids=["negative_rtol", "zero_tolerances", "zero_atol_at_rest", "nan_t_end", "nan_sample_time",
+            "negative_eps"])
+    def test_refused(self, cfg, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            integrate(cfg, NoFlow(), **kwargs)
+
+
 class TestPoissonBracket:
     def test_canonical_pair(self):
         cfg = VortexConfiguration(np.array([1.0 + 0.5j]), np.array([2.0]))

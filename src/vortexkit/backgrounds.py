@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .orthopoly import PolynomialSpec, HERMITE, LAGUERRE, JACOBI
 
@@ -123,7 +124,12 @@ def _newton_step(z, kappa, bg, f):
     """
     a, b = kirchhoff_jacobian(z, kappa, bg)
     if not np.any(b):
-        return np.linalg.solve(a, -f)
+        # rcond < eps (or NaN): a pivot zero but for rounding, whose step has no correct digit
+        getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (a,))
+        lu, piv, info = getrf(a)
+        if info or not gecon(lu, np.linalg.norm(a, 1))[0] >= np.finfo(float).eps:
+            raise np.linalg.LinAlgError("singular Newton step")
+        return getrs(lu, piv, -f)[0]
     b = np.eye(z.size) * b
     # jac[2i + r, 2k + c]: part r (Re, Im) of dF_i/dx_k (c = 0) or dF_i/dy_k (c = 1)
     jac = np.stack([a + b, 1j * (a - b)], -1).view(float).reshape(z.size, z.size, 2, 2)
@@ -138,7 +144,7 @@ def newton(residual, z, kappa, bg, tol, max_iter):
     trial points its caller rejects.  Each iteration takes the full step, halved
     at most 30 times until residual() is defined and max|F| strictly decreases (the
     accepted trial's F is reused).  Stops at max|F| <= tol, after max_iter steps,
-    when no halving decreases max|F|, or at a singular step (LinAlgError).
+    when no halving decreases max|F|, or at a singular or ill-conditioned step (LinAlgError).
     """
     f = residual(z)
     fmax = np.abs(f).max()

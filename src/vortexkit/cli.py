@@ -1,8 +1,10 @@
 """Command-line driver: zeros, equilibrium, simulate, laughlin, beam.
 
 Configuration comes from a JSON file (--config) with one top-level object per
-command; command-line flags override config fields.  Exit codes: 0 ok,
-2 validation, 3 non-convergence, 4 collision, 5 aliasing.
+command; command-line flags override config fields.  One table, _DEFAULTS,
+states each command's parameters: their names, defaults and types, for flags
+and config values alike.  _COMMANDS names the parameters that are also flags.
+Exit codes: 0 ok, 2 validation, 3 non-convergence, 4 collision, 5 aliasing.
 """
 
 import argparse
@@ -103,7 +105,21 @@ def _load_params(command, args):
         json.dumps(params, allow_nan=False)
     except ValueError:
         raise ConfigError(f"{command} parameters must be finite numbers") from None
-    return params
+    return {key: _typed(command, key, value) for key, value in params.items()}
+
+
+def _typed(command, key, value):
+    """value as its default's type: an int takes an integral number, a float any number but a
+    bool, any other type only itself; a None default (beam z_total) takes anything."""
+    default = _DEFAULTS[command][key]
+    kind, number = type(default), type(value) in (int, float)
+    if default is None or kind is type(value):
+        return value
+    if kind is float and number:
+        return float(value)
+    if kind is int and number and float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"{command} {key} must be of type {kind.__name__}, got {value!r}")
 
 
 def _say(args, msg):
@@ -123,9 +139,7 @@ def _background_from(doc):
 
 def cmd_zeros(args):
     params = _load_params("zeros", args)
-    spec = orthopoly.PolynomialSpec(
-        params["family"], int(params["n"]), float(params["alpha"]), float(params["beta"])
-    )
+    spec = orthopoly.PolynomialSpec(params["family"], params["n"], params["alpha"], params["beta"])
     xs = orthopoly.zeros(spec)
     res = orthopoly.ode_residual_relative(spec, xs)
     rows = [f"{x:24.16e}  {r:14.3e}" for x, r in zip(xs, res)]
@@ -138,10 +152,10 @@ def cmd_equilibrium(args):
     params = _load_params("equilibrium", args)
     # EquilibriumProblem refuses the kinds solve() cannot handle (exit 2)
     bg = _background_from(dict(params, kind=params["family"]))
-    n = int(params["n"])
+    n = params["n"]
     problem = stieltjes.EquilibriumProblem(n=n, background=bg)
-    report = stieltjes.solve(problem, tolerance=float(params["tol"]), max_iter=int(params["max_iter"]))
-    failed = report.residual_inf > float(params["tol"])
+    report = stieltjes.solve(problem, tolerance=params["tol"], max_iter=params["max_iter"])
+    failed = report.residual_inf > params["tol"]
     spec = bg.polynomial_spec(n)
     if not failed and spec is not None:
         report = stieltjes.certify(report, spec)
@@ -159,21 +173,20 @@ def cmd_simulate(args):
     kappa = np.array(params["strengths"], dtype=float)
     cfg = VortexConfiguration(z, kappa)
     bg = _background_from(params["background"])
-    t_end = float(params["t_end"])
-    times = np.linspace(0.0, t_end, int(params["samples"]))
-    traj = integrate(cfg, bg, t_end, rtol=float(params["rtol"]), atol=float(params["atol"]),
-                     max_steps=int(params["max_steps"]), sample_times=times, eps=float(params["collision_eps"]))
+    times = np.linspace(0.0, params["t_end"], params["samples"])
+    traj = integrate(cfg, bg, params["t_end"], rtol=params["rtol"], atol=params["atol"],
+                     max_steps=params["max_steps"], sample_times=times, eps=params["collision_eps"])
     traj.to_csv(os.path.join(args.out, params["output"]))
     d = traj.drift
     _say(args, f"drift |dQ| {d.linear:.3e}  |dI| {d.angular:.3e}  |dH| {d.energy:.3e}")
-    bound = float(params["drift_bound"])
+    bound = params["drift_bound"]
     ok = d.linear <= bound and d.angular <= bound and d.energy <= bound
     return EXIT_OK if ok else EXIT_NONCONVERGENCE
 
 
 def cmd_laughlin(args):
     params = _load_params("laughlin", args)
-    lp = LaughlinParams(int(params["N"]), int(params["m_exp"]), float(params["l_B"]))
+    lp = LaughlinParams(params["N"], params["m_exp"], params["l_B"])
     if lp.N == 1:
         guess = np.array([0.0 + 0.0j])
     else:
@@ -181,8 +194,7 @@ def cmd_laughlin(args):
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         angles = 2.0 * np.pi * np.arange(lp.N) / lp.N
         guess = 0.9 * r0 * np.exp(1j * (angles + 0.01 * rng.standard_normal(lp.N)))
-    z, res, converged = solve_planar_equilibrium(lp, guess, tol=float(params["tol"]),
-                                                 max_iter=int(params["max_iter"]))
+    z, res, converged = solve_planar_equilibrium(lp, guess, tol=params["tol"], max_iter=params["max_iter"])
     radii = np.abs(z)
     doc = {
         "N": lp.N,
@@ -203,15 +215,12 @@ def cmd_laughlin(args):
 
 def cmd_beam(args):
     params = _load_params("beam", args)
-    n = int(params["grid"])
-    dx = float(params["dx"])
-    k = float(params["k"])
-    w0 = float(params["w0"])
-    field = lg_mode(int(params["p"]), int(params["ell"]), w0, n, n, dx, dx, k)
+    n, dx, k, w0 = params["grid"], params["dx"], params["k"], params["w0"]
+    field = lg_mode(params["p"], params["ell"], w0, n, n, dx, dx, k)
     z_total = params["z_total"]
     if z_total is None:
         z_total = 0.5 * k * w0**2  # one Rayleigh range
-    slices = int(params["slices"])
+    slices = params["slices"]
     if slices < 1:
         raise ConfigError(f"slices must be >= 1, got {slices}")
     dz = float(z_total) / slices
@@ -240,6 +249,16 @@ def cmd_beam(args):
     return EXIT_OK if conservedq else EXIT_NONCONVERGENCE
 
 
+_COMMANDS = {  # function, help, and the keys that are also flags: t_end is --t-end
+    "zeros": (cmd_zeros, "orthogonal polynomial zeros and ODE residuals", ("family", "n", "alpha", "beta")),
+    "equilibrium": (cmd_equilibrium, "solve and certify a stationary configuration",
+                    ("family", "n", "l", "p", "q")),
+    "simulate": (cmd_simulate, "integrate the time-dependent vortex equations", ("t_end", "samples")),
+    "laughlin": (cmd_laughlin, "planar Laughlin equilibrium", ("N", "m_exp", "l_B")),
+    "beam": (cmd_beam, "propagate an LG mode and track its vortices", ("p", "ell", "w0", "grid", "slices")),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="vortexkit", description=__doc__)
     ap.add_argument("--config", default=None, help="JSON config path")
@@ -248,40 +267,11 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
     ap.add_argument("--quiet", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("zeros", help="orthogonal polynomial zeros and ODE residuals")
-    p.add_argument("--family", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.set_defaults(func=cmd_zeros)
-
-    p = sub.add_parser("equilibrium", help="solve and certify a stationary configuration")
-    p.add_argument("--family", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--l", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.set_defaults(func=cmd_equilibrium)
-
-    p = sub.add_parser("simulate", help="integrate the time-dependent vortex equations")
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("laughlin", help="planar Laughlin equilibrium")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--m-exp", dest="m_exp", type=int, default=None)
-    p.add_argument("--l-B", dest="l_B", type=float, default=None)
-    p.set_defaults(func=cmd_laughlin)
-
-    p = sub.add_parser("beam", help="propagate an LG mode and track its vortices")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--w0", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--slices", type=int, default=None)
-    p.set_defaults(func=cmd_beam)
+    for command, (func, about, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for key in flags:
+            p.add_argument("--" + key.replace("_", "-"), type=type(_DEFAULTS[command][key]))
+        p.set_defaults(func=func)
     return ap
 
 

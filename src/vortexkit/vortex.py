@@ -215,8 +215,8 @@ def integrate(
     One step evaluates stages 2-7 of the tableau _DP_A: six velocity evaluations per attempted
     step, since the 7th stage is evaluated at the accepted point and is the next step's 1st (FSAL).
     The error estimate h * (_DP_E @ k) must not exceed atol + rtol * max(|z|, |z_new|); max_steps
-    bounds the attempted steps (StepLimitError).  rtol >= 0, atol > 0 and eps >= 0 are required,
-    since any other value turns off the error control or the collision check (ValueError).
+    bounds the attempted steps (StepLimitError).  rtol >= 0, atol > 0, eps >= 0, max_steps >= 1 are
+    required: any other value turns off the error control, the collision check or every step (ValueError).
 
     Trajectory is sampled exactly at sample_times (default: start and end), finite and in [t, t_end].
     Drift is the max deviation of Q+iP, I, H over all accepted steps.
@@ -224,8 +224,8 @@ def integrate(
     t0 = cfg.t
     if not (np.isfinite(t_end) and t_end > t0):
         raise ValueError(f"t_end {t_end} must be finite and exceed initial time {t0}")
-    if not (rtol >= 0.0 and atol > 0.0 and eps >= 0.0):
-        raise ValueError(f"need rtol >= 0, atol > 0 and eps >= 0, got {rtol}, {atol} and {eps}")
+    if not (rtol >= 0.0 and atol > 0.0 and eps >= 0.0 and max_steps >= 1):
+        raise ValueError(f"need rtol >= 0, atol > 0, eps >= 0, max_steps >= 1; got {rtol}, {atol}, {eps}, {max_steps}")
     if sample_times is None:
         sample_times = np.array([t0, t_end])
     sample_times = np.sort(np.asarray(sample_times, dtype=float))

@@ -155,10 +155,11 @@ class TestNewton:
         assert steps == 2 and res > 1e-14
         assert newton(cube, z, 1.0, CUBE, res, 50)[1:] == (res, 0)
 
-    @pytest.mark.parametrize("x", [[0.3], [-1.0, 1.0]])
+    @pytest.mark.parametrize("x", [[0.3], [-1.0, 1.0], [-1.0, 0.5, 2.0]])
     def test_singular_step_stops(self, x):
         # a constant field: the F_i sum to n w, so there is no equilibrium, and the
-        # jacobian's rows sum to zero (exactly so at these points)
+        # jacobian's rows sum to zero (exactly so at the first two; at the third LU
+        # leaves a pivot of 1e-16, whose step would move every point to -1.35e16)
         bg = CustomRational(poly=(0.5,))
         x = np.array(x)
         z, res, steps = newton(lambda z: kirchhoff_field(z, -1.0, bg), x, -1.0, bg, 1e-12, 50)

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, config handling, determinism."""
 
+import argparse
 import json
 
 import numpy as np
@@ -10,6 +11,54 @@ from vortexkit import cli, orthopoly
 
 def run(argv):
     return cli.main(argv)
+
+
+class TestParameterTable:
+    """Flags and config values take their type from the parameter's default."""
+
+    def test_flags_and_types_unchanged(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        # argparse passes the string through when type is None
+        flags = {command: [(a.option_strings, a.dest, a.type or str) for a in p._actions if a.dest != "help"]
+                 for command, p in sub.choices.items()}
+        assert flags == {
+            "zeros": [(["--family"], "family", str), (["--n"], "n", int), (["--alpha"], "alpha", float),
+                      (["--beta"], "beta", float)],
+            "equilibrium": [(["--family"], "family", str), (["--n"], "n", int), (["--l"], "l", float),
+                            (["--p"], "p", float), (["--q"], "q", float)],
+            "simulate": [(["--t-end"], "t_end", float), (["--samples"], "samples", int)],
+            "laughlin": [(["--N"], "N", int), (["--m-exp"], "m_exp", int), (["--l-B"], "l_B", float)],
+            "beam": [(["--p"], "p", int), (["--ell"], "ell", int), (["--w0"], "w0", float),
+                     (["--grid"], "grid", int), (["--slices"], "slices", int)],
+        }
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "samples", 1.5),
+        ("equilibrium", "n", 5.5),
+        ("laughlin", "max_iter", 2.5),
+        ("beam", "grid", 256.5),
+        ("simulate", "samples", True),
+        ("zeros", "alpha", "1.5"),
+        ("beam", "save_fields", 1),
+        # no step would be taken, and that used to read as an exhausted step budget (exit 3)
+        ("simulate", "max_steps", 0),
+        ("simulate", "max_steps", -5),
+    ], ids=["fractional_samples", "fractional_n", "fractional_max_iter", "fractional_grid", "bool_samples",
+            "string_alpha", "int_save_fields", "zero_max_steps", "negative_max_steps"])
+    def test_ill_typed_or_invalid_value_exit_2(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({command: {key: value}}))
+        assert run(["--config", str(config), "--out", str(tmp_path), command]) == 2
+        assert key in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_integral_float_count_reports_like_flag(self, tmp_path):
+        flag, conf = tmp_path / "flag", tmp_path / "conf"
+        assert run(["--out", str(flag), "equilibrium", "--n", "5"]) == 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"equilibrium": {"n": 5.0}}))
+        assert run(["--config", str(config), "--out", str(conf), "equilibrium"]) == 0
+        assert (conf / "equilibrium.json").read_bytes() == (flag / "equilibrium.json").read_bytes()
 
 
 class TestZeros:

@@ -215,8 +215,11 @@ class TestIntegrateRefusesDisabledChecks:
         (pair, dict(t_end=np.nan), "t_end"),
         (pair, dict(sample_times=[0.0, np.nan, 1.0]), "sample times"),
         (pair, dict(eps=-1.0), "eps"),
+        # no step would be taken, and that used to read as an exhausted step budget
+        (pair, dict(max_steps=0), "max_steps"),
+        (pair, dict(max_steps=-5), "max_steps"),
     ], ids=["negative_rtol", "zero_tolerances", "zero_atol_at_rest", "nan_t_end", "nan_sample_time",
-            "negative_eps"])
+            "negative_eps", "zero_max_steps", "negative_max_steps"])
     def test_refused(self, cfg, kwargs, match):
         with pytest.raises(ValueError, match=match):
             integrate(cfg, NoFlow(), **kwargs)

@@ -10,6 +10,7 @@ from .backgrounds import (
     CustomRational,
     DomainError,
     CollisionError,
+    NewtonResult,
 )
 from .vortex import (
     VortexConfiguration,
@@ -20,7 +21,7 @@ from .vortex import (
     poisson_bracket,
     integrate,
 )
-from .stieltjes import EquilibriumProblem, EquilibriumReport, residual, solve, certify, partner_potentials
+from .stieltjes import EquilibriumProblem, EquilibriumReport, residual, solve, certify
 from .landau import (
     LaughlinParams,
     QuasiholeSet,
@@ -29,7 +30,6 @@ from .landau import (
     laughlin_stationarity_residual,
     solve_planar_equilibrium,
     ladder_apply,
-    dlu_residual,
 )
 from .paraxial import (
     BeamField,

@@ -11,7 +11,8 @@ input configurations, both over blocks of _BLOCK rows (memory O(n * _BLOCK)).
 `kirchhoff_field` is F, written once: vortices move with conj(i F), and the
 stationary problems (kappa = -1 on a line, kappa = m in ConjugateLinear for
 Laughlin) are F = 0, solved by `newton` with the step from `kirchhoff_jacobian`.
-F alone decides where it is defined (CollisionError, found in the pair pass).
+F alone decides where it is defined (CollisionError, found in the pair pass), and
+`newton` alone whether a solve converged (its `NewtonResult`).
 """
 
 from dataclasses import dataclass, field
@@ -137,8 +138,19 @@ def _newton_step(z, kappa, bg, f):
     return np.linalg.lstsq(jac, -f.view(float), rcond=None)[0].view(complex)
 
 
-def newton(residual, z, kappa, bg, tol, max_iter):
-    """Damped Newton on F(z) = 0; returns (z, max|F|, steps).
+@dataclass(frozen=True)
+class NewtonResult:
+    """The one record of a solve of F = 0: the last iterate, its max|F|, the Newton steps
+    taken, and whether max|F| <= tol (never so for a NaN residual)."""
+
+    positions: np.ndarray
+    residual_inf: float
+    iterations: int
+    converged: bool
+
+
+def newton(residual, z, kappa, bg, tol, max_iter) -> NewtonResult:
+    """Damped Newton on F(z) = 0.
 
     residual(z) is `kirchhoff_field(z, kappa, bg)`, raising ValueError at the
     trial points its caller rejects.  Each iteration takes the full step, halved
@@ -169,7 +181,7 @@ def newton(residual, z, kappa, bg, tol, max_iter):
         else:
             break
         steps += 1
-    return z, float(fmax), steps
+    return NewtonResult(z, float(fmax), steps, bool(fmax <= tol))
 
 
 def min_separation(z) -> float:

@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 validation, 3 non-convergence, 4 collision, 5 aliasing.
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -94,9 +95,7 @@ def _load_params(command, args):
         with open(args.config) as fh:
             doc = json.load(fh)
         section = doc.get(command, {})
-        unknown = set(section) - set(params)
-        if unknown:
-            raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+        _refuse_unknown(command, section, params)
         params.update(section)
     for key, value in vars(args).items():
         if key in params and value is not None:
@@ -105,21 +104,32 @@ def _load_params(command, args):
         json.dumps(params, allow_nan=False)
     except ValueError:
         raise ConfigError(f"{command} parameters must be finite numbers") from None
-    return {key: _typed(command, key, value) for key, value in params.items()}
+    return {key: _typed(f"{command} {key}", default, params[key]) for key, default in _DEFAULTS[command].items()}
 
 
-def _typed(command, key, value):
+def _refuse_unknown(what, keys, known):
+    unknown = set(keys) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown config keys for {what}: {sorted(unknown)}")
+
+
+def _typed(what, default, value):
     """value as its default's type: an int takes an integral number, a float any number but a
-    bool, any other type only itself; a None default (beam z_total) takes anything."""
-    default = _DEFAULTS[command][key]
+    bool, a list or tuple a list whose elements are typed as the default's first one (as a
+    float when it has none), None (beam z_total) None or a float, any other type only itself."""
+    if default is None:
+        return None if value is None else _typed(what, 0.0, value)
     kind, number = type(default), type(value) in (int, float)
-    if default is None or kind is type(value):
+    if kind in (list, tuple) and type(value) is list:
+        first = default[0] if default else 0.0
+        return kind(_typed(what, first, v) for v in value)
+    if kind is type(value):
         return value
     if kind is float and number:
         return float(value)
     if kind is int and number and float(value).is_integer():
         return int(value)
-    raise ConfigError(f"{command} {key} must be of type {kind.__name__}, got {value!r}")
+    raise ConfigError(f"{what} must be of type {kind.__name__}, got {value!r}")
 
 
 def _say(args, msg):
@@ -127,14 +137,28 @@ def _say(args, msg):
         print(msg)
 
 
-def _background_from(doc):
-    kind = doc.get("kind", "none")
+def _background_from(kind, doc):
+    """The background `kind`, built from the keys of doc that are its constructor fields, each
+    typed as its default: "l": 1 reports as 1.0, the same as the flag --l 1."""
+    kind = _typed("background kind", "none", kind)
     if kind not in _BACKGROUNDS:
         raise ConfigError(f"unknown background kind {kind!r}")
     cls = _BACKGROUNDS[kind]
-    # A background's parameters are its constructor fields, converted to their declared type:
-    # float() so that a config's "l": 1 reports as 1.0, the same as the flag --l 1.
-    return cls(**{f.name: f.type(doc.get(f.name, f.default)) for f in fields(cls) if f.init})
+    return cls(**{f.name: _typed(f"background {f.name}", f.default, doc[f.name])
+                  for f in fields(cls) if f.init and f.name in doc})
+
+
+def _write_report(args, params, result, **doc):
+    """The one writer of the JSON reports: doc and the fields of the solve's record, sorted keys,
+    indent 2; complex positions as [x, y] pairs, and a non-finite number of the solve as null."""
+    doc.update(vars(result))
+    z = result.positions
+    xy = np.stack([z.real, z.imag], -1) if np.iscomplexobj(z) else z
+    doc["positions"] = np.where(np.isfinite(xy), xy, None).tolist()
+    doc = {key: None if isinstance(v, float) and not math.isfinite(v) else v for key, v in doc.items()}
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)  # nested values are finite config
+    with open(os.path.join(args.out, params["output"]), "w") as fh:
+        fh.write(text + "\n")
 
 
 def cmd_zeros(args):
@@ -151,20 +175,22 @@ def cmd_zeros(args):
 def cmd_equilibrium(args):
     params = _load_params("equilibrium", args)
     # EquilibriumProblem refuses the kinds solve() cannot handle (exit 2)
-    bg = _background_from(dict(params, kind=params["family"]))
+    bg = _background_from(params["family"], params)
     n = params["n"]
     problem = stieltjes.EquilibriumProblem(n=n, background=bg)
-    report = stieltjes.solve(problem, tolerance=params["tol"], max_iter=params["max_iter"])
-    failed = report.residual_inf > params["tol"]
+    result = stieltjes.solve(problem, tolerance=params["tol"], max_iter=params["max_iter"])
     spec = bg.polynomial_spec(n)
-    if not failed and spec is not None:
-        report = stieltjes.certify(report, spec)
-    stieltjes.report_to_json(report, bg, n, os.path.join(args.out, params["output"]))
-    if failed:
-        _say(args, f"non-convergence: residual {report.residual_inf:.3e}")
+    if result.converged and spec is not None:
+        result = stieltjes.certify(result, spec)
+    # the constructor arguments: l, p and q, or a custom field's poles, residues and poly
+    parameters = {f.name: getattr(bg, f.name) for f in fields(bg) if f.init}
+    _write_report(args, params, result, family=type(bg).__name__, parameters=parameters, n=n)
+    if not result.converged:
+        _say(args, f"non-convergence: residual {result.residual_inf:.3e}")
         return EXIT_NONCONVERGENCE
-    _say(args, f"residual_inf {report.residual_inf:.3e}  certified {report.certified}")
-    return EXIT_NONCONVERGENCE if report.certified is False else EXIT_OK
+    certified = getattr(result, "certified", None)
+    _say(args, f"residual_inf {result.residual_inf:.3e}  certified {certified}")
+    return EXIT_NONCONVERGENCE if certified is False else EXIT_OK
 
 
 def cmd_simulate(args):
@@ -172,7 +198,9 @@ def cmd_simulate(args):
     z = np.array([complex(x, y) for x, y in params["positions"]])
     kappa = np.array(params["strengths"], dtype=float)
     cfg = VortexConfiguration(z, kappa)
-    bg = _background_from(params["background"])
+    doc = dict(params["background"])
+    bg = _background_from(doc.pop("kind", "none"), doc)
+    _refuse_unknown("background", doc, [f.name for f in fields(bg) if f.init])
     times = np.linspace(0.0, params["t_end"], params["samples"])
     traj = integrate(cfg, bg, params["t_end"], rtol=params["rtol"], atol=params["atol"],
                      max_steps=params["max_steps"], sample_times=times, eps=params["collision_eps"])
@@ -194,23 +222,12 @@ def cmd_laughlin(args):
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         angles = 2.0 * np.pi * np.arange(lp.N) / lp.N
         guess = 0.9 * r0 * np.exp(1j * (angles + 0.01 * rng.standard_normal(lp.N)))
-    z, res, converged = solve_planar_equilibrium(lp, guess, tol=params["tol"], max_iter=params["max_iter"])
-    radii = np.abs(z)
-    doc = {
-        "N": lp.N,
-        "m_exp": lp.m_exp,
-        "l_B": lp.l_B,
-        "positions": [[float(v.real), float(v.imag)] for v in z],
-        "residual_inf": float(res),
-        "converged": bool(converged),
-        "radius_mean": float(radii.mean()),
-        "radius_min": float(radii.min()),
-        "radius_max": float(radii.max()),
-    }
-    with open(os.path.join(args.out, params["output"]), "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _say(args, f"residual {res:.3e}  mean radius {radii.mean():.12g}")
-    return EXIT_OK if converged else EXIT_NONCONVERGENCE
+    result = solve_planar_equilibrium(lp, guess, tol=params["tol"], max_iter=params["max_iter"])
+    radii = np.abs(result.positions)
+    _write_report(args, params, result, N=lp.N, m_exp=lp.m_exp, l_B=lp.l_B, radius_mean=float(radii.mean()),
+                  radius_min=float(radii.min()), radius_max=float(radii.max()))
+    _say(args, f"residual {result.residual_inf:.3e}  mean radius {radii.mean():.12g}")
+    return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
 def cmd_beam(args):
@@ -223,7 +240,7 @@ def cmd_beam(args):
     slices = params["slices"]
     if slices < 1:
         raise ConfigError(f"slices must be >= 1, got {slices}")
-    dz = float(z_total) / slices
+    dz = z_total / slices
     rows = []
     charges = []
     with warnings.catch_warnings():

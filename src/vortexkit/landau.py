@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import ConjugateLinear, kirchhoff_field, min_separation, newton, pair_sum
+from .backgrounds import ConjugateLinear, NewtonResult, kirchhoff_field, min_separation, newton, pair_sum
 from .paraxial import BeamField
 
 
@@ -28,8 +28,12 @@ class LaughlinParams:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if self.m_exp < 1 or self.m_exp % 2 == 0:
             raise ValueError(f"m_exp must be a positive odd integer, got {self.m_exp}")
-        if not self.l_B > 0:
-            raise ValueError(f"l_B must be > 0, got {self.l_B}")
+        try:
+            ok = self.l_B > 0 and 0 < self.omega < np.inf
+        except OverflowError:  # l_B**2 beyond the largest float
+            ok = False
+        if not ok:
+            raise ValueError(f"l_B must be > 0 with a finite omega = 1/(4 l_B^2) > 0, got {self.l_B}")
 
     @property
     def omega(self):
@@ -87,18 +91,16 @@ def laughlin_stationarity_residual(z, params: LaughlinParams) -> np.ndarray:
     return kirchhoff_field(z, params.m_exp, ConjugateLinear(params.omega))
 
 
-def solve_planar_equilibrium(params: LaughlinParams, guess, tol: float = 1e-10, max_iter: int = 200):
-    """`backgrounds.newton` on S = 0, strengths m in ConjugateLinear(omega).
+def solve_planar_equilibrium(params: LaughlinParams, guess, tol: float = 1e-10, max_iter: int = 200) -> NewtonResult:
+    """`backgrounds.newton` on S = 0, strengths m in ConjugateLinear(omega); residual_inf is max_j |S_j|.
 
     S depends on conj(z): the step is the least-squares one in 2N real variables.
-    Returns (positions, residual_inf, converged), residual_inf being max_j |S_j|.
     """
     z = np.atleast_1d(np.asarray(guess, dtype=complex))
     if z.size != params.N:
         raise ValueError(f"guess size {z.size} does not match N={params.N}")
-    z, res, _ = newton(lambda z: laughlin_stationarity_residual(z, params), z,
-                       params.m_exp, ConjugateLinear(params.omega), tol, max_iter)
-    return z, res, res <= tol
+    return newton(lambda z: laughlin_stationarity_residual(z, params), z,
+                  params.m_exp, ConjugateLinear(params.omega), tol, max_iter)
 
 
 def ladder_apply(field: BeamField, which: str, l_B: float) -> BeamField:
@@ -123,21 +125,3 @@ def ladder_apply(field: BeamField, which: str, l_B: float) -> BeamField:
         dz = 0.5 * (ux - 1j * uy)
         out = -1j * np.sqrt(2.0) * (l_B * dz - np.conj(zg) * u / (4.0 * l_B))
     return BeamField(out, field.dx, field.dy, field.k, field.z)
-
-
-def dlu_residual(f, omega, dr) -> np.ndarray:
-    """Diagnostic residual f'' + omega^2 r^2 f for radial samples f(r).
-
-    The mixed terms omega*(zbar d/dzbar - z d/dz) vanish identically on radial
-    functions, leaving this reduced operator.  No zero-residual promise is made.
-    """
-    f = np.asarray(f, dtype=float)
-    if dr <= 0:
-        raise ValueError("dr must be positive")
-    r = np.arange(f.size) * dr
-    d2 = np.empty_like(f)
-    d2[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dr**2
-    if f.size >= 3:
-        d2[0] = d2[1]
-        d2[-1] = d2[-2]
-    return d2 + omega**2 * r**2 * f

@@ -271,16 +271,3 @@ def load_field(path) -> BeamField:
         nx, ny, dx, dy, k, z = struct.unpack("<qqdddd", fh.read(8 * 6))
         data = np.frombuffer(fh.read(nx * ny * 16), dtype="<c16").reshape(ny, nx)
     return BeamField(data.astype(complex), dx, dy, k, z)
-
-
-def intensity_phase_csv(field: BeamField, path):
-    """CSV slice export: x, y, intensity, phase per grid point."""
-    xg, yg = field.grid()
-    amp = field.amplitude
-    # ** on Python floats is libm pow, which keeps the bytes of earlier exports;
-    # numpy squares by multiplying, and %.17g shows the last-digit difference
-    intensity = np.hypot(amp.real, amp.imag).astype(object) ** 2
-    cols = np.stack([xg, yg, intensity, np.angle(amp)], axis=-1)
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,intensity,phase\n")
-        fh.write("%.17g,%.17g,%.17g,%.17g\n" * amp.size % tuple(cols.ravel().tolist()))

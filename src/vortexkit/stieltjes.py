@@ -8,16 +8,15 @@ E = -sum_{i<j} ln|x_i - x_j| + sum_k V(x_k) (V the antiderivative of w), and are
 certified against the zeros of the matching classical orthogonal polynomial.
 """
 
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import orthopoly
 from .backgrounds import (  # CollisionError is re-exported
-    CollisionError, Coulomb, CustomRational, DomainError, JacobiCharges, kirchhoff_field, log_abs, newton,
-    pair_sum,
+    CollisionError, Coulomb, CustomRational, DomainError, JacobiCharges, NewtonResult, kirchhoff_field, log_abs,
+    newton, pair_sum,
 )
 
 
@@ -43,22 +42,11 @@ class EquilibriumProblem:
 
 
 @dataclass(frozen=True)
-class EquilibriumReport:
-    positions: np.ndarray
-    residual_inf: float
-    iterations: int
-    method: str
-    certified: Optional[bool] = None
-    max_zero_deviation: Optional[float] = None
+class EquilibriumReport(NewtonResult):
+    """A solve compared with the zeros of its classical polynomial (`certify`)."""
 
-    def to_json(self):
-        doc = {"positions": [float(x) for x in self.positions], "residual_inf": float(self.residual_inf),
-               "iterations": int(self.iterations), "method": self.method}
-        if self.certified is not None:
-            doc["certified"] = bool(self.certified)
-        if self.max_zero_deviation is not None:
-            doc["max_zero_deviation"] = float(self.max_zero_deviation)
-        return doc
+    certified: bool
+    max_zero_deviation: float
 
 
 def residual(x, background) -> np.ndarray:
@@ -88,43 +76,23 @@ def default_guess(n, background) -> np.ndarray:
     return np.sqrt(2.0 * n) * c if n > 1 else np.array([0.5])
 
 
-def solve(problem: EquilibriumProblem, tolerance: float = 1e-12, max_iter: int = 200) -> EquilibriumReport:
+def solve(problem: EquilibriumProblem, tolerance: float = 1e-12, max_iter: int = 200) -> NewtonResult:
     """`backgrounds.newton` on F = -R with strengths -1; positions returned sorted."""
     bg = problem.background
     x = problem.guess if problem.guess is not None else default_guess(problem.n, bg)
     x = np.sort(np.asarray(x, dtype=float))
-    x, rmax, iterations = newton(lambda x: -residual(x, bg), x, -1.0, bg, tolerance, max_iter)
-    return EquilibriumReport(positions=np.sort(x), residual_inf=rmax, iterations=iterations, method="Newton")
+    result = newton(lambda x: -residual(x, bg), x, -1.0, bg, tolerance, max_iter)
+    return replace(result, positions=np.sort(result.positions))
 
 
-def certify(report: EquilibriumReport, spec: orthopoly.PolynomialSpec, tol: float = 1e-10) -> EquilibriumReport:
+def certify(result: NewtonResult, spec: orthopoly.PolynomialSpec, tol: float = 1e-10) -> EquilibriumReport:
     """Compare positions against the polynomial zeros and the ODE residual; both must be finite."""
-    if spec.n != report.positions.size:
-        raise ValueError(f"spec degree {spec.n} does not match {report.positions.size} positions")
+    x = result.positions
+    if spec.n != x.size:
+        raise ValueError(f"spec degree {spec.n} does not match {x.size} positions")
     ref = orthopoly.zeros(spec)
-    if not (np.all(np.isfinite(report.positions)) and np.all(np.isfinite(ref))):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(ref))):
         raise ValueError("cannot certify non-finite positions or reference zeros")
-    dev = float(np.abs(np.sort(report.positions) - ref).max())
-    ode_ok = np.all(np.abs(orthopoly.ode_residual_relative(spec, report.positions)) <= 1e-8)
-    return replace(report, certified=bool(dev <= tol and ode_ok), max_zero_deviation=dev)
-
-
-def partner_potentials(w, dw, energy_shift, x):
-    """SUSY partner potentials V± = w(x)^2 ∓ w'(x) + E."""
-    w0 = w(x)
-    d0 = dw(x)
-    return w0 * w0 - d0 + energy_shift, w0 * w0 + d0 + energy_shift
-
-
-def report_to_json(report: EquilibriumReport, background, n, path=None) -> str:
-    """Structured-text export: family, parameters, n, and the report fields."""
-    family = type(background).__name__
-    # the constructor arguments: l, p and q, or a custom field's poles, residues and poly
-    params = {f.name: getattr(background, f.name) for f in fields(background) if f.init}
-    doc = {"family": family, "parameters": params, "n": int(n)}
-    doc.update(report.to_json())
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+    dev = float(np.abs(np.sort(x) - ref).max())
+    ode_ok = np.all(np.abs(orthopoly.ode_residual_relative(spec, x)) <= 1e-8)
+    return EquilibriumReport(**{**vars(result), "certified": bool(dev <= tol and ode_ok), "max_zero_deviation": dev})

@@ -102,9 +102,9 @@ def test_04_laughlin_pair_radius():
             params = LaughlinParams(2, m, l_b)
             target = l_b * np.sqrt(2.0 * m)
             guess = np.array([1.1 * target + 0.2j, -0.9 * target - 0.1j])
-            z, res, conv = solve_planar_equilibrium(params, guess, tol=1e-12)
-            assert conv
-            worst = max(worst, np.abs(np.abs(z) - target).max())
+            sol = solve_planar_equilibrium(params, guess, tol=1e-12)
+            assert sol.converged
+            worst = max(worst, np.abs(np.abs(sol.positions) - target).max())
     report(
         "4 Laughlin N=2 radius equals l_B sqrt(2 m) (1e-10)",
         worst < 1e-10,

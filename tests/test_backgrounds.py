@@ -121,9 +121,10 @@ class TestNewton:
             calls.append(z)
             return cube(z)
 
-        z, res, steps = newton(field, np.array([1.5]), 1.0, CUBE, 1e-14, 50)
-        assert res <= 1e-14 and z == pytest.approx([2.0 ** (1 / 3)], abs=1e-14)
-        assert 0 < steps and len(calls) == steps + 1  # every full step was accepted
+        sol = newton(field, np.array([1.5]), 1.0, CUBE, 1e-14, 50)
+        assert sol.converged and sol.residual_inf <= 1e-14
+        assert sol.positions == pytest.approx([2.0 ** (1 / 3)], abs=1e-14)
+        assert 0 < sol.iterations and len(calls) == sol.iterations + 1  # every full step was accepted
 
     def test_undefined_trials_are_halved(self):
         bg = Coulomb(1.0)  # w = 1/2 - 2/x, zero at x = 4
@@ -134,8 +135,8 @@ class TestNewton:
             return kirchhoff_field(z, 1.0, bg)
 
         # the first full step lands at 20 - 80 < 0
-        z, res, steps = newton(field, np.array([20.0]), 1.0, bg, 1e-12, 50)
-        assert res <= 1e-12 and z == pytest.approx([4.0], abs=1e-12)
+        sol = newton(field, np.array([20.0]), 1.0, bg, 1e-12, 50)
+        assert sol.converged and sol.residual_inf <= 1e-12 and sol.positions == pytest.approx([4.0], abs=1e-12)
 
     def test_stops_when_no_halving_decreases(self):
         calls = []
@@ -146,14 +147,15 @@ class TestNewton:
             return -kirchhoff_field(z, 1.0, bg)  # the sign opposite to the jacobian's
 
         # an uphill step: no trial decreases |F|
-        z, res, steps = newton(field, np.array([3.0]), 1.0, bg, 1e-12, 50)
-        assert (z.tolist(), res, steps) == ([3.0], 2.0, 0)
+        sol = newton(field, np.array([3.0]), 1.0, bg, 1e-12, 50)
+        assert (sol.positions.tolist(), sol.residual_inf, sol.iterations, sol.converged) == ([3.0], 2.0, 0, False)
         assert len(calls) == 1 + 31  # the full step and 30 halvings
 
     def test_max_iter_and_met_tolerance(self):
-        z, res, steps = newton(cube, np.array([1.5]), 1.0, CUBE, 1e-14, 2)
-        assert steps == 2 and res > 1e-14
-        assert newton(cube, z, 1.0, CUBE, res, 50)[1:] == (res, 0)
+        sol = newton(cube, np.array([1.5]), 1.0, CUBE, 1e-14, 2)
+        assert sol.iterations == 2 and sol.residual_inf > 1e-14 and not sol.converged
+        met = newton(cube, sol.positions, 1.0, CUBE, sol.residual_inf, 50)
+        assert (met.residual_inf, met.iterations, met.converged) == (sol.residual_inf, 0, True)
 
     @pytest.mark.parametrize("x", [[0.3], [-1.0, 1.0], [-1.0, 0.5, 2.0]])
     def test_singular_step_stops(self, x):
@@ -162,9 +164,21 @@ class TestNewton:
         # leaves a pivot of 1e-16, whose step would move every point to -1.35e16)
         bg = CustomRational(poly=(0.5,))
         x = np.array(x)
-        z, res, steps = newton(lambda z: kirchhoff_field(z, -1.0, bg), x, -1.0, bg, 1e-12, 50)
-        assert (z.tolist(), steps) == (x.tolist(), 0)
-        assert res == np.abs(kirchhoff_field(x, -1.0, bg)).max()
+        sol = newton(lambda z: kirchhoff_field(z, -1.0, bg), x, -1.0, bg, 1e-12, 50)
+        assert (sol.positions.tolist(), sol.iterations, sol.converged) == (x.tolist(), 0, False)
+        assert sol.residual_inf == np.abs(kirchhoff_field(x, -1.0, bg)).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_residual_never_converges(self, bad):
+        # NaN > tol is false, so the loop stops at once; converged must not read that as
+        # max|F| <= tol.  An infinite max|F| tries a step, and no trial decreases it.
+        sol = newton(lambda z: np.full(z.shape, bad), np.array([1.0, 2.0]), 1.0, CUBE, 1e-12, 50)
+        assert (sol.iterations, sol.converged) == (0, False)
+        np.testing.assert_equal(sol.residual_inf, bad)
+
+    def test_record_holds_python_scalars(self):
+        sol = newton(cube, np.array([1.5]), 1.0, CUBE, 1e-14, 50)
+        assert [type(v) for v in (sol.residual_inf, sol.iterations, sol.converged)] == [float, int, bool]
 
 
 class TestKirchhoff:
@@ -200,8 +214,9 @@ class TestKirchhoff:
         x = orthopoly.zeros(orthopoly.PolynomialSpec("hermite", n))
         rng = np.random.default_rng(n)
         guess = 1j * x + 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        z, res, steps = newton(lambda z: kirchhoff_field(z, 1.0, bg), guess, 1.0, bg, 1e-13, 50)
-        assert res <= 1e-13 and steps < 50
+        sol = newton(lambda z: kirchhoff_field(z, 1.0, bg), guess, 1.0, bg, 1e-13, 50)
+        assert sol.converged and sol.residual_inf <= 1e-13 and sol.iterations < 50
+        z = sol.positions
         assert np.abs(z[np.argsort(z.imag)] - 1j * x).max() <= 1e-14 * np.abs(x).max()
 
 

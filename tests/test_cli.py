@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 
 from vortexkit import cli, orthopoly
+from vortexkit.backgrounds import NewtonResult
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def strict_json(path):
+    """The report at path, parsed so that NaN, Infinity and -Infinity raise."""
+    def refuse(token):
+        raise ValueError(f"non-finite token {token} in {path.name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 class TestParameterTable:
@@ -51,6 +59,36 @@ class TestParameterTable:
         assert run(["--config", str(config), "--out", str(tmp_path), command]) == 2
         assert key in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("simulate", {"positions": [[1.0, "a"], [2.0, 0.0]]}, "positions"),
+        ("simulate", {"strengths": [1.0, True]}, "strengths"),
+        ("beam", {"z_total": [1.0]}, "z_total"),
+        ("equilibrium", {"family": "custom", "n": 3, "poly": ["a"]}, "poly"),
+        ("simulate", {"background": {"kind": "custom", "poly": "ab"}}, "poly"),
+        ("simulate", {"background": {"kind": "coulomb", "l": "1"}}, "l"),
+        ("simulate", {"background": {"kind": "coulomb", "l": True}}, "l"),
+        ("simulate", {"background": {"kind": "coulomb", "q": 1}}, "q"),
+        ("simulate", {"background": {"kind": ["coulomb"]}}, "kind"),
+    ], ids=["position_element", "bool_strength", "list_z_total", "string_poly_element", "string_background_poly",
+            "string_background_l", "bool_background_l", "unknown_background_key", "list_background_kind"])
+    def test_ill_typed_nested_value_exit_2(self, tmp_path, capsys, command, section, key):
+        # list elements, z_total and a background's fields are typed by the rule of the top-level values
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({command: section}))
+        assert run(["--config", str(config), "--out", str(tmp_path), command]) == 2
+        assert key in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_integral_nested_values_run_as_floats(self, tmp_path):
+        outs = []
+        for tag, pair, l in (("int", [[1, 0], [-1, 0]], 1), ("float", [[1.0, 0.0], [-1.0, 0.0]], 1.0)):
+            config = tmp_path / f"{tag}.json"
+            config.write_text(json.dumps({"simulate": {"positions": pair, "strengths": [1, -1], "t_end": 0.5,
+                                                       "samples": 3, "background": {"kind": "coulomb", "l": l}}}))
+            run(["--quiet", "--config", str(config), "--out", str(tmp_path / tag), "simulate"])
+            outs.append((tmp_path / tag / "trajectory.csv").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_integral_float_count_reports_like_flag(self, tmp_path):
         flag, conf = tmp_path / "flag", tmp_path / "conf"
@@ -147,6 +185,26 @@ class TestEquilibrium:
         assert "non-convergence" in capsys.readouterr().out
         doc = json.loads((tmp_path / "equilibrium.json").read_text())
         assert doc["iterations"] == 0 and doc["residual_inf"] > 0.0
+
+    def test_report_is_the_solve_record(self, tmp_path):
+        assert run(["--quiet", "--out", str(tmp_path), "equilibrium", "--n", "4"]) == 0
+        doc = strict_json(tmp_path / "equilibrium.json")
+        assert set(doc) == {"family", "parameters", "n", "positions", "residual_inf", "iterations", "converged",
+                            "certified", "max_zero_deviation"}
+        assert doc["converged"] is True and type(doc["iterations"]) is int
+
+    def test_non_finite_residual_exit_3_written_as_null(self, tmp_path, capsys):
+        # w = 1e308 x - 1e308/(x - 2) overflows at the guess and max|F| is NaN.  NaN > tol is
+        # false, so this used to exit 0 and write the bare token NaN; NaN <= tol is false too.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"equilibrium": {"family": "custom", "n": 3, "poles": [2.0],
+                                                      "residues": [-1e308], "poly": [0.0, 1e308]}}))
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point of this input
+            assert run(["--config", str(config), "--out", str(tmp_path), "equilibrium"]) == 3
+        assert "non-convergence" in capsys.readouterr().out
+        doc = strict_json(tmp_path / "equilibrium.json")
+        assert doc["residual_inf"] is None and doc["converged"] is False
+        assert "certified" not in doc
 
     @pytest.mark.parametrize("poly", [[], [0.0]])
     def test_field_free_custom_exit_2(self, tmp_path, capsys, poly):
@@ -256,6 +314,32 @@ class TestLaughlin:
 
     def test_invalid_even_exponent_exit_2(self, tmp_path):
         assert run(["--out", str(tmp_path), "laughlin", "--N", "2", "--m-exp", "2"]) == 2
+
+    def test_report_is_the_solve_record(self, tmp_path):
+        assert run(["--quiet", "--out", str(tmp_path), "laughlin", "--N", "3"]) == 0
+        doc = strict_json(tmp_path / "laughlin.json")
+        assert set(doc) == {"N", "m_exp", "l_B", "positions", "residual_inf", "iterations", "converged",
+                            "radius_mean", "radius_min", "radius_max"}
+        assert doc["converged"] is True and type(doc["iterations"]) is int and doc["iterations"] > 0
+        assert len(doc["positions"]) == 3 and all(len(p) == 2 for p in doc["positions"])
+
+    @pytest.mark.parametrize("l_b", ["1e-160", "1e160"])
+    def test_magnetic_length_without_finite_omega_exit_2(self, tmp_path, capsys, l_b):
+        # 1e-160 gave omega = inf and a report with "residual_inf": Infinity; 1e160 an
+        # OverflowError traceback (exit 1) from l_B**2
+        assert run(["--out", str(tmp_path), "laughlin", "--N", "3", "--l-B", l_b]) == 2
+        assert "l_B" in capsys.readouterr().err
+        assert not (tmp_path / "laughlin.json").exists()
+
+    def test_non_finite_numbers_written_as_null_exit_3(self, tmp_path, monkeypatch):
+        # the writer's rule, on a solve whose residual and one position are not finite
+        result = NewtonResult(np.array([np.inf + 1j, -1.0 + 0j]), float("nan"), 3, False)
+        monkeypatch.setattr(cli, "solve_planar_equilibrium", lambda *args, **kwargs: result)
+        assert run(["--quiet", "--out", str(tmp_path), "laughlin"]) == 3
+        doc = strict_json(tmp_path / "laughlin.json")
+        assert doc["positions"] == [[None, 1.0], [-1.0, 0.0]]
+        assert (doc["residual_inf"], doc["iterations"], doc["converged"]) == (None, 3, False)
+        assert doc["radius_max"] is None and doc["radius_min"] == 1.0
 
 
 class TestBeam:

@@ -8,7 +8,6 @@ from vortexkit.landau import (
     LaughlinParams,
     QuasiholeSet,
     berry_connection,
-    dlu_residual,
     ladder_apply,
     laughlin_stationarity_residual,
     log_laughlin,
@@ -56,6 +55,16 @@ class TestLogLaughlin:
     def test_invalid_params(self, bad):
         with pytest.raises(ValueError):
             LaughlinParams(**{"N": 2, "m_exp": 1, "l_B": 1.0, **bad})
+
+    @pytest.mark.parametrize("l_b", [1e160, 10**200, 1e-160], ids=["1e160", "int_1e200", "1e-160"])
+    def test_magnetic_length_without_finite_positive_omega(self, l_b):
+        # 1e160**2 overflows (OverflowError) and 10**200 cannot become a float; at
+        # 1e-160, l_B**2 rounds to a subnormal and omega = 1/(4 l_B^2) is inf
+        with pytest.raises(ValueError, match="omega"):
+            LaughlinParams(2, 1, l_b)
+
+    def test_small_magnetic_length_with_finite_omega_accepted(self):
+        assert 0 < LaughlinParams(2, 1, 1e-150).omega < np.inf
 
 
 class TestBerryConnection:
@@ -183,16 +192,16 @@ class TestPlanarJacobian:
 class TestPlanarEquilibrium:
     def test_pair_radius(self):
         params = LaughlinParams(2, 1, 1.0)
-        z, res, conv = solve_planar_equilibrium(
+        sol = solve_planar_equilibrium(
             params, np.array([1.2 + 0.3j, -1.1 - 0.2j]), tol=1e-12
         )
-        assert conv and res <= 1e-12
-        assert np.abs(z) == pytest.approx([np.sqrt(2.0)] * 2, abs=1e-10)
+        assert sol.converged and sol.residual_inf <= 1e-12
+        assert np.abs(sol.positions) == pytest.approx([np.sqrt(2.0)] * 2, abs=1e-10)
 
     def test_single_particle_origin(self):
-        z, res, conv = solve_planar_equilibrium(LaughlinParams(1), np.array([0.3 + 0.4j]))
-        assert conv
-        assert abs(z[0]) < 1e-10
+        sol = solve_planar_equilibrium(LaughlinParams(1), np.array([0.3 + 0.4j]))
+        assert sol.converged
+        assert abs(sol.positions[0]) < 1e-10
 
     def test_triangle(self):
         # brute-force oracle: minimize max |S| over symmetric triangle radius
@@ -205,8 +214,9 @@ class TestPlanarEquilibrium:
             ).max(),
         )
         guess = 1.7 * np.exp(2j * np.pi * np.arange(3) / 3 + 0.05j)
-        z, res, conv = solve_planar_equilibrium(params, guess, tol=1e-12)
-        assert conv and res <= 1e-10
+        sol = solve_planar_equilibrium(params, guess, tol=1e-12)
+        assert sol.converged and sol.residual_inf <= 1e-10
+        z = sol.positions
         d = np.abs(z[:, None] - z[None, :])
         np.fill_diagonal(d, np.inf)
         side = d[np.isfinite(d)]
@@ -221,9 +231,9 @@ class TestPlanarEquilibrium:
         rng = np.random.default_rng(n)
         angles = 2.0 * np.pi * np.arange(n) / n + 0.01 * rng.standard_normal(n)
         guess = 0.9 * np.sqrt(2.0 * (n - 1)) * np.exp(1j * angles)
-        z, res, conv = solve_planar_equilibrium(params, guess)
-        assert conv
-        assert res == np.abs(laughlin_stationarity_residual(z, params)).max()
+        sol = solve_planar_equilibrium(params, guess)
+        assert sol.converged
+        assert sol.residual_inf == np.abs(laughlin_stationarity_residual(sol.positions, params)).max()
 
 
 class TestLadder:
@@ -261,22 +271,6 @@ class TestLadder:
         field, _ = gaussian_field(16, 16.0)
         with pytest.raises(ValueError):
             ladder_apply(field, "sideways", 1.0)
-
-
-class TestDluResidual:
-    def test_zero_input(self):
-        out = dlu_residual(np.zeros(50), 0.25, 0.1)
-        assert np.all(out == 0.0)
-
-    def test_reports_without_asserting_zero(self):
-        dr = 0.01
-        r = np.arange(2000) * dr
-        omega = 0.25
-        f = np.exp(-(omega**2) * r**2 / 2.0)
-        out = dlu_residual(f, omega, dr)
-        # diagnostic contract: finite samples, same shape
-        assert out.shape == f.shape
-        assert np.all(np.isfinite(out))
 
     def test_mixed_terms_cancel_for_radial_functions(self):
         # omega (zbar d/dzbar - z d/dz) f(r) = 0 on a grid, to O(h^2)

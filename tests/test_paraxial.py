@@ -16,7 +16,6 @@ from vortexkit.paraxial import (
     _slices,
     BeamField,
     find_vortices,
-    intensity_phase_csv,
     lg_mode,
     load_field,
     paraxial_validity,
@@ -109,18 +108,6 @@ def find_vortices_reference(field, margin=4):
         py = y[iy] + (0.5 + t[1]) * field.dy
         out.append(((float(px), float(py)), int(winding[iy, ix])))
     return out
-
-
-def intensity_phase_csv_reference(field, path):
-    """intensity_phase_csv as it was, one formatted line per pixel."""
-    x = field.x()
-    y = field.y()
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,intensity,phase\n")
-        for iy in range(field.ny):
-            for ix in range(field.nx):
-                u = field.amplitude[iy, ix]
-                fh.write("%.17g,%.17g,%.17g,%.17g\n" % (x[ix], y[iy], abs(u) ** 2, np.angle(u)))
 
 
 @pytest.fixture
@@ -411,18 +398,3 @@ class TestFieldIO:
         path.write_bytes(b"NOTFIELD" + b"\0" * 64)
         with pytest.raises(ValueError):
             load_field(path)
-
-    def test_csv_slice(self, tmp_path):
-        f = lg_mode(0, 0, 1.0, 64, 64, 8.0 / 64, 8.0 / 64, 10.0)
-        path = tmp_path / "slice.csv"
-        intensity_phase_csv(f, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y,intensity,phase"
-        assert len(lines) == 64 * 64 + 1
-
-    def test_csv_bytes_match_per_pixel_reference(self, tmp_path):
-        f = lg_mode(0, 1, 1.0, 64, 64, 8.0 / 64, 8.0 / 64, 10.0)
-        for field in (f, propagate(f, 0.3)):
-            intensity_phase_csv(field, tmp_path / "fast.csv")
-            intensity_phase_csv_reference(field, tmp_path / "ref.csv")
-            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

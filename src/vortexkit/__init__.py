@@ -1,6 +1,6 @@
 """Point-vortex dynamics, Stieltjes equilibria, Landau-level operators, paraxial beams."""
 
-from .orthopoly import PolynomialSpec, RecurrenceCoefficients, recurrence, evaluate, zeros, ode_residual
+from .orthopoly import PolynomialSpec, RecurrenceCoefficients, recurrence, zeros
 from .backgrounds import (
     NoFlow,
     HermiteLinear,

@@ -120,22 +120,33 @@ def kirchhoff_jacobian(z, kappa, bg):
 
 
 def _newton_step(z, kappa, bg, f):
-    """The full Newton step at z, where F is f: an n x n solve for an analytic F (real
-    on the real line), else least squares in 2n reals (rotations make it singular).
+    """The full Newton step at z, where F is f: one LU solve, of the n x n a when w is
+    analytic (b = 0), else of the 2n real Jacobian in (x_k, y_k).
+
+    With w = ConjugateLinear, F is rotation-equivariant, a (iz) + b conj(iz) = -iF, so
+    the 2n Jacobian is singular only at F = 0, where no step is taken.  A Jacobian
+    whose entries, 2n assembly or 1-norm are not finite, or whose LAPACK rcond is
+    below eps (or NaN), is a singular step: LinAlgError.
     """
-    a, b = kirchhoff_jacobian(z, kappa, bg)
-    if not np.any(b):
-        # rcond < eps (or NaN): a pivot zero but for rounding, whose step has no correct digit
-        getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (a,))
-        lu, piv, info = getrf(a)
-        if info or not gecon(lu, np.linalg.norm(a, 1))[0] >= np.finfo(float).eps:
-            raise np.linalg.LinAlgError("singular Newton step")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        jac, b = kirchhoff_jacobian(z, kappa, bg)
+        planar = np.any(b)
+        if planar:
+            b = np.eye(z.size) * b
+            # jac[2i + r, 2k + c]: part r (Re, Im) of dF_i/dx_k (c = 0) or dF_i/dy_k (c = 1)
+            jac = np.stack([jac + b, 1j * (jac - b)], -1).view(float).reshape(z.size, z.size, 2, 2)
+            jac = jac.transpose(0, 3, 1, 2).reshape(2 * z.size, 2 * z.size)
+        norm = np.linalg.norm(jac, 1)  # not finite if some entry is not
+    if not np.isfinite(norm):
+        raise np.linalg.LinAlgError("non-finite Newton Jacobian")
+    getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (jac,))
+    lu, piv, info = getrf(jac)
+    # rcond < eps (or NaN): a pivot zero but for rounding, whose step has no correct digit
+    if info or not gecon(lu, norm)[0] >= np.finfo(float).eps:
+        raise np.linalg.LinAlgError("singular Newton step")
+    if not planar:
         return getrs(lu, piv, -f)[0]
-    b = np.eye(z.size) * b
-    # jac[2i + r, 2k + c]: part r (Re, Im) of dF_i/dx_k (c = 0) or dF_i/dy_k (c = 1)
-    jac = np.stack([a + b, 1j * (a - b)], -1).view(float).reshape(z.size, z.size, 2, 2)
-    jac = jac.transpose(0, 3, 1, 2).reshape(2 * z.size, 2 * z.size)
-    return np.linalg.lstsq(jac, -f.view(float), rcond=None)[0].view(complex)
+    return getrs(lu, piv, -f.view(float))[0].view(complex)
 
 
 @dataclass(frozen=True)

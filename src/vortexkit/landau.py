@@ -94,7 +94,9 @@ def laughlin_stationarity_residual(z, params: LaughlinParams) -> np.ndarray:
 def solve_planar_equilibrium(params: LaughlinParams, guess, tol: float = 1e-10, max_iter: int = 200) -> NewtonResult:
     """`backgrounds.newton` on S = 0, strengths m in ConjugateLinear(omega); residual_inf is max_j |S_j|.
 
-    S depends on conj(z): the step is the least-squares one in 2N real variables.
+    S depends on conj(z), so each step is an LU solve in 2N real variables.  S is
+    rotation-equivariant, a (iz) + b conj(iz) = -iS, so that Jacobian is singular only
+    where S = 0: at an exact solution the step is refused and the solve stops there.
     """
     z = np.atleast_1d(np.asarray(guess, dtype=complex))
     if z.size != params.N:

@@ -1,4 +1,4 @@
-"""Classical orthogonal polynomials: monic recurrences, evaluation, high-accuracy zeros.
+"""Classical orthogonal polynomials: monic recurrences, high-accuracy zeros, ODE residuals.
 
 All polynomials are monic internally.  Conversion factors to the conventional
 normalizations (physicists' Hermite H_n = 2^n p_n, Laguerre L_n^(a) = (-1)^n/n! p_n,
@@ -6,9 +6,8 @@ Jacobi P_n^(a,b) = binom(2n+a+b, n)/2^n p_n) follow from the leading coefficient
 and are not exposed.
 
 One evaluator, `_eval_all`, gives p, p', p'' divided by 2^e and the exponent e,
-so nothing overflows at any degree.  The zeros polish and the relative ODE
-residual are ratios and use the scaled values; `evaluate` and `ode_residual`
-multiply 2^e back in.
+so nothing overflows at any degree.  Its two users, the zeros polish and the
+relative ODE residual, are ratios, so they use the scaled values as they are.
 """
 
 from dataclasses import dataclass
@@ -123,14 +122,6 @@ def _eval_all(rec: RecurrenceCoefficients, n: int, x):
     return p, d, s, e
 
 
-def evaluate(spec: PolynomialSpec, x: float):
-    """Value and first derivative of the monic polynomial at x."""
-    if not np.isfinite(x):
-        raise ValueError("x must be finite")
-    p, d, _, e = _eval_all(recurrence(spec), spec.n, float(x))
-    return np.ldexp(p, e), np.ldexp(d, e)
-
-
 def zeros(spec: PolynomialSpec) -> np.ndarray:
     """All n real zeros, strictly increasing.
 
@@ -167,23 +158,13 @@ def _ode(spec: PolynomialSpec, x):
     return (1.0 - x * x, abs(1.0 - x * x)), (be - al - j * x, abs(be - al) + j * abs(x)), (c, c)
 
 
-def _ode_terms(spec: PolynomialSpec, x):
-    """The three ODE terms, their size bounds (both scaled by 2^-e) and e, at x."""
-    x = np.asarray(x, dtype=float)
-    p, d, s, e = _eval_all(recurrence(spec), spec.n, x)
-    pairs = list(zip(_ode(spec, x), (s, d, p)))
-    return [c * f for (c, _), f in pairs], [b * abs(f) for (_, b), f in pairs], e
-
-
-def ode_residual(spec: PolynomialSpec, x):
-    """Residual of the family's second-order ODE (see `_ode`) for the monic polynomial at x."""
-    terms, _, e = _ode_terms(spec, x)
-    return np.ldexp(sum(terms), e)[()]
-
-
 def ode_residual_relative(spec: PolynomialSpec, x):
-    """ODE residual at x (scalar or array) scaled by the sum of its terms' size bounds."""
-    terms, bounds, _ = _ode_terms(spec, x)
-    scale = sum(bounds)
+    """Residual of the family's ODE (see `_ode`) for the monic polynomial at x (scalar or
+    array), scaled by the sum of its terms' size bounds; both are scaled by the same 2^-e."""
+    x = np.asarray(x, dtype=float)
+    p, d, s, _ = _eval_all(recurrence(spec), spec.n, x)
+    pairs = list(zip(_ode(spec, x), (s, d, p)))
+    terms = sum(c * f for (c, _), f in pairs)
+    scale = sum(b * abs(f) for (_, b), f in pairs)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(scale == 0.0, 0.0, sum(terms) / scale)[()]
+        return np.where(scale == 0.0, 0.0, terms / scale)[()]

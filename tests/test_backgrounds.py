@@ -176,6 +176,19 @@ class TestNewton:
         assert (sol.iterations, sol.converged) == (0, False)
         np.testing.assert_equal(sol.residual_inf, bad)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z, bg", [
+        # the CLI's N = 3 ring guess (less its jitter) at l_B = 4e-155: F is finite, a ± diag(b) overflows
+        (7.2e-155 * np.exp(2j * np.pi * np.arange(3) / 3), ConjugateLinear(LaughlinParams(3, 1, 4e-155).omega)),
+        # on the line, an entry 1/(z_i - z_k)^2 of a overflows: (1e-170)^2 is 0
+        (np.array([-1.0, 0.0, 1e-170]), HermiteLinear()),
+    ], ids=["planar-assembly", "line-entry"])
+    def test_non_finite_jacobian_is_a_singular_step(self, z, bg):
+        # refused before LAPACK sees it, without a RuntimeWarning, on both branches
+        sol = newton(lambda z: kirchhoff_field(z, 1.0, bg), z, 1.0, bg, 1e-12, 50)
+        assert np.isfinite(sol.residual_inf)
+        assert (sol.positions.tolist(), sol.iterations, sol.converged) == (z.tolist(), 0, False)
+
     def test_record_holds_python_scalars(self):
         sol = newton(cube, np.array([1.5]), 1.0, CUBE, 1e-14, 50)
         assert [type(v) for v in (sol.residual_inf, sol.iterations, sol.converged)] == [float, int, bool]
@@ -218,6 +231,19 @@ class TestKirchhoff:
         assert sol.converged and sol.residual_inf <= 1e-13 and sol.iterations < 50
         z = sol.positions
         assert np.abs(z[np.argsort(z.imag)] - 1j * x).max() <= 1e-14 * np.abs(x).max()
+
+    @pytest.mark.parametrize("n", [5, 30, 100])
+    def test_rotation_identity(self, n):
+        # F(e^{it} z) = e^{-it} F(z) in ConjugateLinear, so d/dt at t = 0: a (iz) + b conj(iz) = -iF.
+        # The rotation is a null vector of the planar Jacobian only where F = 0.
+        rng = np.random.default_rng(n)
+        z = np.sqrt(n) * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        bg = ConjugateLinear(0.3)
+        for kappa in (3.0, rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 2.0, n)):
+            a, b = kirchhoff_jacobian(z, kappa, bg)
+            err = a @ (1j * z) + b * np.conj(1j * z) + 1j * kirchhoff_field(z, kappa, bg)
+            scale = np.abs(a) @ np.abs(z) + np.abs(b) * np.abs(z)  # the size of the terms
+            assert np.all(np.abs(err) <= 1e-14 * scale)
 
 
 def peak_mib(fn):

@@ -2,10 +2,15 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vortexkit
 from vortexkit import cli, orthopoly
 from vortexkit.backgrounds import NewtonResult
 
@@ -330,6 +335,19 @@ class TestLaughlin:
         assert run(["--out", str(tmp_path), "laughlin", "--N", "3", "--l-B", l_b]) == 2
         assert "l_B" in capsys.readouterr().err
         assert not (tmp_path / "laughlin.json").exists()
+
+    def test_non_finite_jacobian_exits_3_silently(self, tmp_path):
+        # omega = 1.56e308 is finite, but the 2n real Jacobian overflows in its assembly.
+        # LAPACK used to print "On entry to DLASCL parameter number 4 had an illegal value"
+        # to the process's stdout, despite --quiet; a subprocess sees that output.
+        env = dict(os.environ, PYTHONPATH=str(Path(vortexkit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "vortexkit.cli", "--quiet",
+             "--out", str(tmp_path), "laughlin", "--N", "3", "--l-B", "4e-155"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "")
+        doc = strict_json(tmp_path / "laughlin.json")
+        assert (doc["iterations"], doc["converged"]) == (0, False)
 
     def test_non_finite_numbers_written_as_null_exit_3(self, tmp_path, monkeypatch):
         # the writer's rule, on a solve whose residual and one position are not finite

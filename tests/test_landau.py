@@ -223,6 +223,12 @@ class TestPlanarEquilibrium:
         assert side.max() - side.min() < 1e-9  # equilateral
         assert np.abs(z) == pytest.approx([best] * 3, abs=1e-4)
 
+    def test_exact_triangle_takes_no_step(self):
+        # max|S| is 1.6e-16 here, and the rotation iz is a null vector of the Jacobian at
+        # S = 0, so rcond < eps: the one refusal rule of the line stops the plane too
+        z = 2.0 * np.exp(2j * np.pi * np.arange(3) / 3)
+        sol = solve_planar_equilibrium(LaughlinParams(3, 1, 1.0), z, tol=0.0)
+        assert (sol.positions.tolist(), sol.iterations, sol.converged) == (z.tolist(), 0, False)
 
     @pytest.mark.parametrize("n", [10, 30])
     def test_returned_residual_is_max_modulus(self, n):

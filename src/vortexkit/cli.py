@@ -206,7 +206,8 @@ def cmd_simulate(args):
                      max_steps=params["max_steps"], sample_times=times, eps=params["collision_eps"])
     traj.to_csv(os.path.join(args.out, params["output"]))
     d = traj.drift
-    _say(args, f"drift |dQ| {d.linear:.3e}  |dI| {d.angular:.3e}  |dH| {d.energy:.3e}")
+    _say(args, f"drift |dQ| {d.linear:.3e}  |dI| {d.angular:.3e}  |dH| {d.energy:.3e}  "
+               f"evaluations {traj.evaluations}  accepted {traj.accepted}  rejected {traj.rejected}")
     bound = params["drift_bound"]
     ok = d.linear <= bound and d.angular <= bound and d.energy <= bound
     return EXIT_OK if ok else EXIT_NONCONVERGENCE

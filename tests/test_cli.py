@@ -248,6 +248,18 @@ class TestSimulate:
         assert lines[0] == "t,x_1,y_1,x_2,y_2,Q,P,I,H"
         assert len(lines) == 12
 
+    def test_summary_reports_the_solver_counters(self, tmp_path, capsys):
+        # the counters go to stdout after the drift; trajectory.csv keeps its columns
+        assert run(["--out", str(tmp_path / "loud"), "simulate"]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("drift |dQ| ")
+        assert line.endswith("  evaluations 55  accepted 4  rejected 0")
+        assert (tmp_path / "loud" / "trajectory.csv").read_text().startswith("t,x_1,y_1,x_2,y_2,Q,P,I,H\n")
+        assert run(["--quiet", "--out", str(tmp_path / "quiet"), "simulate"]) == 0
+        assert capsys.readouterr().out == ""
+        csv_bytes = [(tmp_path / tag / "trajectory.csv").read_bytes() for tag in ("loud", "quiet")]
+        assert csv_bytes[0] == csv_bytes[1]
+
     def test_collision_exit_4(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
@@ -391,6 +403,17 @@ class TestBeam:
         assert run(["--config", str(config), "--out", str(tmp_path), "beam"]) == 0
         for s in range(3):
             assert (tmp_path / f"field_{s:03d}.bin").exists()
+
+
+class TestImports:
+    def test_cli_does_not_load_scipy_integrate(self):
+        # the integrator's tableau is copied as constants: scipy.integrate would also load
+        # scipy.optimize and scipy.fft, which a fresh process shows in sys.modules
+        env = dict(os.environ, PYTHONPATH=str(Path(vortexkit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, vortexkit.cli; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 class TestDeterminism:

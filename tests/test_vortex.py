@@ -129,9 +129,10 @@ class TestIntegrate:
         with pytest.raises(CollisionError):
             integrate(cfg, Coulomb(0.0), 50.0, max_steps=20000, eps=0.06)
 
-    def test_six_velocity_evaluations_per_step(self, monkeypatch):
-        # Dormand-Prince is first-same-as-last: after the initial speed estimate,
-        # each attempted step evaluates stages 2-7 only, whether accepted or not.
+    def test_velocity_evaluations_per_step(self, monkeypatch):
+        # DOP853 is first-same-as-last: after the initial speed estimate, each attempted step
+        # evaluates stages 2-13 only, whether accepted or not, and an accepted step with a sample
+        # strictly inside it evaluates the interpolant's three extra stages once.
         calls = []
         velocity = vortex._velocity
 
@@ -145,7 +146,23 @@ class TestIntegrate:
         steps = 12
         with pytest.raises(StepLimitError):
             integrate(cfg, Coulomb(1.0), 1e3, max_steps=steps)
-        assert len(calls) == 1 + 6 * steps
+        assert len(calls) == 1 + 12 * steps
+
+        calls.clear()
+        interpolants = []
+        interpolate = vortex._interpolate
+
+        def recorded(f, x):
+            interpolants.append(f)
+            return interpolate(f, x)
+
+        monkeypatch.setattr(vortex, "_interpolate", recorded)
+        times = np.linspace(0.0, 3.0, 31)
+        traj = integrate(cfg, Coulomb(1.0), 3.0, sample_times=times)
+        assert len(interpolants) == 29  # every sample but the first and the last lies inside a step
+        interior = len({id(f) for f in interpolants})  # one list per step, each kept alive in interpolants
+        assert 0 < interior < traj.accepted
+        assert traj.evaluations == len(calls) == 1 + 12 * (traj.accepted + traj.rejected) + 3 * interior
 
     def test_empty_sample_times_rejected(self):
         cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
@@ -170,22 +187,25 @@ class TestIntegrate:
 
 
 class TestStepper:
-    """The one Dormand-Prince 5(4) tableau: its nodes, its order conditions and a closed-form run."""
+    """The one Dormand-Prince 8(5,3) tableau: its nodes, its order conditions and a closed-form run."""
 
     def test_row_sums_are_the_nodes(self):
-        nodes = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
-        assert np.allclose(vortex._DP_A.sum(axis=1), nodes, rtol=0, atol=1e-14)
-        assert np.all(np.triu(vortex._DP_A) == 0.0)
+        c4, c5 = (6 - np.sqrt(6)) / 30, (6 + np.sqrt(6)) / 30
+        nodes = [0.0, c4 * 4 / 9, c4 * 2 / 3, c4, c5, 1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0, 1.0,
+                 1 / 10, 1 / 5, 7 / 9]  # the last three are the interpolant's extra stages
+        assert vortex._A.shape == (16, 16)
+        assert np.allclose(vortex._A.sum(axis=1), nodes, rtol=0, atol=1e-14)
+        assert np.all(np.triu(vortex._A) == 0.0)
 
     def test_quadrature_conditions(self):
-        c = vortex._DP_A.sum(axis=1)
-        b5 = vortex._DP_A[6]
-        b4 = b5 - vortex._DP_E
-        for k in range(5):
-            assert b5 @ c**k == pytest.approx(1 / (k + 1), abs=1e-14)
-        for k in range(4):
-            assert b4 @ c**k == pytest.approx(1 / (k + 1), abs=1e-14)
-        assert b4 @ c**4 != pytest.approx(1 / 5, abs=1e-6)  # b4 is order 4, not 5
+        c = vortex._A.sum(axis=1)[:12]
+        b = vortex._A[12, :12]  # the 8th-order weights, the row of the step's result
+        for k in range(8):
+            assert b @ c**k == pytest.approx(1 / (k + 1), abs=1e-15)
+        assert b @ c**8 != pytest.approx(1 / 9, abs=1e-6)  # b is order 8, not 9
+        # each error row is b less a lower-order set of weights, so its weights sum to 0
+        assert vortex._E5.sum() == pytest.approx(0.0, abs=1e-15)
+        assert vortex._E3.sum() == pytest.approx(0.0, abs=1e-15)
 
     def test_hermite_linear_hyperbolic_flow(self):
         # w(z) = z: one vortex moves with xdot = -y, ydot = -x
@@ -197,6 +217,65 @@ class TestStepper:
         got = np.array([c.z[0] for c in traj.configurations])
         assert [c.t for c in traj.configurations] == list(times)
         assert np.all(np.abs(got - exact) <= 1e-9 * np.abs(exact))
+
+
+class TestDenseOutput:
+    """Samples from step ends and from the 7th-order interpolant, checked against exact answers."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_havelock_ring_rotates_rigidly(self, n):
+        # n <= 7 identical vortices on a circle of radius r rotate rigidly at
+        # omega = -kappa (n - 1) / (2 r^2) (Havelock 1931): one full turn, 11 samples
+        r = 1.3
+        z0 = r * np.exp(2j * np.pi * np.arange(n) / n)
+        omega = -(n - 1) / (2 * r**2)
+        period = 2 * np.pi / abs(omega)
+        traj = integrate(VortexConfiguration(z0, np.ones(n)), NoFlow(), period,
+                         sample_times=np.linspace(0.0, period, 11))
+        assert np.array_equal(traj.configurations[0].z, z0)
+        for c in traj.configurations:
+            assert np.abs(c.z - z0 * np.exp(1j * omega * c.t)).max() <= 1e-8
+        # the nine inner samples lie inside nine steps, each interpolated once
+        assert traj.evaluations == 1 + 12 * (traj.accepted + traj.rejected) + 3 * 9
+        assert traj.evaluations <= 400
+
+    def test_dense_sample_matches_a_run_that_ends_there(self):
+        rng = np.random.default_rng(3)
+        cfg = VortexConfiguration(rng.normal(size=5) + 1j * rng.normal(size=5), np.array([1.0, 2.0, -1.0, 1.0, -0.5]))
+        traj = integrate(cfg, NoFlow(), 1.0, sample_times=np.linspace(0.0, 1.0, 7))
+        assert traj.evaluations > 1 + 12 * (traj.accepted + traj.rejected)  # some samples were interpolated
+        for c in traj.configurations[1:-1]:
+            end = integrate(cfg, NoFlow(), c.t).configurations[-1]
+            assert end.t == c.t
+            assert np.abs(c.z - end.z).max() <= 1e-9 * np.abs(end.z).max()
+
+    def test_last_step_ends_on_t_end(self):
+        # 0.1 + (0.45 - 0.1) is 0.44999999999999996: a step of t_end - t would stop an ulp short
+        cfg = VortexConfiguration(np.array([0.4 + 0.2j]), np.array([2.0]), t=0.1)
+        traj = integrate(cfg, NoFlow(), 0.45)
+        assert (traj.evaluations, traj.accepted, traj.rejected) == (13, 1, 0)
+        assert [c.t for c in traj.configurations] == [0.1, 0.45]
+
+    def test_collision_in_an_interpolation_stage_propagates(self, monkeypatch):
+        calls = []
+        velocity = vortex._velocity
+
+        def colliding(*args):
+            calls.append(args[0])
+            if len(calls) == 14:  # the first extra stage of the first step, after 1 + 12 evaluations
+                raise CollisionError("collision in an interpolation stage")
+            return velocity(*args)
+
+        monkeypatch.setattr(vortex, "_velocity", colliding)
+        cfg = VortexConfiguration(np.array([0.4 + 0.2j]), np.array([2.0]))
+        with pytest.raises(CollisionError, match="interpolation stage"):
+            integrate(cfg, NoFlow(), 1.0, sample_times=[0.0, 0.5, 1.0])
+
+    def test_readme_coulomb_example_evaluations(self):
+        # the README's simulate example: +-1 in the Coulomb field l = 1, t_end 12, 101 samples
+        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.ones(2))
+        traj = integrate(cfg, Coulomb(1.0), 12.0, sample_times=np.linspace(0.0, 12.0, 101))
+        assert traj.evaluations <= 3500
 
 
 class TestIntegrateRefusesDisabledChecks:

@@ -118,11 +118,9 @@ def _slices(field: BeamField, dz, count):
         yield replace(field, amplitude=np.fft.ifft2(spec), z=field.z + s * dz)
 
 
-def propagate(field: BeamField, dz, steps: int = 1) -> BeamField:
-    """Free-space propagation by steps * dz using the exact spectral factor."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    _, out = _slices(field, steps * dz, 1)
+def propagate(field: BeamField, dz) -> BeamField:
+    """Free-space propagation by dz using the exact spectral factor."""
+    _, out = _slices(field, dz, 1)
     return out
 
 
@@ -167,16 +165,25 @@ def _wrap(a):
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
-# the 8 neighbours of a pixel as (dy, dx), counter-clockwise from the lower left
-# corner; the ring closes back on the first one
+# the 8 neighbours of a pixel as (dy, dx)
 _RING = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
 
 
 def find_vortices(field: BeamField, margin: int = 4):
     """Per-plaquette phase-winding scan with bilinear sub-pixel refinement.
 
-    Plaquettes within `margin` cells of the boundary are skipped: the spectral
-    domain is periodic and its wrap-around seam produces phantom windings.
+    Each grid edge carries one wrapped phase difference, taken along +x or +y;
+    a plaquette's winding is the circulation of its four edges over 2 pi, so
+    the two plaquettes that share an edge see it with opposite signs and the
+    windings of a region add up to the winding of its boundary (the residue
+    scan of Goldstein, Zebker & Werner, Radio Sci. 23 (1988) 713).  A core
+    sitting on a sample point (below 1e-10 of the peak) with no such neighbour
+    gets the summed circulation of its four plaquettes: the edges to the dead
+    pixel cancel in pairs, so its arbitrary phase drops out.  Plaquettes, and
+    dead pixels, whose whole neighbourhood is below 1e-6 of the peak carry no
+    charge.  Plaquettes within `margin` cells of the boundary are skipped: the
+    spectral domain is periodic and its wrap-around seam produces phantom
+    windings.
     Returns a list of ((x, y), charge) in physical coordinates.
     """
     amp = field.amplitude
@@ -185,11 +192,10 @@ def find_vortices(field: BeamField, margin: int = 4):
     if peak == 0.0:
         return []
     phi = np.angle(amp)
-    d1 = _wrap(phi[:-1, 1:] - phi[:-1, :-1])   # bottom edge, +x
-    d2 = _wrap(phi[1:, 1:] - phi[:-1, 1:])     # right edge, +y
-    d3 = _wrap(phi[1:, :-1] - phi[1:, 1:])     # top edge, -x
-    d4 = _wrap(phi[:-1, :-1] - phi[1:, :-1])   # left edge, -y
-    winding = np.rint((d1 + d2 + d3 + d4) / (2.0 * np.pi)).astype(int)
+    ex = _wrap(np.diff(phi, axis=1))   # edge (j, i) -> (j, i + 1)
+    ey = _wrap(np.diff(phi, axis=0))   # edge (j, i) -> (j + 1, i)
+    circ = ex[:-1] + ey[:, 1:] - ex[1:] - ey[:, :-1]
+    winding = np.rint(circ / (2.0 * np.pi)).astype(int)
     # a core sitting on a sample point leaves its four plaquettes phase-ambiguous
     dead = mag < 1e-10 * peak
     corner_dead = dead[:-1, :-1] | dead[:-1, 1:] | dead[1:, :-1] | dead[1:, 1:]
@@ -206,7 +212,7 @@ def find_vortices(field: BeamField, margin: int = 4):
     x = field.x()
     y = field.y()
     # a dead pixel at least max(1, margin) from the edge with no dead neighbour:
-    # its charge is the winding of the ring of its 8 neighbours
+    # its charge is the circulation of its four plaquettes, unless all are faint
     ny, nx = amp.shape
     lo = max(1, margin)
     isolated = dead[lo:ny - lo, lo:nx - lo].copy()
@@ -214,11 +220,9 @@ def find_vortices(field: BeamField, margin: int = 4):
         isolated &= ~dead[lo + dy:ny - lo + dy, lo + dx:nx - lo + dx]
     cy, cx = np.nonzero(isolated)
     cy, cx = cy + lo, cx + lo
-    ring = [phi[cy + dy, cx + dx] for dy, dx in _RING + _RING[:1]]
-    acc = np.zeros(cy.size)
-    for p0, p1 in zip(ring[:-1], ring[1:]):
-        acc += _wrap(p1 - p0)
-    charge = np.rint(acc / (2.0 * np.pi)).astype(int)
+    quad = (cy - 1, cx - 1), (cy - 1, cx), (cy, cx - 1), (cy, cx)
+    charge = np.rint(sum(circ[q] for q in quad) / (2.0 * np.pi)).astype(int)
+    charge[np.logical_and.reduce([all_faint[q] for q in quad])] = 0
     out = [((float(x[i]), float(y[j])), q)
            for j, i, q in zip(cy.tolist(), cx.tolist(), charge.tolist()) if q]
     ys, xs = np.nonzero(winding)

@@ -379,6 +379,16 @@ class TestBeam:
         assert lines[0] == "z,x,y,charge"
         assert len(lines) == 7  # one vortex per slice, 6 slices
 
+    def test_node_rings_keep_the_total_charge(self, tmp_path):
+        # LG(2,3) has exact pi phase jumps on its node rings; the waist slice used to total -5
+        assert run(["--out", str(tmp_path), "beam", "--p", "2", "--ell", "3", "--grid", "256",
+                    "--slices", "2"]) == 0
+        totals = {}
+        for line in (tmp_path / "vortex_track.csv").read_text().strip().splitlines()[1:]:
+            z, _, _, c = line.split(",")
+            totals[z] = totals.get(z, 0) + int(c)
+        assert list(totals.values()) == [3, 3, 3]
+
     def test_under_resolved_grid_exit_2(self, tmp_path):
         assert run(["--out", str(tmp_path), "beam", "--grid", "32", "--w0", "0.2"]) == 2
 

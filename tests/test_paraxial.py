@@ -38,28 +38,42 @@ def old_freq(n, d):
     return k / (n * d)
 
 
-def propagate_quietly(field, dz, steps=1):
+def propagate_quietly(field, dz):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AliasingWarning)
-        return propagate(field, dz, steps)
+        return propagate(field, dz)
 
 
 def _wrap(a):
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
+def _edge(phi, a, b):
+    """Phase step from pixel a to pixel b: one value per undirected edge, wrapped
+    from its lower-index end and negated when the edge is walked the other way."""
+    return _wrap(phi[b] - phi[a]) if a < b else -_wrap(phi[a] - phi[b])
+
+
+def _circulation(phi, loop):
+    acc = 0.0
+    for a, b in zip(loop[:-1], loop[1:]):
+        acc += _edge(phi, a, b)
+    return acc
+
+
 def find_vortices_reference(field, margin=4):
-    """find_vortices as it was with a per-pixel loop over the dead pixels."""
+    """find_vortices with per-plaquette and per-dead-pixel loops."""
     amp = field.amplitude
     peak = np.abs(amp).max()
     if peak == 0.0:
         return []
     phi = np.angle(amp)
-    d1 = _wrap(phi[:-1, 1:] - phi[:-1, :-1])
-    d2 = _wrap(phi[1:, 1:] - phi[:-1, 1:])
-    d3 = _wrap(phi[1:, :-1] - phi[1:, 1:])
-    d4 = _wrap(phi[:-1, :-1] - phi[1:, :-1])
-    winding = np.rint((d1 + d2 + d3 + d4) / (2.0 * np.pi)).astype(int)
+    ny, nx = amp.shape
+    winding = np.zeros((ny - 1, nx - 1), dtype=int)
+    for iy in range(ny - 1):
+        for ix in range(nx - 1):
+            loop = [(iy, ix), (iy, ix + 1), (iy + 1, ix + 1), (iy + 1, ix), (iy, ix)]
+            winding[iy, ix] = int(round(_circulation(phi, loop) / (2.0 * np.pi)))
     dead = np.abs(amp) < 1e-10 * peak
     corner_dead = dead[:-1, :-1] | dead[:-1, 1:] | dead[1:, :-1] | dead[1:, 1:]
     winding[corner_dead] = 0
@@ -71,11 +85,9 @@ def find_vortices_reference(field, margin=4):
         winding[-margin:, :] = 0
         winding[:, :margin] = 0
         winding[:, -margin:] = 0
-    ys, xs = np.nonzero(winding)
     x = field.x()
     y = field.y()
     out = []
-    ny, nx = amp.shape
     for iy, ix in zip(*np.nonzero(dead)):
         lo = max(1, margin)
         if iy < lo or ix < lo or iy > ny - 1 - lo or ix > nx - 1 - lo:
@@ -83,14 +95,12 @@ def find_vortices_reference(field, margin=4):
         loop = [(iy - 1, ix - 1), (iy - 1, ix), (iy - 1, ix + 1), (iy, ix + 1),
                 (iy + 1, ix + 1), (iy + 1, ix), (iy + 1, ix - 1), (iy, ix - 1),
                 (iy - 1, ix - 1)]
-        if any(dead[p] for p in loop[:-1]):
+        if any(dead[p] for p in loop[:-1]) or all(faint[p] for p in loop[:-1]):
             continue
-        acc = 0.0
-        for a, b in zip(loop[:-1], loop[1:]):
-            acc += _wrap(phi[b] - phi[a])
-        q = int(round(acc / (2.0 * np.pi)))
+        q = int(round(_circulation(phi, loop) / (2.0 * np.pi)))
         if q != 0:
             out.append(((float(x[ix]), float(y[iy])), q))
+    ys, xs = np.nonzero(winding)
     for iy, ix in zip(ys, xs):
         u00, u01 = amp[iy, ix], amp[iy, ix + 1]
         u10, u11 = amp[iy + 1, ix], amp[iy + 1, ix + 1]
@@ -208,7 +218,7 @@ class TestPropagate:
         assert slices[0] is gauss_beam
         for s, f in enumerate(slices[1:], 1):
             assert f.z == s * 4.0
-            assert np.abs(f.amplitude - propagate(gauss_beam, 4.0, s).amplitude).max() < 1e-12
+            assert np.abs(f.amplitude - propagate(gauss_beam, s * 4.0).amplitude).max() < 1e-12
 
     def test_matches_dft_matrix_oracle(self):
         # F^-1 diag(phase) F with dense DFT matrices, on a non-square grid
@@ -219,7 +229,7 @@ class TestPropagate:
         k2 = (2.0 * np.pi) ** 2 * (old_freq(nx, dx)[None, :] ** 2 + old_freq(ny, dy)[:, None] ** 2)
         phase = np.exp(-1j * k2 * steps * dz / (2.0 * k))
         want = fy.conj() @ ((fy @ a @ fx) * phase) @ fx.conj() / (nx * ny)
-        out = propagate_quietly(BeamField(a, dx, dy, k), dz, steps)
+        out = propagate_quietly(BeamField(a, dx, dy, k), steps * dz)
         assert np.abs(out.amplitude - want).max() < 1e-12
         assert out.z == steps * dz
 
@@ -362,6 +372,38 @@ class TestFindVorticesOracle:
         found = find_vortices(_edge_cores(4), 4)
         assert sorted(c for _, c in found) == [-1, 1, 1, 1]
         assert [c for _, c in find_vortices(_vortex_field(16, [(7, 8, 1), (5, 5, -1)]), 7)] == [1]
+
+
+def _real_field(seed, n=64):
+    """Random real amplitudes: phases 0 and pi only, so every sign change is an exact-pi edge."""
+    return BeamField(np.random.default_rng(seed).normal(size=(n, n)).astype(complex), 0.1, 0.1, 10.0)
+
+
+class TestEdgeRule:
+    @pytest.mark.parametrize("p, ell", [(2, 3), (1, -2), (3, 1)])
+    def test_lg_total_charge_at_waist(self, p, ell):
+        # the node rings have exact pi phase jumps; wrapping each edge once keeps the total at ell
+        assert sum(c for _, c in find_vortices(_lg(p, ell))) == ell
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_total_charge_is_boundary_winding(self, seed):
+        field = _real_field(seed)
+        phi = np.angle(field.amplitude)
+        n = field.nx
+        boundary = ([(0, i) for i in range(n)] + [(j, n - 1) for j in range(1, n)]
+                    + [(n - 1, i) for i in range(n - 2, -1, -1)] + [(j, 0) for j in range(n - 2, -1, -1)])
+        want = int(round(_circulation(phi, boundary) / (2.0 * np.pi)))
+        assert sum(c for _, c in find_vortices(field, 0)) == want
+
+    def test_dead_pixel_in_faint_neighbourhood_has_no_charge(self):
+        # all eight neighbours of the zero at 2 + 2i sit below 2.7e-8 of the peak
+        n, dx = 64, 0.1
+        x = (np.arange(n) - n // 2) * dx
+        xg, yg = np.meshgrid(x, x)
+        z = xg + 1j * yg
+        u = np.exp(-np.abs(z) ** 2 / 0.5) * (z - z[52, 52])
+        assert z[52, 52] == 2 + 2j
+        assert find_vortices(BeamField(u, dx, dx, 10.0)) == []
 
 
 class TestParaxialValidity:

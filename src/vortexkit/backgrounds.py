@@ -40,23 +40,20 @@ def _refuse_within(dist, eps, what):
 
 
 _BLOCK = 128
-# The pairs left out of the sums within the diagonal square of a row block.
-_SELF = np.eye(_BLOCK, dtype=bool)  # j == i
-_SELF_OR_LOWER = np.tri(_BLOCK, dtype=bool)  # j <= i
+_SELF_OR_LOWER = np.tri(_BLOCK, dtype=bool)  # j <= i: the pairs an upper sum leaves out of a block
 
 
 def _row_blocks(z, upper):
-    """Yield (j0, d, square, drop) for each block of rows i0 <= i < i0 + _BLOCK.
+    """Yield (j0, d, diag) for each block of rows i0 <= i < i0 + _BLOCK.
 
-    d[r, k] = z[i0 + r] - z[j0 + k], with j0 = i0 when `upper` and 0 otherwise.
-    d[square] is the block's diagonal square, and d[square][drop] are the pairs
-    left out of the sums: j == i, and also j < i when `upper`.
+    d[r, k] = z[i0 + r] - z[j0 + k], with j0 = i0 when `upper` and 0 otherwise,
+    and diag is the strided view of d's self pairs z_i - z_i (j0 + k == i0 + r).
+    When `upper`, the pairs j <= i are d[:, :b][_SELF_OR_LOWER[:b, :b]], b = diag.size.
     """
     for i0 in range(0, z.size, _BLOCK):
         j0 = i0 if upper else 0
-        d = z[i0:i0 + _BLOCK, None] - z[None, j0:]
-        b = d.shape[0]
-        yield j0, d, np.s_[:, i0 - j0:i0 - j0 + b], (_SELF_OR_LOWER if upper else _SELF)[:b, :b]
+        d = z[i0:i0 + _BLOCK, None] - z[j0:]
+        yield j0, d, d.ravel()[i0 - j0::d.shape[1] + 1]
 
 
 def log_abs(d):
@@ -64,23 +61,27 @@ def log_abs(d):
     return np.log(np.abs(d))
 
 
-def pair_sum(z, c=1.0, g=np.reciprocal, upper=False, eps=None):
-    """s_i = sum over j != i of c_j * g(z_i - z_j); over j > i only when `upper`.
+def pair_sum(z, c=1.0, g=None, eps=None):
+    """s_i = sum over j != i of c_j/(z_i - z_j); with g, s_i = sum over j > i of c_j g(z_i - z_j).
 
-    c is a scalar or one weight per point.  `upper` gives the sums over pairs
-    i < j, so that sum(s) counts each unordered pair once.  With eps, a pair
-    with |z_i - z_j| <= eps raises CollisionError before g sees its block.
+    c is a scalar or one weight per point.  The sums with g count each
+    unordered pair once in sum(s).  With eps, a pair with |z_i - z_j| <= eps
+    raises CollisionError before the reciprocal sees its block.
     """
     z = np.asarray(z)
-    c = np.broadcast_to(c, z.shape)
     parts = []
-    for j0, d, square, drop in _row_blocks(z, upper):
-        if eps is not None:
-            d[square][drop] = np.inf
-            _refuse_within(np.abs(d), eps, "pairwise distance")
-        d[square][drop] = 1.0  # keeps g finite on the dropped pairs
-        t = c[j0:] * g(d)
-        t[square][drop] = 0.0
+    for j0, d, diag in _row_blocks(z, upper=g is not None):
+        if g is None:
+            diag[:] = np.inf  # skipped by the check; its reciprocal is 0
+            if eps is not None:
+                _refuse_within(np.abs(d), eps, "pairwise distance")
+            t = c * np.reciprocal(d)
+        else:
+            b = diag.size
+            drop = _SELF_OR_LOWER[:b, :b]
+            d[:, :b][drop] = 1.0  # keeps g finite on the dropped pairs
+            t = (c[j0:] if np.ndim(c) else c) * g(d)
+            t[:, :b][drop] = 0.0
         parts.append(t.sum(axis=1))
     return np.concatenate(parts) if parts else np.zeros(0)
 
@@ -198,8 +199,8 @@ def newton(residual, z, kappa, bg, tol, max_iter) -> NewtonResult:
 def min_separation(z) -> float:
     """Smallest |z_i - z_j| over pairs i != j; inf for fewer than two points."""
     best = np.inf
-    for _, d, square, drop in _row_blocks(np.asarray(z), upper=True):
-        d[square][drop] = np.inf
+    for _, d, diag in _row_blocks(np.asarray(z), upper=True):
+        d[:, :diag.size][_SELF_OR_LOWER[:diag.size, :diag.size]] = np.inf
         best = np.minimum(best, np.abs(d).min())
     return float(best)
 

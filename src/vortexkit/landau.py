@@ -65,7 +65,7 @@ def log_laughlin(z, params: LaughlinParams) -> complex:
         raise ValueError("coincident particles")
     # Over -z the differences are z_j - z_i exactly, signed zeros included, so
     # each factor keeps its principal branch.
-    pairs = np.sum(pair_sum(-z, params.m_exp, np.log, upper=True))
+    pairs = np.sum(pair_sum(-z, params.m_exp, np.log))
     return complex(pairs - np.sum(np.abs(z) ** 2) / (4.0 * params.l_B**2))
 
 

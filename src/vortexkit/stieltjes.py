@@ -63,7 +63,7 @@ def energy(x, background) -> float:
     x = np.asarray(x, dtype=float)
     # complex, so that the logarithms of the fixed charges take |x - pole| on either side
     v = np.real(background.antiderivative(x.astype(complex)))
-    return float(np.sum(v) - np.sum(pair_sum(x, 1.0, log_abs, upper=True)))
+    return float(np.sum(v) - np.sum(pair_sum(x, 1.0, log_abs)))
 
 
 def default_guess(n, background) -> np.ndarray:

@@ -92,8 +92,8 @@ def rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -> np.ndarray
 
 
 def _conserved(z, kappa):
-    h = float(np.sum(kappa * pair_sum(z, kappa, log_abs, upper=True)))
-    return ConservedSet(complex(np.sum(kappa * z)), float(np.sum(kappa * np.abs(z) ** 2)), h)
+    h = float((kappa * pair_sum(z, kappa, log_abs)).sum())
+    return ConservedSet(complex((kappa * z).sum()), float((kappa * np.abs(z) ** 2).sum()), h)
 
 
 def conserved(cfg: VortexConfiguration) -> ConservedSet:

@@ -61,7 +61,7 @@ def test_upper_log_sums_match_loop(n):
     c = mixed_weights(rng, n)
     for g in (log_abs, np.log):
         ref, scale = loop_pair_sum(z, c, g, upper=True)
-        assert_sums_match(pair_sum(z, c, g, upper=True), ref, scale)
+        assert_sums_match(pair_sum(z, c, g), ref, scale)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -88,6 +88,53 @@ def test_min_separation_matches_loop(n):
 def test_fewer_than_two_points():
     assert min_separation(np.array([1.0 + 2.0j])) == np.inf
     assert pair_sum(np.array([1.0 + 2.0j]), 3.0).tolist() == [0.0]
+
+
+def masked_pair_sum(z, c=1.0, g=np.reciprocal, upper=False, eps=None):
+    """Reference: the masked block pass `pair_sum` replaced, which it must reproduce byte for byte.
+
+    Each block's self pairs (and j < i when `upper`) are set to inf for the check, to 1.0
+    before g and to 0.0 after it, through boolean masks; the weights are broadcast.
+    """
+    z = np.asarray(z)
+    c = np.broadcast_to(c, z.shape)
+    parts = []
+    for i0 in range(0, z.size, _BLOCK):
+        j0 = i0 if upper else 0
+        d = z[i0:i0 + _BLOCK, None] - z[None, j0:]
+        b = d.shape[0]
+        square = np.s_[:, i0 - j0:i0 - j0 + b]
+        drop = np.tri(b, dtype=bool) if upper else np.eye(b, dtype=bool)
+        if eps is not None:
+            d[square][drop] = np.inf
+            if np.fmin.reduce(np.abs(d), axis=None, initial=np.inf) <= eps:
+                raise CollisionError("pairwise distance")
+        d[square][drop] = 1.0
+        t = c[j0:] * g(d)
+        t[square][drop] = 0.0
+        parts.append(t.sum(axis=1))
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def assert_same_bytes(got, ref):
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("n", [1, 2] + SIZES)
+def test_pair_sum_is_bit_exact_to_the_masked_pass(n):
+    rng = np.random.default_rng(500 + n)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    x = np.sort(rng.uniform(-0.99, 0.99, n))  # the real positions of the Stieltjes residual
+    signs = rng.choice([-1.0, 1.0], size=n)
+    for c in (1.0, -2.5, signs * rng.uniform(0.5, 2.0, n), mixed_weights(rng, n)):
+        for points in (z, x):
+            for eps in (None, 0.0, 1e-12):
+                assert_same_bytes(pair_sum(points, c, eps=eps), masked_pair_sum(points, c, eps=eps))
+            assert_same_bytes(pair_sum(points, c, log_abs), masked_pair_sum(points, c, log_abs, upper=True))
+        assert_same_bytes(pair_sum(z, c, np.log), masked_pair_sum(z, c, np.log, upper=True))
+    kappa = signs * rng.uniform(0.5, 2.0, n)
+    h = float(np.sum(kappa * masked_pair_sum(z, kappa, log_abs, upper=True)))
+    assert_same_bytes(np.float64(conserved(VortexConfiguration(z, kappa)).interaction_energy), np.float64(h))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
@@ -418,6 +465,12 @@ class TestWhereTheFieldIsDefined:
         with pytest.raises(CollisionError):
             kirchhoff_field(np.array([1.25]), 1.0, Coulomb(1.0), eps=1.25)
         assert np.all(np.isfinite(kirchhoff_field(np.array([0.0, 0.25]), 1.0, NoFlow(), eps=0.2)))
+        # the pair in the second row block: 0.25 apart, every other pair at least 1 apart
+        z = np.arange(_BLOCK + 5, dtype=float) + 0j
+        z[_BLOCK + 2] = z[_BLOCK + 1] + 0.25
+        with np.errstate(all="raise"), pytest.raises(CollisionError):
+            kirchhoff_field(z, 1.0, NoFlow(), eps=0.25)
+        assert np.all(np.isfinite(kirchhoff_field(z, 1.0, NoFlow(), eps=0.2)))
 
     def test_nan_distance_does_not_raise(self):
         # a non-finite Runge-Kutta stage is rejected by the step control, not taken for a collision

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vortexkit import backgrounds, vortex
 from vortexkit.backgrounds import (
-    Coulomb, ConjugateLinear, CustomRational, HermiteLinear, JacobiCharges, NoFlow,
+    _BLOCK, Coulomb, ConjugateLinear, CustomRational, HermiteLinear, JacobiCharges, NoFlow,
 )
 from vortexkit.vortex import (
     CollisionError,
@@ -369,6 +370,57 @@ class TestHamiltonianRhs:
         cfg = VortexConfiguration(np.array([1.0 + 0j]), np.array([1.0]))
         with pytest.raises(UnsupportedBackgroundError):
             hamiltonian_rhs(cfg, ConjugateLinear(0.25))
+
+
+EPS = np.finfo(float).eps
+RATIONAL_FAMILIES = [
+    NoFlow(), HermiteLinear(), Coulomb(1.0), JacobiCharges(1.0, 2.0),
+    CustomRational(poles=(-1.0, 1.0), residues=(0.5 - 0.25j, 2.0), poly=(0.1j, 1.0, -0.4 + 0.2j)),
+]
+# Deterministic and bounded: the same examples on every run, and no example database written.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+
+
+@st.composite
+def mixed_configurations(draw):
+    """n = 1 .. _BLOCK + 3 points spread over a disc of radius ~sqrt(n), strengths of both signs;
+    about half of the sizes straddle the end of the first row block."""
+    n = draw(st.integers(1, _BLOCK + 3) | st.integers(_BLOCK - 2, _BLOCK + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = np.sqrt(n) * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    kappa = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 3.0], size=n) * rng.uniform(0.5, 1.5, n)
+    return VortexConfiguration(z, kappa)
+
+
+def pair_term_sizes(cfg):
+    """|kappa_j / (z_i - z_j)| for j != i (0 on the diagonal), and |z_i - z_j| (inf on it)."""
+    d = np.abs(cfg.z[:, None] - cfg.z[None, :])
+    np.fill_diagonal(d, np.inf)
+    return np.abs(cfg.kappa) / d, d
+
+
+class TestRhsProperties:
+    """rhs across the row-block boundary: against the independent oracle, and rigid-motion equivariance."""
+
+    @PROPERTY
+    @given(cfg=mixed_configurations(), bg=st.sampled_from(RATIONAL_FAMILIES))
+    def test_matches_hamiltonian_rhs(self, cfg, bg):
+        terms, _ = pair_term_sizes(cfg)
+        scale = terms.sum(axis=1) + np.abs(bg.w(cfg.z))
+        assert np.all(np.abs(rhs(cfg, bg) - hamiltonian_rhs(cfg, bg)) <= cfg.n * EPS * scale)
+
+    @PROPERTY
+    @given(cfg=mixed_configurations(), theta=st.floats(0.0, 2.0 * np.pi),
+           shift=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
+    def test_rigid_motion_equivariance(self, cfg, theta, shift):
+        rot = np.exp(1j * theta)
+        moved = rhs(VortexConfiguration(rot * cfg.z + shift, cfg.kappa))
+        # Each moved position is rounded by a few eps of |z_i| + |shift|, which moves the
+        # term kappa_j/d_ij by that much relative to |d_ij|: its size grows by that factor.
+        terms, d = pair_term_sizes(cfg)
+        reach = np.abs(cfg.z)[:, None] + np.abs(cfg.z)[None, :] + 2.0 * abs(shift)
+        scale = (terms * (1.0 + reach / d)).sum(axis=1)
+        assert np.all(np.abs(moved - rot * rhs(cfg)) <= cfg.n * EPS * scale)
 
 
 class TestOraclesIndependentOfField:

@@ -24,9 +24,7 @@ from .vortex import (
 from .stieltjes import EquilibriumProblem, EquilibriumReport, residual, solve, certify
 from .landau import (
     LaughlinParams,
-    QuasiholeSet,
     log_laughlin,
-    berry_connection,
     laughlin_stationarity_residual,
     solve_planar_equilibrium,
     ladder_apply,

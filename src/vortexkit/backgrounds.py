@@ -1,16 +1,17 @@
 """Background flows w and the Kirchhoff field F_i = sum_{j != i} kappa_j/(z_i - z_j) + w(z_i).
 
 Each family provides w(z), its Wirtinger derivatives dw/dz and dw/dzbar, and the
-complex antiderivative (real part = line potential for the electrostatic energy,
-stream-function bookkeeping for the Hamiltonian form).  All but ConjugateLinear
-are rational, w(z) = sum_m r_m/(z - p_m) + polynomial(z): CustomRationals that
-only set their poles, residues and polynomial.
+real potential U(z) with 2 dU/dz = w.  All but ConjugateLinear are rational,
+w(z) = sum_m r_m/(z - p_m) + polynomial(z): CustomRationals that only set their
+poles, residues and polynomial.
 
 `pair_sum` is the sum over pairs and `min_separation` the distinctness check of
 input configurations, both over blocks of _BLOCK rows (memory O(n * _BLOCK)).
 `kirchhoff_field` is F, written once: vortices move with conj(i F), and the
 stationary problems (kappa = -1 on a line, kappa = m in ConjugateLinear for
 Laughlin) are F = 0, solved by `newton` with the step from `kirchhoff_jacobian`.
+They are the critical points of `kirchhoff_energy`, E, with 2 dE/dz_i = kappa_i F_i;
+E is the one energy sum, and the invariant of the motion in every background.
 F alone decides where it is defined (CollisionError, found in the pair pass), and
 `newton` alone whether a solve converged (its `NewtonResult`).
 """
@@ -32,11 +33,14 @@ class CollisionError(DomainError):
     """Two points, or a point and a pole of w, are not farther apart than epsilon."""
 
 
-def _refuse_within(dist, eps, what):
-    """Raise CollisionError if the smallest of the distances is <= eps; a NaN distance is skipped, never raises."""
+def _refuse_within(dist, eps, *what):
+    """Raise CollisionError if the smallest of the distances is <= eps; a NaN distance is skipped, never raises.
+
+    what: the words that name the distance, joined into the message only when it is raised.
+    """
     d = np.fmin.reduce(dist, axis=None, initial=np.inf)
     if d <= eps:
-        raise CollisionError(f"{what} {d:.3e} not above epsilon {eps:.1e}")
+        raise CollisionError(f"{' '.join(map(str, what))} {d:.3e} not above epsilon {eps:.1e}")
 
 
 _BLOCK = 128
@@ -57,7 +61,7 @@ def _row_blocks(z, upper):
 
 
 def log_abs(d):
-    """ln|d|, the pair term of the interaction energies."""
+    """ln|d|, the pair term of the Kirchhoff energy."""
     return np.log(np.abs(d))
 
 
@@ -106,8 +110,13 @@ def kirchhoff_field(z, kappa, bg, eps=0.0):
     Raises CollisionError where F is not defined: some |z_i - z_j| or |z_i - pole| is <= eps.
     """
     for p in bg.poles:
-        _refuse_within(np.abs(z - p), eps, f"distance to the pole at {p}")
+        _refuse_within(np.abs(z - p), eps, "distance to the pole at", p)
     return pair_sum(z, kappa, eps=eps) + bg.w(z)
+
+
+def kirchhoff_energy(z, kappa, bg) -> float:
+    """E = sum_{i<j} kappa_i kappa_j ln|z_i - z_j| + sum_k kappa_k U(z_k), U = bg.u; 2 dE/dz_i = kappa_i F_i."""
+    return float((kappa * (pair_sum(z, kappa, log_abs) + bg.u(z))).sum())
 
 
 def kirchhoff_jacobian(z, kappa, bg):
@@ -219,8 +228,8 @@ def _horner(coeffs, z):
 class CustomRational:
     """w(z) = sum_m residues[m]/(z - poles[m]) + polynomial(z) (ascending coeffs).
 
-    The one evaluation of w, w' and the antiderivative Phi: the families below
-    only set poles, residues and poly.  A result that does not depend on z (w
+    The one evaluation of w, w' and the potential U: the families below only
+    set poles, residues and poly.  A result that does not depend on z (w
     of NoFlow, w' of HermiteLinear) is a scalar, which broadcasts against z.
     """
 
@@ -252,9 +261,12 @@ class CustomRational:
     def dwbar(self, z):
         return 0.0  # w is analytic
 
-    def antiderivative(self, z):
+    def u(self, z):
+        """U = Re Phi, Phi the antiderivative of w on the principal branch; each logarithm is
+        complex, so that a real point on the far side of a pole takes ln|z - p|."""
         ipoly = _horner(self._derived_polys[1], z)
-        return self._add_poles(z, None if ipoly is None else ipoly * z, lambda r, d: r * np.log(d))
+        return np.real(self._add_poles(z, None if ipoly is None else ipoly * z,
+                                       lambda r, d: r * np.log(d, dtype=complex)))
 
     @cached_property
     def _derived_polys(self):
@@ -337,7 +349,7 @@ class JacobiCharges(_Family):
 class ConjugateLinear:
     """w(z) = -omega * conj(z): the Gaussian confinement of the planar problem.
 
-    omega = 1/(4 l_B^2).  Not derivable from a real line potential.
+    omega = 1/(4 l_B^2).  Its potential U = -(omega/2)|z|^2 is not Re of an analytic Phi.
     """
 
     omega: float = 0.25
@@ -356,3 +368,6 @@ class ConjugateLinear:
 
     def dwbar(self, z):
         return -self.omega
+
+    def u(self, z):
+        return -0.5 * self.omega * np.abs(z) ** 2

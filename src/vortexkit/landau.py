@@ -1,4 +1,4 @@
-"""Laughlin wavefunction, Berry connection, planar equilibria, Landau-level operators.
+"""Laughlin wavefunction, planar equilibria, Landau-level operators.
 
 Stationarity of the log-Laughlin wavefunction reads, per particle j,
 S_j = m * sum_{i != j} 1/(z_j - z_i) - conj(z_j)/(4 l_B^2) = 0: the Kirchhoff
@@ -40,20 +40,6 @@ class LaughlinParams:
         return 1.0 / (4.0 * self.l_B**2)
 
 
-@dataclass(frozen=True)
-class QuasiholeSet:
-    """Quasihole positions with the filling fraction nu."""
-
-    eta: np.ndarray
-    nu: float
-
-    def __post_init__(self):
-        eta = np.atleast_1d(np.asarray(self.eta, dtype=complex))
-        object.__setattr__(self, "eta", eta)
-        if min_separation(eta) == 0.0:
-            raise ValueError("quasihole positions must be pairwise distinct")
-
-
 def log_laughlin(z, params: LaughlinParams) -> complex:
     """log psi = sum_{i<j} m log(z_j - z_i) - sum_j |z_j|^2 / (4 l_B^2).
 
@@ -67,16 +53,6 @@ def log_laughlin(z, params: LaughlinParams) -> complex:
     # each factor keeps its principal branch.
     pairs = np.sum(pair_sum(-z, params.m_exp, np.log))
     return complex(pairs - np.sum(np.abs(z) ** 2) / (4.0 * params.l_B**2))
-
-
-def berry_connection(holes: QuasiholeSet, j: int, l_B: float) -> complex:
-    """A(eta_j) = -(i nu / 2) sum_{k != j} 1/(eta_k - eta_j) + i nu conj(eta_j)/(4 l_B^2).
-
-    A negative j counts from the end, as in indexing.
-    """
-    eta = holes.eta
-    s = pair_sum(eta)[j]  # sum_{k != j} 1/(eta_j - eta_k)
-    return complex(0.5j * holes.nu * s + 1j * holes.nu * np.conj(eta[j]) / (4.0 * l_B**2))
 
 
 def laughlin_stationarity_residual(z, params: LaughlinParams) -> np.ndarray:

@@ -8,12 +8,14 @@ run of slices takes the forward transform, the aliasing check and the phase
 factor once, and then costs one multiply and one inverse transform per slice.
 """
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import eval_genlaguerre
+
+from .orthopoly import LAGUERRE, PolynomialSpec, _eval_all, recurrence
 
 _MAGIC = b"VKFIELD1"
 
@@ -65,6 +67,14 @@ class BeamField:
         return float(np.sum(np.abs(self.amplitude) ** 2) * self.dx * self.dy)
 
 
+def _laguerre(p, alpha, x):
+    """The generalized Laguerre polynomial L_p^alpha(x) = (-1)^p/p! times the monic one of orthopoly."""
+    if p == 0:
+        return 1.0
+    value, _, _, e = _eval_all(recurrence(PolynomialSpec(LAGUERRE, p, alpha=alpha)), p, x)
+    return np.ldexp(value, e) * ((-1) ** p / math.factorial(p))
+
+
 def lg_mode(p, ell, w0, nx, ny, dx, dy, k, z=0.0) -> BeamField:
     """Laguerre-Gaussian LG_{p,ell} at the waist plane, unit grid norm."""
     if p < 0 or w0 <= 0:
@@ -77,7 +87,7 @@ def lg_mode(p, ell, w0, nx, ny, dx, dy, k, z=0.0) -> BeamField:
     r2 = xg**2 + yg**2
     phi = np.arctan2(yg, xg)
     rho = 2.0 * r2 / w0**2
-    u = (np.sqrt(rho) ** abs(ell)) * eval_genlaguerre(p, abs(ell), rho) * np.exp(-r2 / w0**2)
+    u = (np.sqrt(rho) ** abs(ell)) * _laguerre(p, abs(ell), rho) * np.exp(-r2 / w0**2)
     u = u * np.exp(1j * ell * phi)
     field = BeamField(u, dx, dy, k, z)
     return replace(field, amplitude=u / np.sqrt(field.power()))

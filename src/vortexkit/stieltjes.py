@@ -3,9 +3,9 @@
 Solves R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k) = 0.  R = -F, F the Kirchhoff
 field of vortices of strength -1: the equilibria are stationary vortices, solved
 as such by `backgrounds.newton`; F also refuses coincident points and points on a
-pole (CollisionError).  They are the critical points of the energy
-E = -sum_{i<j} ln|x_i - x_j| + sum_k V(x_k) (V the antiderivative of w), and are
-certified against the zeros of the matching classical orthogonal polynomial.
+pole (CollisionError).  They are the critical points of the Kirchhoff energy
+`backgrounds.kirchhoff_energy` at kappa = -1, and are certified against the zeros
+of the matching classical orthogonal polynomial.
 """
 
 from dataclasses import dataclass, replace
@@ -15,8 +15,7 @@ import numpy as np
 
 from . import orthopoly
 from .backgrounds import (  # CollisionError is re-exported
-    CollisionError, Coulomb, CustomRational, DomainError, JacobiCharges, NewtonResult, kirchhoff_field, log_abs,
-    newton, pair_sum,
+    CollisionError, Coulomb, CustomRational, DomainError, JacobiCharges, NewtonResult, kirchhoff_field, newton,
 )
 
 
@@ -56,14 +55,6 @@ def residual(x, background) -> np.ndarray:
     if np.any(x <= lo) or np.any(x >= hi):
         raise DomainError(f"points outside open domain ({lo}, {hi})")
     return -kirchhoff_field(x, -1.0, background)
-
-
-def energy(x, background) -> float:
-    """Electrostatic energy whose gradient is -R."""
-    x = np.asarray(x, dtype=float)
-    # complex, so that the logarithms of the fixed charges take |x - pole| on either side
-    v = np.real(background.antiderivative(x.astype(complex)))
-    return float(np.sum(v) - np.sum(pair_sum(x, 1.0, log_abs)))
 
 
 def default_guess(n, background) -> np.ndarray:

@@ -8,8 +8,9 @@ adaptive embedded Runge-Kutta with step rejection, driven by one Dormand-Prince
 are the extra stages of its 7th-order dense output _D, and the error rows _E5
 and _E3); samples come from step ends and from the dense output, so steps are
 never cut at sample times.  Linear impulse Q+iP, angular impulse I and the
-interaction energy H are monitored as integration-quality diagnostics, and
-velocity evaluations, accepted and rejected steps are counted.
+interaction energy H (the Kirchhoff energy with NoFlow) are monitored as
+integration-quality diagnostics, and velocity evaluations, accepted and
+rejected steps are counted.
 """
 
 import csv
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backgrounds import (  # DomainError is re-exported
-    CollisionError, CustomRational, DomainError, NoFlow, kirchhoff_field, log_abs, min_separation, pair_sum,
+    CollisionError, CustomRational, DomainError, NoFlow, kirchhoff_energy, kirchhoff_field, min_separation,
 )
 
 
@@ -27,7 +28,7 @@ class StepLimitError(RuntimeError):
 
 
 class UnsupportedBackgroundError(ValueError):
-    """Background has no real potential usable for the Hamiltonian form."""
+    """Background whose potential is not Re Phi of an analytic Phi, as the Hamiltonian form needs."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -> np.ndarray
 
 
 def _conserved(z, kappa):
-    h = float((kappa * pair_sum(z, kappa, log_abs)).sum())
+    h = kirchhoff_energy(z, kappa, NoFlow())
     return ConservedSet(complex((kappa * z).sum()), float((kappa * np.abs(z) ** 2).sum()), h)
 
 
@@ -103,9 +104,10 @@ def conserved(cfg: VortexConfiguration) -> ConservedSet:
 def hamiltonian_rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -> np.ndarray:
     """Velocities from Hamilton's equations with analytic gradients.
 
-    H_tot = sum_{i<j} kappa_i kappa_j ln|z_i - z_j| + sum_k kappa_k Re Phi(z_k)
-    where Phi is the complex antiderivative of the background flow w, with the
-    bracket {f, g} = sum_k (1/kappa_k)(f_x g_y - f_y g_x).
+    H_tot = sum_{i<j} kappa_i kappa_j ln|z_i - z_j| + sum_k kappa_k Re Phi(z_k), Phi' = w,
+    with the bracket {f, g} = sum_k (1/kappa_k)(f_x g_y - f_y g_x).  H_tot is the
+    Kirchhoff energy E of `backgrounds.kirchhoff_energy`; this oracle differentiates
+    it by hand and never evaluates it.
     """
     if not isinstance(bg, CustomRational):
         raise UnsupportedBackgroundError(
@@ -326,6 +328,7 @@ def integrate(
     si = np.searchsorted(sample_times, t0, side="right")
     samples = [VortexConfiguration(cfg.z.copy(), kappa, ts) for ts in sample_times[:si]]
     t, z = t0, cfg.z
+    a = _A.astype(complex)  # the stages' products then cast no row
     k = np.empty((16, z.size), dtype=complex)
     k[0] = _velocity(z, kappa, bg, eps)
     evaluations, accepted, rejected = 1, 0, 0
@@ -337,7 +340,7 @@ def integrate(
         h = min(dt, t_end - t)
         t_new = t_end if h == t_end - t else min(t + h, t_end)
         for s in range(1, 13):  # the last stage point z_new is the 8th-order step
-            z_new = z + h * (_A[s, :s] @ k[:s])
+            z_new = z + h * (a[s, :s] @ k[:s])
             k[s] = _velocity(z_new, kappa, bg, eps)
         evaluations += 12
         scale = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
@@ -353,7 +356,7 @@ def integrate(
         inside = np.searchsorted(sample_times, t_new, side="left")
         if inside > si:  # samples strictly inside the step, from the one interpolant
             for s in range(13, 16):
-                k[s] = _velocity(z + h * (_A[s, :s] @ k[:s]), kappa, bg, eps)
+                k[s] = _velocity(z + h * (a[s, :s] @ k[:s]), kappa, bg, eps)
             evaluations += 3
             dz = z_new - z
             f = [dz, h * k[0] - dz, 2.0 * dz - h * (k[12] + k[0]), *(h * (_D @ k))]

@@ -12,7 +12,7 @@ import vortexkit
 from vortexkit import backgrounds, orthopoly, stieltjes, vortex
 from vortexkit.backgrounds import (
     _BLOCK, CollisionError, ConjugateLinear, Coulomb, CustomRational, DomainError, HermiteLinear, JacobiCharges, NoFlow,
-    kirchhoff_field, kirchhoff_jacobian, log_abs, min_separation, newton, pair_jacobian, pair_sum,
+    kirchhoff_energy, kirchhoff_field, kirchhoff_jacobian, log_abs, min_separation, newton, pair_jacobian, pair_sum,
 )
 from vortexkit.landau import LaughlinParams, laughlin_stationarity_residual
 from vortexkit.vortex import VortexConfiguration, conserved, rhs
@@ -314,12 +314,12 @@ def test_memory_stays_blocked_at_n5000():
         "rhs": peak_mib(lambda: rhs(cfg)),
         "conserved": peak_mib(lambda: conserved(cfg)),
         "VortexConfiguration": peak_mib(lambda: VortexConfiguration(z, kappa)),
-        "stieltjes.energy": peak_mib(lambda: stieltjes.energy(x, HermiteLinear())),
+        "kirchhoff_energy": peak_mib(lambda: kirchhoff_energy(x, -1.0, HermiteLinear())),
     }
     assert all(p < 100.0 for p in peaks.values()), peaks
 
 
-# The families' w, w' and Phi written out by hand: the oracle for their evaluation
+# The families' w, w' and U = Re Phi written out by hand: the oracle for their evaluation
 # as CustomRational.  The shared evaluation must reproduce these bit for bit.
 def zero_form(z):
     return np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0.0
@@ -331,16 +331,16 @@ def closed_forms(bg):
     if isinstance(bg, HermiteLinear):
         return (lambda z: z,
                 lambda z: np.ones_like(np.real(z), dtype=float) if np.ndim(z) else 1.0,
-                lambda z: 0.5 * z * z)
+                lambda z: np.real(0.5 * z * z))
     if isinstance(bg, Coulomb):
         l = bg.l
         return (lambda z: 0.5 - (l + 1.0) / z,
                 lambda z: (l + 1.0) / (z * z),
-                lambda z: 0.5 * z - (l + 1.0) * np.log(z))
+                lambda z: np.real(0.5 * z - (l + 1.0) * np.log(z, dtype=complex)))
     p, q = bg.p, bg.q
     return (lambda z: -p / (z - 1.0) - q / (z + 1.0),
             lambda z: p / (z - 1.0) ** 2 + q / (z + 1.0) ** 2,
-            lambda z: -p * np.log(z - 1.0) - q * np.log(z + 1.0))
+            lambda z: np.real(-p * np.log(z - 1.0, dtype=complex) - q * np.log(z + 1.0, dtype=complex)))
 
 
 FAMILIES = [NoFlow(), HermiteLinear(), Coulomb(0.0), Coulomb(1.0), Coulomb(2.5),
@@ -353,13 +353,22 @@ COMPLEX = REAL + 1j * np.array([0.5, 1e-10, -1e-12, -2.0, 1e-12, 0.0, 0.7, -1e-9
 
 @pytest.mark.parametrize("bg", FAMILIES, ids=repr)
 def test_family_matches_closed_form(bg):
-    with np.errstate(divide="ignore", invalid="ignore"):  # the logarithm of a negative real
-        for form, method in zip(closed_forms(bg), (bg.w, bg.dw, bg.antiderivative)):
-            for z in (REAL, COMPLEX):
-                np.testing.assert_array_equal(method(z), form(z))
-                for v in z:
-                    for scalar in (v, v.item()):  # numpy and Python scalars
-                        np.testing.assert_array_equal(method(scalar), form(scalar))
+    for form, method in zip(closed_forms(bg), (bg.w, bg.dw, bg.u)):
+        for z in (REAL, COMPLEX):
+            np.testing.assert_array_equal(method(z), form(z))
+            for v in z:
+                for scalar in (v, v.item()):  # numpy and Python scalars
+                    np.testing.assert_array_equal(method(scalar), form(scalar))
+
+
+@pytest.mark.parametrize("bg", FAMILIES, ids=repr)
+def test_potential_on_the_line_takes_log_abs(bg):
+    # on either side of a pole U is the real line potential: r ln|x - p| per pole
+    ipoly = [c / (m + 1) for m, c in enumerate(bg.poly)]
+    terms = [np.polyval(ipoly[::-1], REAL) * REAL] + [r * np.log(np.abs(REAL - p))
+                                                      for p, r in zip(bg.poles, bg.residues)]
+    got = bg.u(REAL)
+    assert np.isrealobj(got) and np.all(np.abs(got - sum(terms)) <= 4 * EPS * sum(np.abs(t) for t in terms))
 
 
 def test_custom_rational_matches_term_sum():
@@ -367,9 +376,9 @@ def test_custom_rational_matches_term_sum():
     z = COMPLEX
     w = 1.5 / (z - 0.5) - 0.5j / (z + 2.0 - 1.0j) + 0.25 - z + 0.5 * z**2 + 2.0 * z**3
     dw = -1.5 / (z - 0.5) ** 2 + 0.5j / (z + 2.0 - 1.0j) ** 2 - 1.0 + z + 6.0 * z**2
-    phi = (1.5 * np.log(z - 0.5) - 0.5j * np.log(z + 2.0 - 1.0j)
-           + 0.25 * z - 0.5 * z**2 + z**3 / 6.0 + 0.5 * z**4)
-    for got, ref in ((bg.w(z), w), (bg.dw(z), dw), (bg.antiderivative(z), phi)):
+    u = np.real(1.5 * np.log(z - 0.5) - 0.5j * np.log(z + 2.0 - 1.0j)
+                + 0.25 * z - 0.5 * z**2 + z**3 / 6.0 + 0.5 * z**4)
+    for got, ref in ((bg.w(z), w), (bg.dw(z), dw), (bg.u(z), u)):
         assert np.all(np.abs(got - ref) <= 64 * EPS * (1.0 + np.abs(ref)))
 
 

@@ -1,4 +1,4 @@
-"""Laughlin wavefunction, Berry connection, planar equilibria, ladder operators."""
+"""Laughlin wavefunction, planar equilibria, ladder operators."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from vortexkit.backgrounds import ConjugateLinear, kirchhoff_jacobian
 from vortexkit.landau import (
     LaughlinParams,
-    QuasiholeSet,
-    berry_connection,
     ladder_apply,
     laughlin_stationarity_residual,
     log_laughlin,
@@ -65,48 +63,6 @@ class TestLogLaughlin:
 
     def test_small_magnetic_length_with_finite_omega_accepted(self):
         assert 0 < LaughlinParams(2, 1, 1e-150).omega < np.inf
-
-
-class TestBerryConnection:
-    def test_single_hole_origin(self):
-        assert berry_connection(QuasiholeSet(np.array([0.0j]), 1.0), 0, 1.0) == 0.0
-
-    def test_symmetric_pair(self):
-        a = 0.5
-        holes = QuasiholeSet(np.array([a, -a], dtype=complex), 1.0)
-        val = berry_connection(holes, 0, 1.0)
-        assert val == pytest.approx(1j * (1 / (4 * a) + a / 4))
-
-    def test_symbolic_oracle(self):
-        import sympy as sp
-
-        eta0, eta1 = 0.7 + 0.2j, -0.4 + 0.9j
-        nu, l_b = 1.0 / 3.0, 1.3
-        e0, e1 = sp.sympify(eta0), sp.sympify(eta1)
-        expected = -sp.I * nu / 2 * (1 / (e1 - e0)) + sp.I * nu * sp.conjugate(e0) / (4 * l_b**2)
-        got = berry_connection(QuasiholeSet(np.array([eta0, eta1]), nu), 0, l_b)
-        assert got == pytest.approx(complex(expected))
-
-    def test_negative_index_counts_from_the_end(self):
-        rng = np.random.default_rng(3)
-        holes = QuasiholeSet(rng.normal(size=5) + 1j * rng.normal(size=5), 1.0 / 3.0)
-        last = berry_connection(holes, -1, 1.2)
-        assert np.isfinite(last)
-        assert last == berry_connection(holes, 4, 1.2)
-
-    def test_structural_match_with_stationarity(self):
-        # same pole locations and conjugate-linear term, up to -nu/2 vs m normalization
-        rng = np.random.default_rng(4)
-        z = rng.normal(size=4) + 1j * rng.normal(size=4)
-        params = LaughlinParams(4, 3, 1.1)
-        s = laughlin_stationarity_residual(z, params)
-        holes = QuasiholeSet(z, float(params.m_exp))
-        for j in range(4):
-            a = berry_connection(holes, j, params.l_B)
-            # A = (i nu / 2) * (pair sum of S / m * ... ) : check the exact linear relation
-            pair = (s[j] + np.conj(z[j]) * params.omega) / params.m_exp  # sum 1/(z_j - z_i)
-            expected = -0.5j * holes.nu * (-pair) + 1j * holes.nu * np.conj(z[j]) * params.omega
-            assert a == pytest.approx(expected)
 
 
 class TestStationarityResidual:

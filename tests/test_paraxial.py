@@ -10,9 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from vortexkit.paraxial import (
     AliasingWarning,
+    _laguerre,
     _slices,
     BeamField,
     find_vortices,
@@ -157,6 +159,14 @@ class TestLgMode:
 
     def test_normalization(self, gauss_beam):
         assert gauss_beam.power() == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("p", range(8))
+    def test_laguerre_factor_matches_scipy(self, p):
+        # L_p^a(-rho) has the coefficients of L_p^a(rho) in absolute value: it is the size of the terms
+        rho = np.linspace(0.0, 60.0, 6001)
+        for a in range(6):
+            err = np.abs(_laguerre(p, a, rho) - eval_genlaguerre(p, a, rho))
+            assert np.all(err <= 3 * p * np.finfo(float).eps * eval_genlaguerre(p, a, -rho))
 
     def test_resolution_guards(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from vortexkit import backgrounds, vortex
 from vortexkit.backgrounds import (
-    _BLOCK, Coulomb, ConjugateLinear, CustomRational, HermiteLinear, JacobiCharges, NoFlow,
+    _BLOCK, Coulomb, ConjugateLinear, CustomRational, HermiteLinear, JacobiCharges, NoFlow, kirchhoff_energy,
+    kirchhoff_field, log_abs, pair_sum,
 )
 from vortexkit.vortex import (
     CollisionError,
@@ -88,6 +89,19 @@ class TestConserved:
     def test_counter_pair_angular(self):
         c = conserved(VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, -1.0])))
         assert c.angular_impulse == pytest.approx(0.0)
+
+    def test_interaction_energy_is_the_kirchhoff_energy_without_flow(self):
+        # H is E with NoFlow, and E adds the pair terms in the order of the hand-written H sum;
+        # the first three cases have a zero pair energy
+        rng = np.random.default_rng(11)
+        cases = [(np.array([0.0, 1.0 + 0j]), np.array([-1.0, -0.5])), (np.array([0.0, 1.0 + 0j]), np.array([1.0, -1.0])),
+                 (np.array([0.3 + 0.1j]), np.array([-2.0]))]
+        cases += [(rng.normal(size=n) + 1j * rng.normal(size=n), rng.choice([-2.0, -1.0, 0.5, 3.0], size=n))
+                  for n in (1, 2, 3, _BLOCK + 3)]
+        for z, kappa in cases:
+            h = np.float64(conserved(VortexConfiguration(z, kappa)).interaction_energy)
+            for ref in (kirchhoff_energy(z, kappa, NoFlow()), (kappa * pair_sum(z, kappa, log_abs)).sum()):
+                assert h.tobytes() == np.float64(ref).tobytes()
 
 
 class TestIntegrate:
@@ -272,6 +286,19 @@ class TestDenseOutput:
         with pytest.raises(CollisionError, match="interpolation stage"):
             integrate(cfg, NoFlow(), 1.0, sample_times=[0.0, 0.5, 1.0])
 
+    def test_kirchhoff_energy_is_kept_in_a_background(self):
+        # In Coulomb(1) the pair energy H is not conserved, but E = H + sum kappa_k U(z_k) is.
+        kappa = np.array([1.0, -1.0, 2.0, 0.5, 1.0])
+        z = np.array([1.0 + 1.0j, -1.0 + 0.5j, 2.0 - 1.0j, -0.5 - 2.0j, 3.0 + 0.2j])
+        bg = Coulomb(1.0)
+        traj = integrate(VortexConfiguration(z, kappa), bg, 2.0, sample_times=np.linspace(0.0, 2.0, 21))
+        d = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(d, 1.0)
+        scale = 0.5 * np.abs(np.outer(kappa, kappa) * np.log(d)).sum() + np.abs(kappa * bg.u(z)).sum()
+        e0 = kirchhoff_energy(z, kappa, bg)
+        drift = max(abs(kirchhoff_energy(c.z, kappa, bg) - e0) for c in traj.configurations)
+        assert drift <= 1e-9 * scale and traj.drift.energy > 1.0
+
     def test_readme_coulomb_example_evaluations(self):
         # the README's simulate example: +-1 in the Coulomb field l = 1, t_end 12, 101 samples
         cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.ones(2))
@@ -421,6 +448,35 @@ class TestRhsProperties:
         reach = np.abs(cfg.z)[:, None] + np.abs(cfg.z)[None, :] + 2.0 * abs(shift)
         scale = (terms * (1.0 + reach / d)).sum(axis=1)
         assert np.all(np.abs(moved - rot * rhs(cfg)) <= cfg.n * EPS * scale)
+
+
+class TestEnergyProperties:
+    """The Kirchhoff energy E across the row-block boundary: its gradient is the field."""
+
+    @PROPERTY
+    @given(cfg=mixed_configurations(), bg=st.sampled_from(RATIONAL_FAMILIES + [ConjugateLinear(0.3)]))
+    def test_gradient_is_the_field(self, cfg, bg):
+        # 2 dE/dz_i = dE/dx_i - i dE/dy_i = kappa_i F_i, by central differences with a step
+        # of 1e-4 of the distance rho_i to the nearest point or pole, at the first and last rows
+        # and at both sides of the block boundary.
+        z, kappa, n = cfg.z, cfg.kappa, cfg.n
+        d = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(d, np.inf)
+        rho = np.minimum.reduce([d.min(axis=1), 1.0 + np.abs(z)] + [np.abs(z - p) for p in bg.poles])
+        h = 1e-4 * rho
+        # the size of E's terms, and of the gradient's, whose third derivatives are at most
+        # 2/rho^2 times those: the truncation error is below (h/rho)^2 times that size
+        lnd = np.log(np.where(np.isinf(d), 1.0, d))
+        size_e = 0.5 * np.abs(np.outer(kappa, kappa) * lnd).sum() + np.abs(kappa * bg.u(z)).sum()
+        poles = [abs(r) / np.abs(z - p) for p, r in zip(bg.poles, getattr(bg, "residues", ()))]
+        size_f = np.abs(kappa) * ((np.abs(kappa) / d).sum(axis=1) + np.abs(bg.w(z)) + sum(poles))
+        f = kappa * kirchhoff_field(z, kappa, bg)
+        for i in {0, _BLOCK - 1, _BLOCK, n // 2, n - 1} & set(range(n)):
+            step = np.zeros(n, dtype=complex)
+            step[i] = h[i]
+            ex, ey = (kirchhoff_energy(z + s, kappa, bg) - kirchhoff_energy(z - s, kappa, bg) for s in (step, 1j * step))
+            err = abs((ex - 1j * ey) / (2.0 * h[i]) - f[i])
+            assert err <= 8 * EPS * size_e / h[i] + (h[i] / rho[i]) ** 2 * size_f[i]
 
 
 class TestOraclesIndependentOfField:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .orthopoly import PolynomialSpec, HERMITE, LAGUERRE, JACOBI
 
@@ -149,6 +148,8 @@ def _newton_step(z, kappa, bg, f):
         norm = np.linalg.norm(jac, 1)  # not finite if some entry is not
     if not np.isfinite(norm):
         raise np.linalg.LinAlgError("non-finite Newton Jacobian")
+    from scipy.linalg.lapack import get_lapack_funcs  # here, not at import: simulate and beam never solve
+
     getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (jac,))
     lu, piv, info = getrf(jac)
     # rcond < eps (or NaN): a pivot zero but for rounding, whose step has no correct digit

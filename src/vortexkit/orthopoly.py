@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import gamma, sqrt, pi
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 HERMITE = "hermite"
 LAGUERRE = "laguerre"
@@ -27,6 +26,14 @@ _RESCALE = 16
 
 class EigensolveError(RuntimeError):
     """Tridiagonal eigensolver failed to converge."""
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported on the first call: scipy.linalg is
+    about two thirds of `import vortexkit`, and only the solves need it."""
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(d, e, **kwargs)
 
 
 @dataclass(frozen=True)

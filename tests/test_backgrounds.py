@@ -236,6 +236,26 @@ class TestNewton:
         assert np.isfinite(sol.residual_inf)
         assert (sol.positions.tolist(), sol.iterations, sol.converged) == (z.tolist(), 0, False)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_step_refuses_a_non_finite_jacobian_before_lapack(self, monkeypatch):
+        # scipy.linalg is imported inside the step, after the norm check: LAPACK is never asked
+        import scipy.linalg.lapack
+
+        def reached(*args, **kwargs):
+            raise AssertionError("LAPACK reached")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", reached)
+        z, bg = np.array([-1.0, 0.0, 1e-170]), HermiteLinear()
+        with pytest.raises(np.linalg.LinAlgError, match="^non-finite Newton Jacobian$"):
+            backgrounds._newton_step(z, 1.0, bg, kirchhoff_field(z, 1.0, bg))
+
+    def test_step_refuses_rcond_below_eps(self):
+        # the constant field at [-1, 0.5, 2]: LU leaves a pivot of 1e-16, gecon gives rcond 2.1e-17
+        bg, z = CustomRational(poly=(0.5,)), np.array([-1.0, 0.5, 2.0])
+        assert kirchhoff_jacobian(z, -1.0, bg)[1] == 0  # the n x n branch
+        with pytest.raises(np.linalg.LinAlgError, match="^singular Newton step$"):
+            backgrounds._newton_step(z, -1.0, bg, kirchhoff_field(z, -1.0, bg))
+
     def test_record_holds_python_scalars(self):
         sol = newton(cube, np.array([1.5]), 1.0, CUBE, 1e-14, 50)
         assert [type(v) for v in (sol.residual_inf, sol.iterations, sol.converged)] == [float, int, bool]

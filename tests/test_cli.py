@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +425,26 @@ class TestImports:
         code = "import sys, vortexkit.cli; print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+    def test_only_solves_load_scipy(self, tmp_path):
+        # simulate and beam run on numpy alone; scipy.linalg is imported on the first solve
+        env = dict(os.environ, PYTHONPATH=str(Path(vortexkit.__file__).parents[1]))
+        code = textwrap.dedent("""
+            import sys
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.startswith("scipy"))
+            import vortexkit, vortexkit.cli
+            assert scipy_modules() == [], scipy_modules()
+            out = sys.argv[1]
+            for argv in (["simulate"], ["beam", "--grid", "128", "--slices", "2"]):
+                assert vortexkit.cli.main(["--quiet", "--out", out] + argv) == 0, argv
+                assert scipy_modules() == [], (argv, scipy_modules())
+            assert vortexkit.cli.main(["--quiet", "--out", out, "zeros", "--n", "5"]) == 0
+            assert "scipy.linalg" in sys.modules
+        """)
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDeterminism:

@@ -281,3 +281,21 @@ class TestOdeResidual:
                 if spec.family == "laguerre":
                     x = abs(x) * 10 + 0.1
                 assert abs(ode_residual_relative(spec, x)) < 1e-10
+
+
+def test_zeros_calls_the_module_eigensolver_once(monkeypatch):
+    # the solver is looked up as orthopoly.eigh_tridiagonal on every call, so a wrapper
+    # set there (as a tracer sets one) sees the eigensolve
+    spec = PolynomialSpec(orthopoly.JACOBI, 40, 0.5, -0.25)
+    expected = zeros(spec)
+    calls = []
+    solver = orthopoly.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(orthopoly, "eigh_tridiagonal", counting)
+    got = zeros(spec)
+    assert len(calls) == 1
+    assert got.tobytes() == expected.tobytes()

@@ -35,7 +35,6 @@ from .paraxial import (
     propagate,
     topological_charge,
     find_vortices,
-    paraxial_validity,
     save_field,
     load_field,
 )

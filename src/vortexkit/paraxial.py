@@ -76,21 +76,26 @@ def _laguerre(p, alpha, x):
 
 
 def lg_mode(p, ell, w0, nx, ny, dx, dy, k, z=0.0) -> BeamField:
-    """Laguerre-Gaussian LG_{p,ell} at the waist plane, unit grid norm."""
+    """Laguerre-Gaussian LG_{p,ell} at the waist plane, unit grid norm.
+
+    It is the polynomial-Gaussian beam w^|ell| L_p^|ell|(|w|^2) exp(-|w|^2/2)
+    with w = sqrt(2) (x + i sign(ell) y) / w0 and sign(0) = +1 (Indebetouw,
+    J. Mod. Opt. 40 (1993) 73): its core of charge ell is the zero of w^|ell| on
+    the axis.
+    """
     if p < 0 or w0 <= 0:
         raise ValueError("need p >= 0 and w0 > 0")
     if w0 / dx < 8 or w0 / dy < 8:
         raise ValueError(f"waist under-resolved: need >= 8 samples across w0={w0}")
     if nx * dx < 6 * w0 or ny * dy < 6 * w0:
         raise ValueError(f"grid extent must cover >= 6 waists, got {nx * dx} x {ny * dy}")
-    xg, yg = np.meshgrid((np.arange(nx) - nx // 2) * dx, (np.arange(ny) - ny // 2) * dy)
-    r2 = xg**2 + yg**2
-    phi = np.arctan2(yg, xg)
-    rho = 2.0 * r2 / w0**2
-    u = (np.sqrt(rho) ** abs(ell)) * _laguerre(p, abs(ell), rho) * np.exp(-r2 / w0**2)
-    u = u * np.exp(1j * ell * phi)
-    field = BeamField(u, dx, dy, k, z)
-    return replace(field, amplitude=u / np.sqrt(field.power()))
+    x = (np.arange(nx) - nx // 2) * (math.sqrt(2.0) * dx / w0)
+    y = (np.arange(ny) - ny // 2) * (math.copysign(math.sqrt(2.0), ell) * dy / w0)
+    w = x[None, :] + 1j * y[:, None]
+    rho = x[None, :] ** 2 + y[:, None] ** 2
+    u = w ** abs(ell) * (_laguerre(p, abs(ell), rho) * np.exp(-0.5 * rho))
+    u /= np.sqrt(np.sum(np.abs(u) ** 2) * dx * dy)
+    return BeamField(u, dx, dy, k, z)
 
 
 def _spectral_energy_fraction_outer(spec_sq, nx, ny):
@@ -171,10 +176,6 @@ def topological_charge(field: BeamField, center, radius) -> int:
     return int(round(dphi.sum() / (2.0 * np.pi)))
 
 
-def _wrap(a):
-    return (a + np.pi) % (2.0 * np.pi) - np.pi
-
-
 # the 8 neighbours of a pixel as (dy, dx)
 _RING = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
 
@@ -182,15 +183,18 @@ _RING = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
 def find_vortices(field: BeamField, margin: int = 4):
     """Per-plaquette phase-winding scan with bilinear sub-pixel refinement.
 
-    Each grid edge carries one wrapped phase difference, taken along +x or +y;
-    a plaquette's winding is the circulation of its four edges over 2 pi, so
-    the two plaquettes that share an edge see it with opposite signs and the
-    windings of a region add up to the winding of its boundary (the residue
-    scan of Goldstein, Zebker & Werner, Radio Sci. 23 (1988) 713).  A core
-    sitting on a sample point (below 1e-10 of the peak) with no such neighbour
-    gets the summed circulation of its four plaquettes: the edges to the dead
-    pixel cancel in pairs, so its arbitrary phase drops out.  Plaquettes, and
-    dead pixels, whose whole neighbourhood is below 1e-6 of the peak carry no
+    Each grid edge carries one phase step, taken along +x or +y: the angle of
+    u_b conj(u_a) on the peak-normalised field u = amp / peak, as
+    `topological_charge` takes the angle of a ratio.  With |u| <= 1 no product
+    overflows, and none underflows except next to a dead pixel.  A plaquette's
+    winding is the circulation of its four edges over 2 pi, so the two
+    plaquettes that share an edge see it with opposite signs and the windings
+    of a region add up to the winding of its boundary (the residue scan of
+    Goldstein, Zebker & Werner, Radio Sci. 23 (1988) 713).  A core sitting on a
+    sample point (below 1e-10 of the peak) with no such neighbour gets the
+    summed circulation of its four plaquettes: the edges to the dead pixel
+    cancel in pairs, so its arbitrary phase drops out.  Plaquettes, and dead
+    pixels, whose whole neighbourhood is below 1e-6 of the peak carry no
     charge.  Plaquettes within `margin` cells of the boundary are skipped: the
     spectral domain is periodic and its wrap-around seam produces phantom
     windings.
@@ -201,9 +205,10 @@ def find_vortices(field: BeamField, margin: int = 4):
     peak = mag.max()
     if peak == 0.0:
         return []
-    phi = np.angle(amp)
-    ex = _wrap(np.diff(phi, axis=1))   # edge (j, i) -> (j, i + 1)
-    ey = _wrap(np.diff(phi, axis=0))   # edge (j, i) -> (j + 1, i)
+    # adding 0.0 turns a -0.0 imaginary part into +0.0: an exact pi jump is +pi, whatever
+    # the signs of the zeros in amp
+    ex = np.angle(amp[:, :-1].conj() / peak * (amp[:, 1:] / peak) + 0.0)   # edge (j, i) -> (j, i + 1)
+    ey = np.angle(amp[:-1].conj() / peak * (amp[1:] / peak) + 0.0)   # edge (j, i) -> (j + 1, i)
     circ = ex[:-1] + ey[:, 1:] - ex[1:] - ey[:, :-1]
     winding = np.rint(circ / (2.0 * np.pi)).astype(int)
     # a core sitting on a sample point leaves its four plaquettes phase-ambiguous
@@ -254,18 +259,6 @@ def find_vortices(field: BeamField, margin: int = 4):
         py = y[iy] + (0.5 + t[1]) * field.dy
         out.append(((float(px), float(py)), int(winding[iy, ix])))
     return out
-
-
-def paraxial_validity(field: BeamField, dz) -> float:
-    """Ratio ||d2u/dz2|| / ||2k du/dz|| from two propagation steps."""
-    up = propagate(field, dz)
-    um = propagate(field, -dz)
-    du = (up.amplitude - um.amplitude) / (2.0 * dz)
-    d2u = (up.amplitude - 2.0 * field.amplitude + um.amplitude) / dz**2
-    denom = 2.0 * field.k * np.linalg.norm(du)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(d2u) / denom)
 
 
 def save_field(field: BeamField, path):

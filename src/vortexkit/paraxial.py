@@ -176,8 +176,36 @@ def topological_charge(field: BeamField, center, radius) -> int:
     return int(round(dphi.sum() / (2.0 * np.pi)))
 
 
-# the 8 neighbours of a pixel as (dy, dx)
-_RING = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
+def _circulation(u, idx, nx):
+    """Summed phase steps around the plaquettes whose top-left corners are at the
+    flat indices idx: each edge, along +x or +y, is the angle of conj(u_a) u_b."""
+    u00, u01, u10, u11 = u[idx], u[idx + 1], u[idx + nx], u[idx + nx + 1]
+    # adding 0.0 turns a -0.0 imaginary part into +0.0: an exact pi jump is +pi, whatever
+    # the signs of the zeros in u
+    top, right = np.angle(u00.conj() * u01 + 0.0), np.angle(u01.conj() * u11 + 0.0)
+    bottom, left = np.angle(u10.conj() * u11 + 0.0), np.angle(u00.conj() * u10 + 0.0)
+    return top + right - bottom - left
+
+
+def _plane_fit(amp, idx, nx):
+    """Sub-pixel offsets, clipped to the plaquette, of the zero of the local plane
+    fit of Re amp and Im amp over each plaquette's corners; (0, 0) where it is singular."""
+    a00, a01, a10, a11 = amp[idx], amp[idx + 1], amp[idx + nx], amp[idx + nx + 1]
+    gx = 0.5 * ((a01 - a00) + (a11 - a10))
+    gy = 0.5 * ((a10 - a00) + (a11 - a01))
+    u0 = 0.25 * (a00 + a01 + a10 + a11)
+    a = np.stack([gx.real, gy.real, gx.imag, gy.imag], axis=-1).reshape(-1, 2, 2)
+    b = -np.stack([u0.real, u0.imag], axis=-1)
+    try:
+        t = np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        t = np.zeros_like(b)
+        for r in range(len(b)):
+            try:
+                t[r] = np.linalg.solve(a[r], b[r])
+            except np.linalg.LinAlgError:
+                pass
+    return np.clip(t, -0.5, 0.5)
 
 
 def find_vortices(field: BeamField, margin: int = 4):
@@ -186,8 +214,8 @@ def find_vortices(field: BeamField, margin: int = 4):
     Each grid edge carries one phase step, taken along +x or +y: the angle of
     u_b conj(u_a) on the peak-normalised field u = amp / peak, as
     `topological_charge` takes the angle of a ratio.  With |u| <= 1 no product
-    overflows, and none underflows except next to a dead pixel.  A plaquette's
-    winding is the circulation of its four edges over 2 pi, so the two
+    overflows, and none underflows in modulus except next to a dead pixel.  A
+    plaquette's winding is the circulation of its four edges over 2 pi, so the two
     plaquettes that share an edge see it with opposite signs and the windings
     of a region add up to the winding of its boundary (the residue scan of
     Goldstein, Zebker & Werner, Radio Sci. 23 (1988) 713).  A core sitting on a
@@ -198,6 +226,20 @@ def find_vortices(field: BeamField, margin: int = 4):
     charge.  Plaquettes within `margin` cells of the boundary are skipped: the
     spectral domain is periodic and its wrap-around seam produces phantom
     windings.
+
+    Edge angles are computed only where a core can be.  A plaquette whose four
+    corners all have Re u > tiny, or all Re u < -tiny, or all Im u > tiny, or
+    all Im u < -tiny (tiny the smallest normal float) lies in one open
+    half-plane through 0 and is skipped: its winding under the edge rule is 0.
+    Within such a half-plane a step near +-pi joins two corners on opposite
+    sides of the half-plane's axis, so the two terms of Im(conj(u_a) u_b) have
+    the same sign, and with |u| >= 1e-10 at live corners and the half-plane
+    part above tiny they do not both round to zero.  The computed Im then has
+    the exact sign, no step wraps, and the four steps telescope to 0 up to
+    rounding.  (With > 0 in place of > tiny, two subnormal parts can round
+    both terms to zero, and a step of -pi + d is read as +pi.)  Exact zeros
+    fail the tests, so fields with zeros on an axis, or real fields, go
+    through the edge rule as before.
     Returns a list of ((x, y), charge) in physical coordinates.
     """
     amp = field.amplitude
@@ -205,60 +247,52 @@ def find_vortices(field: BeamField, margin: int = 4):
     peak = mag.max()
     if peak == 0.0:
         return []
-    # adding 0.0 turns a -0.0 imaginary part into +0.0: an exact pi jump is +pi, whatever
-    # the signs of the zeros in amp
-    ex = np.angle(amp[:, :-1].conj() / peak * (amp[:, 1:] / peak) + 0.0)   # edge (j, i) -> (j, i + 1)
-    ey = np.angle(amp[:-1].conj() / peak * (amp[1:] / peak) + 0.0)   # edge (j, i) -> (j + 1, i)
-    circ = ex[:-1] + ey[:, 1:] - ex[1:] - ey[:, :-1]
-    winding = np.rint(circ / (2.0 * np.pi)).astype(int)
+    ny, nx = amp.shape
+    u = amp / peak
+    dead_level, faint_level = 1e-10 * peak, 1e-6 * peak
+    dead = mag < dead_level
+    # plaquettes off the margin: each part of u is 1 above tiny, 2 below -tiny and 0
+    # otherwise, one byte per part, and corners that share a set bit share a half-plane
+    m = max(margin, 0)
+    part = u[m:ny - m, m:nx - m].view(float)
+    tiny = np.finfo(float).tiny
+    side = (part > tiny).view(np.uint16) | ((part < -tiny).view(np.uint16) << 1)
+    side = side[:-1] & side[1:]
+    side = side[:, :-1] & side[:, 1:]
     # a core sitting on a sample point leaves its four plaquettes phase-ambiguous
-    dead = mag < 1e-10 * peak
-    corner_dead = dead[:-1, :-1] | dead[:-1, 1:] | dead[1:, :-1] | dead[1:, 1:]
-    winding[corner_dead] = 0
-    # plaquettes whose whole neighborhood is near the noise floor carry no signal
-    faint = mag < 1e-6 * peak
-    all_faint = faint[:-1, :-1] & faint[:-1, 1:] & faint[1:, :-1] & faint[1:, 1:]
-    winding[all_faint & ~corner_dead] = 0
-    if margin > 0:
-        winding[:margin, :] = 0
-        winding[-margin:, :] = 0
-        winding[:, :margin] = 0
-        winding[:, -margin:] = 0
+    near = dead[m:ny - m, m:nx - m]
+    near = near[:-1] | near[1:]
+    near = near[:, :-1] | near[:, 1:]
+    jy, jx = np.divmod(np.flatnonzero((side == 0) & ~near), side.shape[1])
+    idx = (jy + m) * nx + (jx + m)   # flat index of each candidate's corner (j, i)
+    # dead pixels at least max(1, margin) from the edge whose left and right neighbours live
+    lo = max(1, margin)
+    cy, cx = np.divmod(np.flatnonzero(dead[:, 1:-1] & ~(dead[:, :-2] | dead[:, 2:])), nx - 2)
+    cx += 1
+    inside = (cy >= lo) & (cy < ny - lo) & (cx >= lo) & (cx < nx - lo)
+    cores = cy[inside] * nx + cx[inside]
+    mag, dead, u, amp = mag.ravel(), dead.ravel(), u.ravel(), amp.ravel()
+    # plaquettes whose whole neighbourhood is near the noise floor carry no signal
+    level = mag[np.stack([idx, idx + 1, idx + nx, idx + nx + 1])]
+    idx = idx[(level >= faint_level).any(axis=0)]
+    winding = np.rint(_circulation(u, idx, nx) / (2.0 * np.pi)).astype(int)
+    idx, winding = idx[winding != 0], winding[winding != 0]
+    # a dead pixel with no dead neighbour: its charge is the circulation of its four
+    # plaquettes, unless all are faint
+    ring = (-nx - 1, -nx, -nx + 1, -1, 1, nx - 1, nx, nx + 1)
+    for off in ring:
+        cores = cores[~dead[cores + off]]
+    quad = cores - nx - 1, cores - nx, cores - 1, cores
+    charge = np.rint(sum(_circulation(u, q, nx) for q in quad) / (2.0 * np.pi)).astype(int)
+    charge[np.logical_and.reduce([mag[cores + off] < faint_level for off in ring])] = 0
     x = field.x()
     y = field.y()
-    # a dead pixel at least max(1, margin) from the edge with no dead neighbour:
-    # its charge is the circulation of its four plaquettes, unless all are faint
-    ny, nx = amp.shape
-    lo = max(1, margin)
-    isolated = dead[lo:ny - lo, lo:nx - lo].copy()
-    for dy, dx in _RING:
-        isolated &= ~dead[lo + dy:ny - lo + dy, lo + dx:nx - lo + dx]
-    cy, cx = np.nonzero(isolated)
-    cy, cx = cy + lo, cx + lo
-    quad = (cy - 1, cx - 1), (cy - 1, cx), (cy, cx - 1), (cy, cx)
-    charge = np.rint(sum(circ[q] for q in quad) / (2.0 * np.pi)).astype(int)
-    charge[np.logical_and.reduce([all_faint[q] for q in quad])] = 0
-    out = [((float(x[i]), float(y[j])), q)
-           for j, i, q in zip(cy.tolist(), cx.tolist(), charge.tolist()) if q]
-    ys, xs = np.nonzero(winding)
-    for iy, ix in zip(ys, xs):
-        # local plane fit of Re u and Im u over the plaquette corners
-        u00, u01 = amp[iy, ix], amp[iy, ix + 1]
-        u10, u11 = amp[iy + 1, ix], amp[iy + 1, ix + 1]
-        gx = 0.5 * ((u01 - u00) + (u11 - u10))
-        gy = 0.5 * ((u10 - u00) + (u11 - u01))
-        u0 = 0.25 * (u00 + u01 + u10 + u11)
-        a = np.array([[gx.real, gy.real], [gx.imag, gy.imag]])
-        b = -np.array([u0.real, u0.imag])
-        try:
-            t = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            t = np.zeros(2)
-        t = np.clip(t, -0.5, 0.5)
-        px = x[ix] + (0.5 + t[0]) * field.dx
-        py = y[iy] + (0.5 + t[1]) * field.dy
-        out.append(((float(px), float(py)), int(winding[iy, ix])))
-    return out
+    out = [((float(x[c % nx]), float(y[c // nx])), q)
+           for c, q in zip(cores.tolist(), charge.tolist()) if q]
+    t = _plane_fit(amp, idx, nx)
+    px = x[idx % nx] + (0.5 + t[:, 0]) * field.dx
+    py = y[idx // nx] + (0.5 + t[:, 1]) * field.dy
+    return out + list(zip(zip(px.tolist(), py.tolist()), winding.tolist()))
 
 
 def save_field(field: BeamField, path):

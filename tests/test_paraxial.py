@@ -11,8 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
+import vortexkit.paraxial as paraxial
 from vortexkit.paraxial import (
     AliasingWarning,
     _laguerre,
@@ -99,6 +101,68 @@ def find_vortices_reference(field, margin=4):
         q = int(round(_circulation(u, loop) / (2.0 * np.pi)))
         if q != 0:
             out.append(((float(x[ix]), float(y[iy])), q))
+    ys, xs = np.nonzero(winding)
+    for iy, ix in zip(ys, xs):
+        u00, u01 = amp[iy, ix], amp[iy, ix + 1]
+        u10, u11 = amp[iy + 1, ix], amp[iy + 1, ix + 1]
+        gx = 0.5 * ((u01 - u00) + (u11 - u10))
+        gy = 0.5 * ((u10 - u00) + (u11 - u01))
+        u0 = 0.25 * (u00 + u01 + u10 + u11)
+        a = np.array([[gx.real, gy.real], [gx.imag, gy.imag]])
+        b = -np.array([u0.real, u0.imag])
+        try:
+            t = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            t = np.zeros(2)
+        t = np.clip(t, -0.5, 0.5)
+        px = x[ix] + (0.5 + t[0]) * field.dx
+        py = y[iy] + (0.5 + t[1]) * field.dy
+        out.append(((float(px), float(py)), int(winding[iy, ix])))
+    return out
+
+
+# the 8 neighbours of a pixel as (dy, dx)
+_RING = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
+
+
+def find_vortices_full_scan(field, margin=4):
+    """find_vortices as one vectorised scan of the whole grid, with no half-plane
+    prefilter: edge angles on every edge, eight shifted masks for the isolated dead
+    pixels, and one plane fit per wound plaquette."""
+    amp = field.amplitude
+    mag = np.abs(amp)
+    peak = mag.max()
+    if peak == 0.0:
+        return []
+    ex = np.angle(amp[:, :-1].conj() / peak * (amp[:, 1:] / peak) + 0.0)
+    ey = np.angle(amp[:-1].conj() / peak * (amp[1:] / peak) + 0.0)
+    circ = ex[:-1] + ey[:, 1:] - ex[1:] - ey[:, :-1]
+    winding = np.rint(circ / (2.0 * np.pi)).astype(int)
+    dead = mag < 1e-10 * peak
+    corner_dead = dead[:-1, :-1] | dead[:-1, 1:] | dead[1:, :-1] | dead[1:, 1:]
+    winding[corner_dead] = 0
+    faint = mag < 1e-6 * peak
+    all_faint = faint[:-1, :-1] & faint[:-1, 1:] & faint[1:, :-1] & faint[1:, 1:]
+    winding[all_faint & ~corner_dead] = 0
+    if margin > 0:
+        winding[:margin, :] = 0
+        winding[-margin:, :] = 0
+        winding[:, :margin] = 0
+        winding[:, -margin:] = 0
+    x = field.x()
+    y = field.y()
+    ny, nx = amp.shape
+    lo = max(1, margin)
+    isolated = dead[lo:ny - lo, lo:nx - lo].copy()
+    for dy, dx in _RING:
+        isolated &= ~dead[lo + dy:ny - lo + dy, lo + dx:nx - lo + dx]
+    cy, cx = np.nonzero(isolated)
+    cy, cx = cy + lo, cx + lo
+    quad = (cy - 1, cx - 1), (cy - 1, cx), (cy, cx - 1), (cy, cx)
+    charge = np.rint(sum(circ[q] for q in quad) / (2.0 * np.pi)).astype(int)
+    charge[np.logical_and.reduce([all_faint[q] for q in quad])] = 0
+    out = [((float(x[i]), float(y[j])), q)
+           for j, i, q in zip(cy.tolist(), cx.tolist(), charge.tolist()) if q]
     ys, xs = np.nonzero(winding)
     for iy, ix in zip(ys, xs):
         u00, u01 = amp[iy, ix], amp[iy, ix + 1]
@@ -367,6 +431,32 @@ def _lg(p, ell, n=256, z=0.0):
     return propagate(f, z) if z else f
 
 
+def _real_field(seed, n=64):
+    """Random real amplitudes: phases 0 and pi only, so every sign change is an exact-pi edge."""
+    return BeamField(np.random.default_rng(seed).normal(size=(n, n)).astype(complex), 0.1, 0.1, 10.0)
+
+
+def _complex_field(seed, n=64):
+    return BeamField(np.random.default_rng(seed).normal(size=(n, n, 2)) @ [1.0, 1j], 0.1, 0.1, 10.0)
+
+
+def _half_real(n=64):
+    """Real on the left half, complex on the right: singular and regular plane fits side by side."""
+    u = _complex_field(1, n).amplitude
+    u[:, :n // 2] = _real_field(1, n).amplitude[:, :n // 2]
+    return BeamField(u, 0.1, 0.1, 10.0)
+
+
+def _subnormal_parts(n=16):
+    """Four corners with Re u = 5e-324 > 0: Im u is +0.4, -0.4, +0.4, +0.4 around the plaquette
+    (7, 7), so both terms of the Im of its top edge's product round to zero and the edge rule
+    reads that step of -pi + d as +pi.  The plaquettes (6, 7) and (7, 7) wind -1 and +1."""
+    u = np.ones((n, n), dtype=complex)
+    for (iy, ix), im in (((7, 7), 0.4), ((7, 8), -0.4), ((8, 8), 0.4), ((8, 7), 0.4)):
+        u[iy, ix] = complex(5e-324, im)
+    return BeamField(u, 0.1, 0.1, 10.0)
+
+
 SCAN_CASES = {
     "lg01_g256": (lambda: _lg(0, 1), 4),
     "lg23_g256": (lambda: _lg(2, 3), 4),
@@ -383,6 +473,9 @@ SCAN_CASES = {
     "lg01_g64_margin_half": (lambda: _lg(0, 1, n=64), 32),
     "lg01_g64_margin_above_half": (lambda: _lg(0, 1, n=64), 33),
     "lg01_g64_margin_huge": (lambda: _lg(0, 1, n=64), 1000),
+    "real_field0": (lambda: _real_field(0), 4),
+    "half_real": (_half_real, 4),
+    "subnormal_parts": (_subnormal_parts, 4),
 }
 
 
@@ -399,14 +492,108 @@ class TestFindVorticesOracle:
         assert sorted(c for _, c in found) == [-1, 1, 1, 1]
         assert [c for _, c in find_vortices(_vortex_field(16, [(7, 8, 1), (5, 5, -1)]), 7)] == [1]
 
+    def test_cases_reach_the_singular_plane_fit(self, monkeypatch):
+        # a real field has Im u = 0 at every corner, so each wound plaquette's 2 x 2 system is
+        # singular: the stacked solve raises and every core sits at its plaquette's centre
+        raised = []
+        solve = np.linalg.solve
 
-def _real_field(seed, n=64):
-    """Random real amplitudes: phases 0 and pi only, so every sign change is an exact-pi edge."""
-    return BeamField(np.random.default_rng(seed).normal(size=(n, n)).astype(complex), 0.1, 0.1, 10.0)
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                raised.append(np.shape(a))
+                raise
+
+        monkeypatch.setattr(paraxial.np.linalg, "solve", spy)
+        field = _real_field(0)
+        centres = set((field.x()[:-1] + 0.5 * field.dx).tolist())
+        found = find_vortices(field)
+        assert found and raised[0] == (len(found), 2, 2)
+        assert all(x in centres and y in centres for (x, y), _ in found)
+        # the half-real field mixes singular rows, solved as (0, 0), with regular ones
+        raised.clear()
+        found = find_vortices(_half_real())
+        assert raised and not all(x in centres for (x, _), _ in found)
+
+    def test_subnormal_parts_are_not_a_half_plane(self):
+        # the winding plaquettes have Re u > 0 at all four corners; a prefilter testing Re u > 0
+        # in place of Re u > tiny would drop them
+        field = _subnormal_parts()
+        assert np.all(field.amplitude.real > 0.0)
+        assert find_vortices(field) == [((-0.05, -0.1), -1), ((-0.05, -0.05), 1)]
 
 
-def _complex_field(seed, n=64):
-    return BeamField(np.random.default_rng(seed).normal(size=(n, n, 2)) @ [1.0, 1j], 0.1, 0.1, 10.0)
+class _AnySide(BeamField):
+    """A BeamField on any grid side: the scan itself does not need powers of two."""
+
+    def __post_init__(self):
+        pass
+
+
+@st.composite
+def planted_fields(draw):
+    """Random fields, smoothed 0-3 times so that neighbours share half-planes, with exact
+    zeros and +-5e-324 planted in Re u, Im u or both, on whole rows, columns and pixels."""
+    ny, nx = draw(st.integers(16, 40)), draw(st.integers(16, 40))
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(ny, nx, 2)) @ [1.0, 1j]
+    for _ in range(draw(st.integers(0, 3))):
+        u = u + np.roll(u, 1, axis=0) + np.roll(u, 1, axis=1)
+    u /= np.abs(u).max()
+    plants = st.tuples(st.sampled_from(["real", "imag", "both"]), st.sampled_from(["row", "col", "pixel"]),
+                       st.integers(0, 39), st.integers(0, 39), st.sampled_from([0.0, 5e-324, -5e-324]))
+    for part, where, j, i, value in draw(st.lists(plants, max_size=8)):
+        at = {"row": (j % ny, slice(None)), "col": (slice(None), i % nx), "pixel": (j % ny, i % nx)}[where]
+        if part in ("real", "both"):
+            u.real[at] = value
+        if part in ("imag", "both"):
+            u.imag[at] = value
+    return _AnySide(u, 0.1, 0.1, 10.0)
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+
+
+class TestHalfPlanePrefilter:
+    @PROPERTY
+    @given(field=planted_fields(), margin=st.integers(0, 5))
+    def test_planted_fields_match_per_pixel_reference(self, field, margin):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert find_vortices(field, margin) == find_vortices_reference(field, margin)
+
+    @pytest.mark.parametrize("case", ["lg01_g512_w4", "lg23", "lg1m2", "lg31", "real"])
+    def test_matches_full_scan(self, case):
+        # the beam slices of the CI runs, at scale 1 and 2**+-600, and four real fields
+        modes = {"lg01_g512_w4": (0, 1, 4.0, 512, 20), "lg23": (2, 3, 1.0, 256, 2),
+                 "lg1m2": (1, -2, 1.0, 256, 2), "lg31": (3, 1, 1.0, 256, 2)}
+        if case == "real":
+            fields = [_real_field(seed) for seed in range(4)]
+        else:
+            p, ell, w0, n, count = modes[case]
+            f = lg_mode(p, ell, w0, n, n, 0.0625, 0.0625, 100.0)
+            fields = list(_slices(f, 0.5 * f.k * w0**2 / count, count))
+            fields += [replace(g, amplitude=scale * g.amplitude) for g in fields for scale in (2.0**600, 2.0**-600)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for g in fields:
+                assert find_vortices(g) == find_vortices_full_scan(g)
+
+    def test_edge_angles_only_near_cores(self, monkeypatch):
+        # LG(0,1) at 512 x 512: one core, so a handful of the 261,121 plaquettes reach the edge rule
+        sizes = []
+        circulation = paraxial._circulation
+
+        def spy(u, idx, nx):
+            sizes.append(len(idx))
+            return circulation(u, idx, nx)
+
+        monkeypatch.setattr(paraxial, "_circulation", spy)
+        f = lg_mode(0, 1, 4.0, 512, 512, 0.0625, 0.0625, 100.0)
+        for g in _slices(f, 40.0, 20):
+            sizes.clear()
+            assert sum(c for _, c in find_vortices(g)) == 1
+            assert sum(sizes) <= 8
 
 
 # real fields total 0 under the product rule; the complex ones wind -8, 3, -4, -4, 6, 1 and 8

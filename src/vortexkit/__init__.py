@@ -11,6 +11,7 @@ from .backgrounds import (
     DomainError,
     CollisionError,
     NewtonResult,
+    stationary,
 )
 from .vortex import (
     VortexConfiguration,
@@ -21,12 +22,11 @@ from .vortex import (
     poisson_bracket,
     integrate,
 )
-from .stieltjes import EquilibriumProblem, EquilibriumReport, residual, solve, certify
+from .stieltjes import EquilibriumReport, residual, certify
 from .landau import (
     LaughlinParams,
     log_laughlin,
     laughlin_stationarity_residual,
-    solve_planar_equilibrium,
     ladder_apply,
 )
 from .paraxial import (

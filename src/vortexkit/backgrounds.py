@@ -9,14 +9,15 @@ poles, residues and polynomial.
 input configurations, both over blocks of _BLOCK rows (memory O(n * _BLOCK)).
 `kirchhoff_field` is F, written once: vortices move with conj(i F), and the
 stationary problems (kappa = -1 on a line, kappa = m in ConjugateLinear for
-Laughlin) are F = 0, solved by `newton` with the step from `kirchhoff_jacobian`.
+Laughlin) are F = 0, solved by `stationary` alone, from `default_guess` on the
+line or `ring_guess` in the plane: `newton` with the step from `kirchhoff_jacobian`.
 They are the critical points of `kirchhoff_energy`, E, with 2 dE/dz_i = kappa_i F_i;
 E is the one energy sum, and the invariant of the motion in every background.
 F alone decides where it is defined (CollisionError, found in the pair pass), and
 `newton` alone whether a solve converged (its `NewtonResult`).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -204,6 +205,64 @@ def newton(residual, z, kappa, bg, tol, max_iter) -> NewtonResult:
             break
         steps += 1
     return NewtonResult(z, float(fmax), steps, bool(fmax <= tol))
+
+
+def stationary(z0, kappa, bg, tol, max_iter) -> NewtonResult:
+    """`newton` on F = kirchhoff_field(z, kappa, bg) = 0 from z0: the one solve of a stationary problem.
+
+    A real z0 is a line problem: its points are sorted before and after the solve, and a
+    trial point outside the open bg.domain raises DomainError, which the line search refuses.
+    A z0 where F is not defined raises from the first evaluation of F.
+    """
+    if np.iscomplexobj(z0):
+        return newton(lambda z: kirchhoff_field(z, kappa, bg), np.asarray(z0), kappa, bg, tol, max_iter)
+    lo, hi = bg.domain
+
+    def field(x):
+        if np.any(x <= lo) or np.any(x >= hi):
+            raise DomainError(f"points outside open domain ({lo}, {hi})")
+        return kirchhoff_field(x, kappa, bg)
+
+    result = newton(field, np.sort(np.asarray(z0, dtype=float)), kappa, bg, tol, max_iter)
+    return replace(result, positions=np.sort(result.positions))
+
+
+def default_guess(n, bg) -> np.ndarray:
+    """The line guess: n Chebyshev points affinely mapped into bg's domain.
+
+    A point within half the smallest spacing (0.5 for n = 1) of a real pole of a custom
+    field moves out to that distance, on its own side: Coulomb's and Jacobi's poles end
+    their domains, so every pole that reaches the rule lies inside the open domain.
+    Refuses n < 1, and a field that is not rational or is zero: with w = 0 the points
+    repel without bound.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not isinstance(bg, CustomRational) or not (any(bg.residues) or any(bg.poly)):
+        raise ValueError(f"unsupported background {bg!r}: the field must be rational and not zero")
+    c = np.sort(np.cos((2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)))
+    if isinstance(bg, Coulomb):
+        return 2.0 * n * (c + 1.0) + 0.5
+    if isinstance(bg, JacobiCharges):
+        return c
+    x = np.sqrt(2.0 * n) * c if n > 1 else np.array([0.5])
+    half = 0.5 * np.diff(x).min() if n > 1 else 0.5
+    poles = np.array(bg.poles)
+    for p in poles[poles.imag == 0].real:
+        near = np.abs(x - p) < half
+        x[near] = p + np.copysign(half, x[near] - p)
+    return x
+
+
+def ring_guess(n, m, l_B, seed) -> np.ndarray:
+    """The plane guess for n particles of strength m: the origin for n = 1, else a ring at 0.9 of
+    the radius l_B sqrt(2 m (n - 1)), its angles jittered by 0.01 standard normals from seed."""
+    if n == 1:
+        return np.array([0.0 + 0.0j])
+    r0 = l_B * np.sqrt(2.0 * m * (n - 1))
+    rng = np.random.default_rng(seed)
+    angles = 2.0 * np.pi * np.arange(n) / n
+    return 0.9 * r0 * np.exp(1j * (angles + 0.01 * rng.standard_normal(n)))
 
 
 def min_separation(z) -> float:

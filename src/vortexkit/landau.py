@@ -3,15 +3,17 @@
 Stationarity of the log-Laughlin wavefunction reads, per particle j,
 S_j = m * sum_{i != j} 1/(z_j - z_i) - conj(z_j)/(4 l_B^2) = 0: the Kirchhoff
 field of vortices of strength kappa = m in the background ConjugateLinear(omega),
-omega = 1/(4 l_B^2), computed and solved (`backgrounds.newton`) as such.  The
-symmetric pair solves in closed form at radius l_B * sqrt(2 m).
+omega = 1/(4 l_B^2), computed as such, and solved as such by `backgrounds.stationary`
+from the ring guess `backgrounds.ring_guess`: S depends on conj(z), so each Newton step
+is an LU solve in 2N real variables.  The symmetric pair solves in closed form at
+radius l_B * sqrt(2 m).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import ConjugateLinear, NewtonResult, kirchhoff_field, min_separation, newton, pair_sum
+from .backgrounds import ConjugateLinear, kirchhoff_field, min_separation, pair_sum
 from .paraxial import BeamField
 
 
@@ -65,20 +67,6 @@ def laughlin_stationarity_residual(z, params: LaughlinParams) -> np.ndarray:
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     return kirchhoff_field(z, params.m_exp, ConjugateLinear(params.omega))
-
-
-def solve_planar_equilibrium(params: LaughlinParams, guess, tol: float = 1e-10, max_iter: int = 200) -> NewtonResult:
-    """`backgrounds.newton` on S = 0, strengths m in ConjugateLinear(omega); residual_inf is max_j |S_j|.
-
-    S depends on conj(z), so each step is an LU solve in 2N real variables.  S is
-    rotation-equivariant, a (iz) + b conj(iz) = -iS, so that Jacobian is singular only
-    where S = 0: at an exact solution the step is refused and the solve stops there.
-    """
-    z = np.atleast_1d(np.asarray(guess, dtype=complex))
-    if z.size != params.N:
-        raise ValueError(f"guess size {z.size} does not match N={params.N}")
-    return newton(lambda z: laughlin_stationarity_residual(z, params), z,
-                  params.m_exp, ConjugateLinear(params.omega), tol, max_iter)
 
 
 def ladder_apply(field: BeamField, which: str, l_B: float) -> BeamField:

@@ -1,43 +1,20 @@
-"""Stationary vortex configurations on a line (Stieltjes electrostatics).
+"""Stationary vortex configurations on a line (Stieltjes electrostatics), certified.
 
-Solves R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k) = 0.  R = -F, F the Kirchhoff
-field of vortices of strength -1: the equilibria are stationary vortices, solved
-as such by `backgrounds.newton`; F also refuses coincident points and points on a
-pole (CollisionError).  They are the critical points of the Kirchhoff energy
-`backgrounds.kirchhoff_energy` at kappa = -1, and are certified against the zeros
-of the matching classical orthogonal polynomial.
+R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k) = 0.  R = -F, F the Kirchhoff field of
+vortices of strength -1: the equilibria are stationary vortices, solved as such by
+`backgrounds.stationary` from the line guess `backgrounds.default_guess`.  F refuses
+coincident points and points on a pole (CollisionError), and the solve refuses points
+outside the open domain (DomainError).  They are the critical points of the Kirchhoff energy
+`backgrounds.kirchhoff_energy` at kappa = -1, and are certified here against the
+zeros of the matching classical orthogonal polynomial.
 """
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import orthopoly
-from .backgrounds import (  # CollisionError is re-exported
-    CollisionError, Coulomb, CustomRational, DomainError, JacobiCharges, NewtonResult, kirchhoff_field, newton,
-)
-
-
-@dataclass(frozen=True)
-class EquilibriumProblem:
-    n: int
-    background: object
-    guess: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        bg = self.background
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        # refused by its field: with w = 0 the points repel without bound
-        if not isinstance(bg, CustomRational) or not (any(bg.residues) or any(bg.poly)):
-            raise ValueError(f"unsupported background {bg!r}: the field must be rational and not zero")
-        if self.guess is not None:
-            g = np.sort(np.asarray(self.guess, dtype=float))
-            if g.size != self.n:
-                raise ValueError("guess must hold n entries")
-            residual(g, bg)  # raises where F is not defined
-            object.__setattr__(self, "guess", g)
+from .backgrounds import CollisionError, DomainError, NewtonResult, kirchhoff_field  # the errors are re-exported
 
 
 @dataclass(frozen=True)
@@ -50,30 +27,7 @@ class EquilibriumReport(NewtonResult):
 
 def residual(x, background) -> np.ndarray:
     """R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k): minus the Kirchhoff field of strengths -1."""
-    x = np.asarray(x, dtype=float)
-    lo, hi = background.domain
-    if np.any(x <= lo) or np.any(x >= hi):
-        raise DomainError(f"points outside open domain ({lo}, {hi})")
-    return -kirchhoff_field(x, -1.0, background)
-
-
-def default_guess(n, background) -> np.ndarray:
-    """Chebyshev points affinely mapped into the family's domain."""
-    c = np.sort(np.cos((2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)))
-    if isinstance(background, Coulomb):
-        return 2.0 * n * (c + 1.0) + 0.5
-    if isinstance(background, JacobiCharges):
-        return c
-    return np.sqrt(2.0 * n) * c if n > 1 else np.array([0.5])
-
-
-def solve(problem: EquilibriumProblem, tolerance: float = 1e-12, max_iter: int = 200) -> NewtonResult:
-    """`backgrounds.newton` on F = -R with strengths -1; positions returned sorted."""
-    bg = problem.background
-    x = problem.guess if problem.guess is not None else default_guess(problem.n, bg)
-    x = np.sort(np.asarray(x, dtype=float))
-    result = newton(lambda x: -residual(x, bg), x, -1.0, bg, tolerance, max_iter)
-    return replace(result, positions=np.sort(result.positions))
+    return -kirchhoff_field(np.asarray(x, dtype=float), -1.0, background)
 
 
 def certify(result: NewtonResult, spec: orthopoly.PolynomialSpec, tol: float = 1e-10) -> EquilibriumReport:

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 from vortexkit import cli, orthopoly, stieltjes
-from vortexkit.backgrounds import Coulomb, HermiteLinear, JacobiCharges, NoFlow, kirchhoff_jacobian
-from vortexkit.landau import LaughlinParams, ladder_apply, solve_planar_equilibrium
+from vortexkit.backgrounds import (
+    ConjugateLinear, Coulomb, HermiteLinear, JacobiCharges, NoFlow, default_guess, kirchhoff_jacobian, ring_guess,
+    stationary,
+)
+from vortexkit.landau import LaughlinParams, ladder_apply
 from vortexkit.paraxial import BeamField, find_vortices, lg_mode, propagate, topological_charge
 from vortexkit.vortex import VortexConfiguration, hamiltonian_rhs, integrate, rhs
 
@@ -47,8 +50,8 @@ def test_01_stieltjes_zeros_equivalence():
     start = time.monotonic()
     worst = 0.0
     for spec in sweep_specs():
-        problem = stieltjes.EquilibriumProblem(n=spec.n, background=spec_background(spec))
-        rep = stieltjes.solve(problem, tolerance=1e-12)
+        bg = spec_background(spec)
+        rep = stationary(default_guess(spec.n, bg), -1.0, bg, 1e-12, 200)
         dev = np.abs(np.sort(rep.positions) - np.sort(orthopoly.zeros(spec))).max()
         worst = max(worst, dev)
     elapsed = time.monotonic() - start
@@ -102,7 +105,7 @@ def test_04_laughlin_pair_radius():
             params = LaughlinParams(2, m, l_b)
             target = l_b * np.sqrt(2.0 * m)
             guess = np.array([1.1 * target + 0.2j, -0.9 * target - 0.1j])
-            sol = solve_planar_equilibrium(params, guess, tol=1e-12)
+            sol = stationary(guess, m, ConjugateLinear(params.omega), 1e-12, 200)
             assert sol.converged
             worst = max(worst, np.abs(np.abs(sol.positions) - target).max())
     report(
@@ -237,7 +240,7 @@ def test_10_stieltjes_equilibria_are_stationary_vortices():
              (Coulomb(1.0), 20, False), (JacobiCharges(1.0, 1.5), 6, False)]
     still, moving, moved = 0.0, np.inf, 0.0
     for bg, n, run in cases:
-        rep = stieltjes.solve(stieltjes.EquilibriumProblem(n, bg))
+        rep = stationary(default_guess(n, bg), -1.0, bg, 1e-12, 200)
         assert stieltjes.certify(rep, bg.polynomial_spec(n)).certified
         z = rep.positions.astype(complex)
         d = np.abs(z[:, None] - z[None, :])
@@ -252,4 +255,22 @@ def test_10_stieltjes_equilibria_are_stationary_vortices():
         "10 certified equilibria stand still as kappa = -1 vortices (1e-12 of the terms; moved < 1e-10 by t = 1)",
         still <= 1e-12 and moving >= 0.5 and moved < 1e-10,
         f"kappa = -1 {still:.1e}, kappa = +1 {moving:.2f}, moved {moved:.1e}",
+    )
+
+
+def test_11_laughlin_equilibria_are_rotating_vortex_crystals():
+    # m sum_{j != i} 1/(z_i - z_j) = omega conj(z_i) at a Laughlin equilibrium makes unit vortices
+    # with no background flow move with conj(i (omega/m) conj(z_i)) = -i (omega/m) z_i: a rigid
+    # rotation at -omega/m.  rhs is computed apart from the solve, an independent oracle of it.
+    worst = 0.0
+    for m, l_b, n in itertools.product((1, 3, 5), (0.5, 1.0, 2.0), (10, 30, 100)):
+        bg = ConjugateLinear(LaughlinParams(n, m, l_b).omega)
+        sol = stationary(ring_guess(n, m, l_b, 0), m, bg, 1e-10, 200)  # the `laughlin` command's solve
+        assert sol.converged
+        v = rhs(VortexConfiguration(sol.positions, np.ones(n)), NoFlow())
+        worst = max(worst, np.abs(v + 1j * bg.omega / m * sol.positions).max() / np.abs(v).max())
+    report(
+        "11 Laughlin equilibria rotate rigidly as unit vortices, at -omega/m (1e-10 of max|rhs|)",
+        worst <= 1e-10,
+        f"max deviation {worst:.2e}",
     )

@@ -12,7 +12,8 @@ import vortexkit
 from vortexkit import backgrounds, orthopoly, stieltjes, vortex
 from vortexkit.backgrounds import (
     _BLOCK, CollisionError, ConjugateLinear, Coulomb, CustomRational, DomainError, HermiteLinear, JacobiCharges, NoFlow,
-    kirchhoff_energy, kirchhoff_field, kirchhoff_jacobian, log_abs, min_separation, newton, pair_jacobian, pair_sum,
+    default_guess, kirchhoff_energy, kirchhoff_field, kirchhoff_jacobian, log_abs, min_separation, newton,
+    pair_jacobian, pair_sum, stationary,
 )
 from vortexkit.landau import LaughlinParams, laughlin_stationarity_residual
 from vortexkit.vortex import VortexConfiguration, conserved, rhs
@@ -442,7 +443,7 @@ class TestFamilyConstructors:
 
     def test_no_flow_has_no_equilibrium(self):
         with pytest.raises(ValueError):
-            stieltjes.EquilibriumProblem(3, NoFlow())
+            default_guess(3, NoFlow())
 
     @pytest.mark.parametrize("bg", [CustomRational(), CustomRational(poly=(0.0,)),
                                     CustomRational(poles=(2.0,), residues=(0.0,), poly=(0.0, 0.0))],
@@ -450,7 +451,7 @@ class TestFamilyConstructors:
     def test_zero_custom_field_has_no_equilibrium(self, bg):
         # refused by its field, not by its type
         with pytest.raises(ValueError, match="not zero"):
-            stieltjes.EquilibriumProblem(3, bg)
+            default_guess(3, bg)
 
 
 class TestWhereTheFieldIsDefined:
@@ -464,6 +465,9 @@ class TestWhereTheFieldIsDefined:
             "velocity": lambda z, bg: vortex._velocity(np.asarray(z, dtype=complex), 1.0, bg, 1e-12),
             "stieltjes": lambda z, bg: stieltjes.residual(z, bg),
             "laughlin": lambda z, bg: laughlin_stationarity_residual(z, laughlin),
+            "stationary_line": lambda z, bg: stationary(np.asarray(z, dtype=float), -1.0, bg, 1e-12, 200),
+            "stationary_plane": lambda z, bg: stationary(np.asarray(z, dtype=complex), 3.0, ConjugateLinear(),
+                                                         1e-10, 200),
         }
 
     def test_exception_hierarchy(self):
@@ -471,7 +475,7 @@ class TestWhereTheFieldIsDefined:
         assert vortex.CollisionError is stieltjes.CollisionError is vortexkit.CollisionError is CollisionError
         assert vortex.DomainError is stieltjes.DomainError is vortexkit.DomainError is DomainError
 
-    @pytest.mark.parametrize("name", ["velocity", "stieltjes", "laughlin"])
+    @pytest.mark.parametrize("name", ["velocity", "stieltjes", "laughlin", "stationary_line", "stationary_plane"])
     def test_coincident_pair_raises_before_dividing(self, name):
         call = self.entry_points()[name]
         bg = HermiteLinear()
@@ -482,7 +486,7 @@ class TestWhereTheFieldIsDefined:
             with np.errstate(all="raise"), pytest.raises(CollisionError):
                 call(x, bg)
 
-    @pytest.mark.parametrize("name", ["velocity", "stieltjes"])
+    @pytest.mark.parametrize("name", ["velocity", "stieltjes", "stationary_line"])
     def test_point_on_a_pole_raises_before_dividing(self, name):
         bg = CustomRational(poles=(0.5,), residues=(-1.0,), poly=(0.0, 1.0))
         with np.errstate(all="raise"), pytest.raises(CollisionError, match="pole"):

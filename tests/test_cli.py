@@ -365,7 +365,7 @@ class TestLaughlin:
     def test_non_finite_numbers_written_as_null_exit_3(self, tmp_path, monkeypatch):
         # the writer's rule, on a solve whose residual and one position are not finite
         result = NewtonResult(np.array([np.inf + 1j, -1.0 + 0j]), float("nan"), 3, False)
-        monkeypatch.setattr(cli, "solve_planar_equilibrium", lambda *args, **kwargs: result)
+        monkeypatch.setattr(cli, "stationary", lambda *args, **kwargs: result)
         assert run(["--quiet", "--out", str(tmp_path), "laughlin"]) == 3
         doc = strict_json(tmp_path / "laughlin.json")
         assert doc["positions"] == [[None, 1.0], [-1.0, 0.0]]

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from vortexkit.backgrounds import ConjugateLinear, kirchhoff_jacobian
+from vortexkit.backgrounds import ConjugateLinear, kirchhoff_jacobian, ring_guess, stationary
 from vortexkit.landau import (
     LaughlinParams,
     ladder_apply,
     laughlin_stationarity_residual,
     log_laughlin,
-    solve_planar_equilibrium,
 )
 from vortexkit.paraxial import BeamField
 
@@ -145,17 +144,20 @@ class TestPlanarJacobian:
         assert worst < 1e-6
 
 
+def solve_plane(params, guess, tol=1e-10, max_iter=200):
+    """The plane solve of the `laughlin` command: strengths m in ConjugateLinear(omega)."""
+    return stationary(np.asarray(guess, dtype=complex), params.m_exp, ConjugateLinear(params.omega), tol, max_iter)
+
+
 class TestPlanarEquilibrium:
     def test_pair_radius(self):
         params = LaughlinParams(2, 1, 1.0)
-        sol = solve_planar_equilibrium(
-            params, np.array([1.2 + 0.3j, -1.1 - 0.2j]), tol=1e-12
-        )
+        sol = solve_plane(params, np.array([1.2 + 0.3j, -1.1 - 0.2j]), tol=1e-12)
         assert sol.converged and sol.residual_inf <= 1e-12
         assert np.abs(sol.positions) == pytest.approx([np.sqrt(2.0)] * 2, abs=1e-10)
 
     def test_single_particle_origin(self):
-        sol = solve_planar_equilibrium(LaughlinParams(1), np.array([0.3 + 0.4j]))
+        sol = solve_plane(LaughlinParams(1), np.array([0.3 + 0.4j]))
         assert sol.converged
         assert abs(sol.positions[0]) < 1e-10
 
@@ -170,7 +172,7 @@ class TestPlanarEquilibrium:
             ).max(),
         )
         guess = 1.7 * np.exp(2j * np.pi * np.arange(3) / 3 + 0.05j)
-        sol = solve_planar_equilibrium(params, guess, tol=1e-12)
+        sol = solve_plane(params, guess, tol=1e-12)
         assert sol.converged and sol.residual_inf <= 1e-10
         z = sol.positions
         d = np.abs(z[:, None] - z[None, :])
@@ -183,17 +185,14 @@ class TestPlanarEquilibrium:
         # max|S| is 1.6e-16 here, and the rotation iz is a null vector of the Jacobian at
         # S = 0, so rcond < eps: the one refusal rule of the line stops the plane too
         z = 2.0 * np.exp(2j * np.pi * np.arange(3) / 3)
-        sol = solve_planar_equilibrium(LaughlinParams(3, 1, 1.0), z, tol=0.0)
+        sol = solve_plane(LaughlinParams(3, 1, 1.0), z, tol=0.0)
         assert (sol.positions.tolist(), sol.iterations, sol.converged) == (z.tolist(), 0, False)
 
     @pytest.mark.parametrize("n", [10, 30])
     def test_returned_residual_is_max_modulus(self, n):
         # the modulus of the complex S_j, not the largest of its real and imaginary parts
         params = LaughlinParams(n)
-        rng = np.random.default_rng(n)
-        angles = 2.0 * np.pi * np.arange(n) / n + 0.01 * rng.standard_normal(n)
-        guess = 0.9 * np.sqrt(2.0 * (n - 1)) * np.exp(1j * angles)
-        sol = solve_planar_equilibrium(params, guess)
+        sol = solve_plane(params, ring_guess(n, 1, 1.0, n))
         assert sol.converged
         assert sol.residual_inf == np.abs(laughlin_stationarity_residual(sol.positions, params)).max()
 

@@ -5,19 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from vortexkit import cli, orthopoly
+from vortexkit import backgrounds, cli, orthopoly
 from vortexkit.backgrounds import (
-    Coulomb, CustomRational, HermiteLinear, JacobiCharges, kirchhoff_energy, kirchhoff_jacobian,
+    Coulomb, CustomRational, HermiteLinear, JacobiCharges, default_guess, kirchhoff_energy, kirchhoff_jacobian,
+    stationary,
 )
 from vortexkit.orthopoly import PolynomialSpec
-from vortexkit.stieltjes import (
-    CollisionError,
-    DomainError,
-    EquilibriumProblem,
-    certify,
-    residual,
-    solve,
-)
+from vortexkit.stieltjes import CollisionError, DomainError, certify, residual
+
+
+def solve_line(n, bg, guess=None, tol=1e-12, max_iter=200):
+    """The line solve of the `equilibrium` command: strengths -1, from the default guess unless one is given."""
+    return stationary(default_guess(n, bg) if guess is None else np.asarray(guess, dtype=float),
+                      -1.0, bg, tol, max_iter)
 
 
 class TestResidual:
@@ -31,12 +31,6 @@ class TestResidual:
 
     def test_legendre_single(self):
         assert residual(np.array([0.0]), JacobiCharges(0.5, 0.5)) == pytest.approx([0.0])
-
-    def test_domain_violation(self):
-        with pytest.raises(DomainError):
-            residual(np.array([-1.0]), Coulomb(0.0))
-        with pytest.raises(DomainError):
-            residual(np.array([0.0, 1.5]), JacobiCharges(1.0, 1.0))
 
     def test_coincident_points(self):
         # unsorted, the repeated pair not adjacent; -0.0 and 0.0 coincide too
@@ -103,43 +97,66 @@ class TestEnergy:
 
 class TestSolve:
     def test_hermite_n5(self):
-        rep = solve(EquilibriumProblem(5, HermiteLinear()))
+        rep = solve_line(5, HermiteLinear())
         assert np.abs(rep.positions - orthopoly.zeros(PolynomialSpec("hermite", 5))).max() < 1e-10
 
     def test_coulomb_l1_n4(self):
-        rep = solve(EquilibriumProblem(4, Coulomb(1.0)))
+        rep = solve_line(4, Coulomb(1.0))
         ref = orthopoly.zeros(PolynomialSpec("laguerre", 4, alpha=3.0))
         assert np.abs(rep.positions - ref).max() < 1e-10
 
     def test_jacobi_n6(self):
-        rep = solve(EquilibriumProblem(6, JacobiCharges(1.0, 1.5)))
+        rep = solve_line(6, JacobiCharges(1.0, 1.5))
         ref = orthopoly.zeros(PolynomialSpec("jacobi", 6, alpha=1.0, beta=2.0))
         assert np.abs(rep.positions - ref).max() < 1e-10
 
     def test_permutation_invariant_guess(self):
         guess = np.array([-2.0, -0.5, 0.5, 2.0])
-        rep1 = solve(EquilibriumProblem(4, HermiteLinear(), guess=guess))
-        rep2 = solve(EquilibriumProblem(4, HermiteLinear(), guess=guess[::-1].copy()))
+        rep1 = solve_line(4, HermiteLinear(), guess=guess)
+        rep2 = solve_line(4, HermiteLinear(), guess=guess[::-1].copy())
         assert rep1.positions == pytest.approx(rep2.positions, abs=1e-12)
+
+    def test_points_that_cross_come_back_sorted(self):
+        # the Newton iterates of this guess pass the third point below the first two
+        rep = solve_line(3, Coulomb(1.0), guess=[1.87, 2.35, 25.6])
+        ref = orthopoly.zeros(PolynomialSpec("laguerre", 3, alpha=3.0))
+        assert rep.converged and np.abs(rep.positions - ref).max() < 1e-10
 
     def test_equilibria_are_energy_minima(self):
         for n in range(2, 11):
-            rep = solve(EquilibriumProblem(n, HermiteLinear()))
+            rep = solve_line(n, HermiteLinear())
             hess = jacobian(rep.positions, HermiteLinear())  # Hessian of E: grad E = -R = F
             assert np.linalg.eigvalsh(hess).min() > 0
 
     def test_guess_where_the_field_is_undefined_refused(self):
+        # raised by the first evaluation of F, before any division
         bg = CustomRational(poles=(0.5,), residues=(-1.0,), poly=(0.0, 1.0))
         for guess in ([-1.0, 0.5, 2.0], [-1.0, 2.0, -1.0]):  # on the pole; coincident
             with np.errstate(all="raise"), pytest.raises(CollisionError):
-                EquilibriumProblem(3, bg, guess=np.array(guess))
+                solve_line(3, bg, guess=guess)
         with pytest.raises(DomainError):
-            EquilibriumProblem(2, Coulomb(1.0), guess=np.array([0.0, 1.0]))
+            solve_line(2, Coulomb(1.0), guess=[0.0, 1.0])
+
+    def test_domain_violation(self, monkeypatch):
+        # a guess outside the open domain raises; a trial point outside it is halved back, never evaluated
+        with pytest.raises(DomainError):
+            solve_line(1, Coulomb(0.0), guess=[-1.0])
+        with pytest.raises(DomainError):
+            solve_line(2, JacobiCharges(1.0, 1.0), guess=[0.0, 1.5])
+        field, seen = backgrounds.kirchhoff_field, []
+        monkeypatch.setattr(backgrounds, "kirchhoff_field", lambda x, *args: seen.append(x) or field(x, *args))
+        # full steps from these guesses leave the domain
+        for bg, guess in ((Coulomb(1.0), [30.0, 31.0, 32.0, 60.0]),
+                          (JacobiCharges(2.0, 0.5), [-0.99, -0.98, 0.97, 0.999])):
+            seen.clear()
+            assert solve_line(4, bg, guess=guess).converged
+            lo, hi = bg.domain
+            assert all(np.all((lo < x) & (x < hi)) for x in seen)
 
     def test_custom_rational_solves(self):
         # two fixed unit charges at +/-2 plus a linear confinement
         bg = CustomRational(poles=(-2.0, 2.0), residues=(-1.0, -1.0), poly=(0.0, 1.0))
-        rep = solve(EquilibriumProblem(3, bg, guess=np.array([-1.0, 0.1, 1.0])))
+        rep = solve_line(3, bg, guess=np.array([-1.0, 0.1, 1.0]))
         assert rep.residual_inf < 1e-12 and rep.converged
 
     def test_residual_decreases_over_accepted_iterates(self):
@@ -149,10 +166,9 @@ class TestSolve:
             (Coulomb(1.0), [30.0, 31.0, 32.0, 60.0]),
             (JacobiCharges(2.0, 0.5), [-0.99, -0.98, 0.97, 0.999]),
         ):
-            problem = EquilibriumProblem(4, bg, guess=np.array(guess))
             res = []
             for k in range(40):
-                rep = solve(problem, max_iter=k)
+                rep = solve_line(4, bg, guess=guess, max_iter=k)
                 if rep.iterations < k:
                     break
                 res.append(rep.residual_inf)
@@ -162,7 +178,7 @@ class TestSolve:
     def test_jacobi_half_stops_on_stagnation(self):
         # max|R| stalls near 3e-10 above the 1e-12 tolerance: the solve must
         # stop there rather than run out max_iter
-        rep = solve(EquilibriumProblem(100, JacobiCharges(0.5, 0.5)), tolerance=1e-12)
+        rep = solve_line(100, JacobiCharges(0.5, 0.5))
         assert rep.iterations < 20
         ref = orthopoly.zeros(PolynomialSpec("jacobi", 100))
         assert np.abs(rep.positions - ref).max() <= 1e-14
@@ -170,20 +186,20 @@ class TestSolve:
 
 class TestCertify:
     def test_hermite_pair(self):
-        rep = solve(EquilibriumProblem(2, HermiteLinear()))
+        rep = solve_line(2, HermiteLinear())
         rep = certify(rep, PolynomialSpec("hermite", 2))
         assert rep.certified
         assert rep.max_zero_deviation < 1e-10
 
     def test_perturbed_positions_rejected(self):
-        rep = solve(EquilibriumProblem(2, HermiteLinear()))
+        rep = solve_line(2, HermiteLinear())
         from dataclasses import replace
 
         bad = replace(rep, positions=rep.positions + 0.1)
         assert not certify(bad, PolynomialSpec("hermite", 2)).certified
 
     def test_legendre_n3_closed_form(self):
-        rep = solve(EquilibriumProblem(3, JacobiCharges(0.5, 0.5)))
+        rep = solve_line(3, JacobiCharges(0.5, 0.5))
         rep = certify(rep, PolynomialSpec("jacobi", 3))
         assert rep.certified
         assert rep.positions == pytest.approx(
@@ -191,7 +207,7 @@ class TestCertify:
         )
 
     def test_family_mismatch(self):
-        rep = solve(EquilibriumProblem(3, HermiteLinear()))
+        rep = solve_line(3, HermiteLinear())
         with pytest.raises(ValueError):
             certify(rep, PolynomialSpec("hermite", 4))
 
@@ -199,13 +215,13 @@ class TestCertify:
         # A NaN must not reach the report as certified=False, max_zero_deviation=NaN.
         from dataclasses import replace
 
-        rep = solve(EquilibriumProblem(3, HermiteLinear()))
+        rep = solve_line(3, HermiteLinear())
         bad = replace(rep, positions=np.array([np.nan, 0.0, 1.0]))
         with pytest.raises(ValueError):
             certify(bad, PolynomialSpec("hermite", 3))
 
     def test_non_finite_reference_zeros_raise(self, monkeypatch):
-        rep = solve(EquilibriumProblem(3, HermiteLinear()))
+        rep = solve_line(3, HermiteLinear())
         monkeypatch.setattr(orthopoly, "zeros", lambda spec: np.full(spec.n, np.nan))
         with pytest.raises(ValueError):
             certify(rep, PolynomialSpec("hermite", 3))
@@ -224,7 +240,7 @@ class TestExport:
         return json.loads((tmp_path / "equilibrium.json").read_text())
 
     def test_json_report_fields(self, tmp_path):
-        rep = certify(solve(EquilibriumProblem(3, Coulomb(1.0))), PolynomialSpec("laguerre", 3, alpha=3.0))
+        rep = certify(solve_line(3, Coulomb(1.0)), PolynomialSpec("laguerre", 3, alpha=3.0))
         doc = self.report(tmp_path, Coulomb(1.0), 3, {"l": 1.0})
         assert doc["family"] == "Coulomb"
         assert doc["parameters"] == {"l": 1.0}
@@ -245,3 +261,13 @@ class TestExport:
     ])
     def test_json_parameters_per_family(self, tmp_path, bg, params):
         assert self.report(tmp_path, bg, 4, params)["parameters"] == params
+
+    @pytest.mark.parametrize("n, pole", [(1, 0.5), (3, 0.0), (5, 0.0)])
+    def test_guess_kept_off_a_custom_pole(self, tmp_path, n, pole):
+        # the Chebyshev guess sat on the pole (n = 1: exit 4, "collision") or 6e-17 from it (odd n:
+        # exit 3, residual 6.7e15); a point within half the guess spacing of it now starts outside that band
+        params = {"poles": [pole], "residues": [-1.0], "poly": [0.0, 1.0]}
+        doc = self.report(tmp_path, CustomRational((pole,), (-1.0,), (0.0, 1.0)), n, params)
+        assert doc["converged"] and doc["iterations"] <= 8
+        if n == 1:  # x - 1/(x - 1/2) = 0
+            assert doc["positions"] == pytest.approx([0.25 + np.sqrt(17.0) / 4.0], abs=1e-14)

@@ -22,11 +22,9 @@ from .vortex import (
     poisson_bracket,
     integrate,
 )
-from .stieltjes import EquilibriumReport, residual, certify
 from .landau import (
     LaughlinParams,
     log_laughlin,
-    laughlin_stationarity_residual,
     ladder_apply,
 )
 from .paraxial import (

@@ -17,14 +17,14 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import orthopoly, stieltjes
+from . import orthopoly
 from .backgrounds import (
-    NoFlow, HermiteLinear, Coulomb, JacobiCharges, ConjugateLinear, CustomRational, default_guess, ring_guess,
-    stationary,
+    NoFlow, HermiteLinear, Coulomb, JacobiCharges, ConjugateLinear, CustomRational, CollisionError, default_guess,
+    ring_guess, stationary,
 )
 from .landau import LaughlinParams
 from .paraxial import AliasingWarning, _slices, find_vortices, lg_mode, save_field
-from .vortex import CollisionError, StepLimitError, VortexConfiguration, integrate
+from .vortex import StepLimitError, VortexConfiguration, integrate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -94,10 +94,14 @@ _DEFAULTS = {
 
 def _load_params(command, args):
     params = dict(_DEFAULTS[command])
+    if args.tol is not None and "tol" not in params:
+        raise ConfigError(f"{command} has no tolerance: --tol does not apply")
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
-        section = doc.get(command, {})
+        section = doc.get(command, {}) if isinstance(doc, dict) else None
+        if not isinstance(section, dict):
+            raise ConfigError(f"the config and its {command} section must be JSON objects")
         _refuse_unknown(command, section, params)
         params.update(section)
     for key, value in vars(args).items():
@@ -182,15 +186,17 @@ def cmd_equilibrium(args):
     # default_guess refuses the fields that have no equilibrium on the line (exit 2)
     result = stationary(default_guess(n, bg), -1.0, bg, params["tol"], params["max_iter"])
     spec = bg.polynomial_spec(n)
+    certificate = {}
     if result.converged and spec is not None:
-        result = stieltjes.certify(result, spec)
+        certified, deviation = orthopoly.certify(result.positions, spec)
+        certificate = {"certified": certified, "max_zero_deviation": deviation}
     # the constructor arguments: l, p and q, or a custom field's poles, residues and poly
     parameters = {f.name: getattr(bg, f.name) for f in fields(bg) if f.init}
-    _write_report(args, params, result, family=type(bg).__name__, parameters=parameters, n=n)
+    _write_report(args, params, result, family=type(bg).__name__, parameters=parameters, n=n, **certificate)
     if not result.converged:
         _say(args, f"non-convergence: residual {result.residual_inf:.3e}")
         return EXIT_NONCONVERGENCE
-    certified = getattr(result, "certified", None)
+    certified = certificate.get("certified")
     _say(args, f"residual_inf {result.residual_inf:.3e}  certified {certified}")
     return EXIT_NONCONVERGENCE if certified is False else EXIT_OK
 

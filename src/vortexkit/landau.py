@@ -1,11 +1,11 @@
 """Laughlin wavefunction, planar equilibria, Landau-level operators.
 
 Stationarity of the log-Laughlin wavefunction reads, per particle j,
-S_j = m * sum_{i != j} 1/(z_j - z_i) - conj(z_j)/(4 l_B^2) = 0: the Kirchhoff
-field of vortices of strength kappa = m in the background ConjugateLinear(omega),
-omega = 1/(4 l_B^2), computed as such, and solved as such by `backgrounds.stationary`
-from the ring guess `backgrounds.ring_guess`: S depends on conj(z), so each Newton step
-is an LU solve in 2N real variables.  The symmetric pair solves in closed form at
+S_j = m * sum_{i != j} 1/(z_j - z_i) - conj(z_j)/(4 l_B^2) = 0: S is the Kirchhoff
+field `backgrounds.kirchhoff_field(z, m, ConjugateLinear(omega))`, omega = 1/(4 l_B^2),
+and is solved as such by `backgrounds.stationary` from the ring guess
+`backgrounds.ring_guess`: S depends on conj(z), so each Newton step is an LU solve in
+2N real variables.  The symmetric pair solves in closed form at
 radius l_B * sqrt(2 m).
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import ConjugateLinear, kirchhoff_field, min_separation, pair_sum
+from .backgrounds import min_separation, pair_sum
 from .paraxial import BeamField
 
 
@@ -57,18 +57,6 @@ def log_laughlin(z, params: LaughlinParams) -> complex:
     return complex(pairs - np.sum(np.abs(z) ** 2) / (4.0 * params.l_B**2))
 
 
-def laughlin_stationarity_residual(z, params: LaughlinParams) -> np.ndarray:
-    """S_j = m sum_{i != j} 1/(z_j - z_i) - conj(z_j)/(4 l_B^2).
-
-    The conjugate-transpose equation (adiabatic transport of the conjugate
-    coordinates) is exactly conj(S_j) evaluated on the conjugated
-    configuration; use np.conj rather than a second evaluator.  Coincident
-    particles raise CollisionError, a ValueError.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return kirchhoff_field(z, params.m_exp, ConjugateLinear(params.omega))
-
-
 def ladder_apply(field: BeamField, which: str, l_B: float) -> BeamField:
     """Apply the lowering/raising operator on a grid by centered differences.
 
@@ -78,8 +66,6 @@ def ladder_apply(field: BeamField, which: str, l_B: float) -> BeamField:
     if which not in ("lower", "raise"):
         raise ValueError(f"which must be 'lower' or 'raise', got {which!r}")
     u = field.amplitude
-    if u.shape[0] < 3 or u.shape[1] < 3:
-        raise ValueError("grid too small for centered differences (< 3 per axis)")
     ux = np.gradient(u, field.dx, axis=1)
     uy = np.gradient(u, field.dy, axis=0)
     xg, yg = field.grid()

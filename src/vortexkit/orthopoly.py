@@ -8,6 +8,8 @@ and are not exposed.
 One evaluator, `_eval_all`, gives p, p', p'' divided by 2^e and the exponent e,
 so nothing overflows at any degree.  Its two users, the zeros polish and the
 relative ODE residual, are ratios, so they use the scaled values as they are.
+`certify` checks points, such as the stationary vortices on a line, against the
+zeros and the relative ODE residual.
 """
 
 from dataclasses import dataclass
@@ -175,3 +177,18 @@ def ode_residual_relative(spec: PolynomialSpec, x):
     scale = sum(b * abs(f) for (_, b), f in pairs)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(scale == 0.0, 0.0, terms / scale)[()]
+
+
+def certify(x, spec: PolynomialSpec):
+    """(certified, max_zero_deviation) of the points x against the zeros of spec: certified when
+    the sorted points are within 1e-10 of the zeros and the relative ODE residual is at most 1e-8
+    at each point.  A degree mismatch, or a non-finite point or zero, raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    if spec.n != x.size:
+        raise ValueError(f"spec degree {spec.n} does not match {x.size} positions")
+    ref = zeros(spec)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(ref))):
+        raise ValueError("cannot certify non-finite positions or reference zeros")
+    dev = float(np.abs(np.sort(x) - ref).max())
+    ode_ok = np.all(np.abs(ode_residual_relative(spec, x)) <= 1e-8)
+    return bool(dev <= 1e-10 and ode_ok), dev

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import (  # DomainError is re-exported
-    CollisionError, CustomRational, DomainError, NoFlow, kirchhoff_energy, kirchhoff_field, min_separation,
-)
+from .backgrounds import CollisionError, CustomRational, NoFlow, kirchhoff_energy, kirchhoff_field, min_separation
 
 
 class StepLimitError(RuntimeError):

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import vortexkit
-from vortexkit import backgrounds, orthopoly, stieltjes, vortex
+from vortexkit import backgrounds, cli, orthopoly, vortex
 from vortexkit.backgrounds import (
     _BLOCK, CollisionError, ConjugateLinear, Coulomb, CustomRational, DomainError, HermiteLinear, JacobiCharges, NoFlow,
     default_guess, kirchhoff_energy, kirchhoff_field, kirchhoff_jacobian, log_abs, min_separation, newton,
     pair_jacobian, pair_sum, stationary,
 )
-from vortexkit.landau import LaughlinParams, laughlin_stationarity_residual
+from vortexkit.landau import LaughlinParams
 from vortexkit.vortex import VortexConfiguration, conserved, rhs
 
 SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
@@ -73,7 +73,7 @@ def test_real_line_residual_matches_loop(n):
     ref, scale = loop_pair_sum(x, np.ones(n), lambda d: 1.0 / d)
     assert_sums_match(pair_sum(x), ref, scale)
     w = np.real(bg.w(x))
-    assert_sums_match(stieltjes.residual(x, bg), ref - w, scale + np.abs(w))
+    assert_sums_match(-kirchhoff_field(x, -1.0, bg), ref - w, scale + np.abs(w))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -460,11 +460,8 @@ class TestWhereTheFieldIsDefined:
 
     @staticmethod
     def entry_points():
-        laughlin = LaughlinParams(3)
         return {
             "velocity": lambda z, bg: vortex._velocity(np.asarray(z, dtype=complex), 1.0, bg, 1e-12),
-            "stieltjes": lambda z, bg: stieltjes.residual(z, bg),
-            "laughlin": lambda z, bg: laughlin_stationarity_residual(z, laughlin),
             "stationary_line": lambda z, bg: stationary(np.asarray(z, dtype=float), -1.0, bg, 1e-12, 200),
             "stationary_plane": lambda z, bg: stationary(np.asarray(z, dtype=complex), 3.0, ConjugateLinear(),
                                                          1e-10, 200),
@@ -472,10 +469,10 @@ class TestWhereTheFieldIsDefined:
 
     def test_exception_hierarchy(self):
         assert issubclass(CollisionError, DomainError) and issubclass(DomainError, ValueError)
-        assert vortex.CollisionError is stieltjes.CollisionError is vortexkit.CollisionError is CollisionError
-        assert vortex.DomainError is stieltjes.DomainError is vortexkit.DomainError is DomainError
+        assert vortex.CollisionError is cli.CollisionError is vortexkit.CollisionError is CollisionError
+        assert vortexkit.DomainError is DomainError
 
-    @pytest.mark.parametrize("name", ["velocity", "stieltjes", "laughlin", "stationary_line", "stationary_plane"])
+    @pytest.mark.parametrize("name", ["velocity", "stationary_line", "stationary_plane"])
     def test_coincident_pair_raises_before_dividing(self, name):
         call = self.entry_points()[name]
         bg = HermiteLinear()
@@ -486,7 +483,7 @@ class TestWhereTheFieldIsDefined:
             with np.errstate(all="raise"), pytest.raises(CollisionError):
                 call(x, bg)
 
-    @pytest.mark.parametrize("name", ["velocity", "stieltjes", "stationary_line"])
+    @pytest.mark.parametrize("name", ["velocity", "stationary_line"])
     def test_point_on_a_pole_raises_before_dividing(self, name):
         bg = CustomRational(poles=(0.5,), residues=(-1.0,), poly=(0.0, 1.0))
         with np.errstate(all="raise"), pytest.raises(CollisionError, match="pole"):
@@ -525,9 +522,10 @@ class TestWhereTheFieldIsDefined:
         monkeypatch.setattr(backgrounds, "_row_blocks", lambda *a, **k: passes.append(1) or blocks(*a, **k))
         z = np.exp(2j * np.pi * np.arange(5) / 5)
         cfg = VortexConfiguration(z, np.ones(5))
+        laughlin = LaughlinParams(5)
         for call in (lambda: rhs(cfg, Coulomb(1.0)),
-                     lambda: laughlin_stationarity_residual(z, LaughlinParams(5)),
-                     lambda: stieltjes.residual(np.arange(1.0, 6.0), Coulomb(1.0))):
+                     lambda: kirchhoff_field(z, laughlin.m_exp, ConjugateLinear(laughlin.omega)),
+                     lambda: kirchhoff_field(np.arange(1.0, 6.0), -1.0, Coulomb(1.0))):
             passes.clear()
             call()
             assert len(passes) == 1

@@ -86,6 +86,25 @@ class TestParameterTable:
         assert key in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("argv", [["simulate"], ["beam", "--slices", "1"]], ids=["simulate", "beam"])
+    def test_tol_without_a_tolerance_exit_2(self, tmp_path, capsys, argv):
+        # simulate and beam have no tol; the flag used to be ignored, and the run exited 0
+        assert run(["--out", str(tmp_path), "--tol", "5"] + argv) == 2
+        assert "invalid input" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert run(["--quiet", "--out", str(tmp_path), "--tol", "1e-8", "zeros"]) == 0
+
+    @pytest.mark.parametrize("doc", [[1, 2], "x", {"simulate": 5}, {"simulate": [1]}, {"simulate": None}],
+                             ids=["list", "string", "number_section", "list_section", "null_section"])
+    def test_config_that_is_not_an_object_exit_2(self, tmp_path, capsys, doc):
+        # a list or a string died with AttributeError, a number or null section with TypeError, each exit 1;
+        # a list section was refused only by accident, as "unknown config keys [1]"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        assert run(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 2
+        assert "must be JSON objects" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_integral_nested_values_run_as_floats(self, tmp_path):
         outs = []
         for tag, pair, l in (("int", [[1, 0], [-1, 0]], 1), ("float", [[1.0, 0.0], [-1.0, 0.0]], 1.0)):

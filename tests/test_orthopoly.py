@@ -1,5 +1,6 @@
 """Orthogonal polynomial oracle tests."""
 
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.special import roots_genlaguerre, roots_hermite, roots_jacobi
 
 from vortexkit import orthopoly
-from vortexkit.orthopoly import PolynomialSpec, ode_residual_relative, recurrence, zeros
+from vortexkit.orthopoly import PolynomialSpec, certify, ode_residual_relative, recurrence, zeros
 
 
 def monic_recurrence_from_moments(moments, n):
@@ -281,6 +282,27 @@ class TestOdeResidual:
                 if spec.family == "laguerre":
                     x = abs(x) * 10 + 0.1
                 assert abs(ode_residual_relative(spec, x)) < 1e-10
+
+
+class TestCertify:
+    """The rule: the sorted points within 1e-10 of the zeros, and a relative ODE residual of at most 1e-8."""
+
+    def test_zero_deviation_bound(self):
+        spec = PolynomialSpec("hermite", 3)
+        ref = zeros(spec)
+        certified, deviation = certify(ref[::-1] + 0.9e-10, spec)  # compared sorted
+        assert certified and deviation == pytest.approx(0.9e-10, rel=1e-5)
+        certified, deviation = certify(ref + 1.1e-10, spec)
+        assert not certified and deviation == pytest.approx(1.1e-10, rel=1e-5)
+
+    @pytest.mark.parametrize("residual, certified", [(1e-8, True), (-1e-8, True), (1.01e-8, False), (np.nan, False)])
+    def test_ode_residual_bound(self, monkeypatch, residual, certified):
+        spec = PolynomialSpec("laguerre", 4, alpha=3.0)
+        monkeypatch.setattr(orthopoly, "ode_residual_relative", lambda spec, x: np.full(x.size, residual))
+        assert certify(zeros(spec), spec) == (certified, 0.0)
+
+    def test_no_tolerance_parameter(self):
+        assert list(inspect.signature(certify).parameters) == ["x", "spec"]
 
 
 def test_zeros_calls_the_module_eigensolver_once(monkeypatch):

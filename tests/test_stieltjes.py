@@ -7,11 +7,10 @@ import pytest
 
 from vortexkit import backgrounds, cli, orthopoly
 from vortexkit.backgrounds import (
-    Coulomb, CustomRational, HermiteLinear, JacobiCharges, default_guess, kirchhoff_energy, kirchhoff_jacobian,
-    stationary,
+    CollisionError, Coulomb, CustomRational, DomainError, HermiteLinear, JacobiCharges, default_guess,
+    kirchhoff_energy, kirchhoff_field, kirchhoff_jacobian, stationary,
 )
-from vortexkit.orthopoly import PolynomialSpec
-from vortexkit.stieltjes import CollisionError, DomainError, certify, residual
+from vortexkit.orthopoly import PolynomialSpec, certify
 
 
 def solve_line(n, bg, guess=None, tol=1e-12, max_iter=200):
@@ -21,22 +20,24 @@ def solve_line(n, bg, guess=None, tol=1e-12, max_iter=200):
 
 
 class TestResidual:
+    """The residual R_k = sum_{j != k} 1/(x_k - x_j) - w(x_k) is -F, F the Kirchhoff field of strengths -1."""
+
     def test_hermite_pair_equilibrium(self):
         a = 1 / np.sqrt(2)
-        r = residual(np.array([-a, a]), HermiteLinear())
+        r = -kirchhoff_field(np.array([-a, a]), -1.0, HermiteLinear())
         assert r == pytest.approx([0.0, 0.0], abs=1e-14)
 
     def test_coulomb_single(self):
-        assert residual(np.array([2.0]), Coulomb(0.0)) == pytest.approx([0.0])
+        assert -kirchhoff_field(np.array([2.0]), -1.0, Coulomb(0.0)) == pytest.approx([0.0])
 
     def test_legendre_single(self):
-        assert residual(np.array([0.0]), JacobiCharges(0.5, 0.5)) == pytest.approx([0.0])
+        assert -kirchhoff_field(np.array([0.0]), -1.0, JacobiCharges(0.5, 0.5)) == pytest.approx([0.0])
 
     def test_coincident_points(self):
         # unsorted, the repeated pair not adjacent; -0.0 and 0.0 coincide too
         for x in ([0.3, -1.0, 0.7, 0.3], [0.0, 2.0, -0.0]):
             with pytest.raises(DomainError):
-                residual(np.array(x), HermiteLinear())
+                kirchhoff_field(np.array(x), -1.0, HermiteLinear())
 
 
 def jacobian(x, bg):
@@ -72,7 +73,7 @@ class TestJacobian:
                 xp, xm = x.copy(), x.copy()
                 xp[m] += h
                 xm[m] -= h
-                fd = (residual(xm, bg) - residual(xp, bg)) / (2 * h)  # of F = -R
+                fd = (kirchhoff_field(xp, -1.0, bg) - kirchhoff_field(xm, -1.0, bg)) / (2 * h)
                 assert j[:, m] == pytest.approx(fd, abs=1e-5)
 
 
@@ -92,7 +93,7 @@ class TestEnergy:
             xm[m] -= h
             # the electrostatic energy is -E at kappa = -1
             grad[m] = (kirchhoff_energy(xm, -1.0, bg) - kirchhoff_energy(xp, -1.0, bg)) / (2 * h)
-        assert grad == pytest.approx(-residual(x, bg), abs=1e-6)
+        assert grad == pytest.approx(kirchhoff_field(x, -1.0, bg), abs=1e-6)  # -R = F
 
 
 class TestSolve:
@@ -185,23 +186,21 @@ class TestSolve:
 
 
 class TestCertify:
+    """`orthopoly.certify` on the line solves; its rule alone is tested in test_orthopoly."""
+
     def test_hermite_pair(self):
         rep = solve_line(2, HermiteLinear())
-        rep = certify(rep, PolynomialSpec("hermite", 2))
-        assert rep.certified
-        assert rep.max_zero_deviation < 1e-10
+        certified, deviation = certify(rep.positions, PolynomialSpec("hermite", 2))
+        assert certified
+        assert deviation < 1e-10
 
     def test_perturbed_positions_rejected(self):
         rep = solve_line(2, HermiteLinear())
-        from dataclasses import replace
-
-        bad = replace(rep, positions=rep.positions + 0.1)
-        assert not certify(bad, PolynomialSpec("hermite", 2)).certified
+        assert not certify(rep.positions + 0.1, PolynomialSpec("hermite", 2))[0]
 
     def test_legendre_n3_closed_form(self):
         rep = solve_line(3, JacobiCharges(0.5, 0.5))
-        rep = certify(rep, PolynomialSpec("jacobi", 3))
-        assert rep.certified
+        assert certify(rep.positions, PolynomialSpec("jacobi", 3))[0]
         assert rep.positions == pytest.approx(
             [-np.sqrt(0.6), 0.0, np.sqrt(0.6)], abs=1e-10
         )
@@ -209,22 +208,18 @@ class TestCertify:
     def test_family_mismatch(self):
         rep = solve_line(3, HermiteLinear())
         with pytest.raises(ValueError):
-            certify(rep, PolynomialSpec("hermite", 4))
+            certify(rep.positions, PolynomialSpec("hermite", 4))
 
     def test_non_finite_positions_raise(self):
         # A NaN must not reach the report as certified=False, max_zero_deviation=NaN.
-        from dataclasses import replace
-
-        rep = solve_line(3, HermiteLinear())
-        bad = replace(rep, positions=np.array([np.nan, 0.0, 1.0]))
         with pytest.raises(ValueError):
-            certify(bad, PolynomialSpec("hermite", 3))
+            certify(np.array([np.nan, 0.0, 1.0]), PolynomialSpec("hermite", 3))
 
     def test_non_finite_reference_zeros_raise(self, monkeypatch):
         rep = solve_line(3, HermiteLinear())
         monkeypatch.setattr(orthopoly, "zeros", lambda spec: np.full(spec.n, np.nan))
         with pytest.raises(ValueError):
-            certify(rep, PolynomialSpec("hermite", 3))
+            certify(rep.positions, PolynomialSpec("hermite", 3))
 
 
 class TestExport:
@@ -240,7 +235,8 @@ class TestExport:
         return json.loads((tmp_path / "equilibrium.json").read_text())
 
     def test_json_report_fields(self, tmp_path):
-        rep = certify(solve_line(3, Coulomb(1.0)), PolynomialSpec("laguerre", 3, alpha=3.0))
+        rep = solve_line(3, Coulomb(1.0))
+        certified, deviation = certify(rep.positions, PolynomialSpec("laguerre", 3, alpha=3.0))
         doc = self.report(tmp_path, Coulomb(1.0), 3, {"l": 1.0})
         assert doc["family"] == "Coulomb"
         assert doc["parameters"] == {"l": 1.0}
@@ -248,8 +244,9 @@ class TestExport:
         assert doc["certified"] is True
         assert len(doc["positions"]) == 3
         assert {"residual_inf", "iterations", "max_zero_deviation"} <= set(doc)
-        # the record's fields, value for value; the solver is not named
+        # the record's fields and the certificate, value for value; the solver is not named
         assert doc == {"family": "Coulomb", "parameters": {"l": 1.0}, "n": 3, **vars(rep),
+                       "certified": certified, "max_zero_deviation": deviation,
                        "positions": rep.positions.tolist()}
         assert rep.converged and "method" not in doc
 

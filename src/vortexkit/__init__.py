@@ -15,7 +15,6 @@ from .backgrounds import (
 )
 from .vortex import (
     VortexConfiguration,
-    ConservedSet,
     rhs,
     hamiltonian_rhs,
     conserved,

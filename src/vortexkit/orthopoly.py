@@ -13,7 +13,6 @@ zeros and the relative ODE residual.
 """
 
 from dataclasses import dataclass
-from math import gamma, sqrt, pi
 
 import numpy as np
 
@@ -24,10 +23,6 @@ JACOBI = "jacobi"
 _FAMILIES = (HERMITE, LAGUERRE, JACOBI)
 _POLISH_STEPS = 2
 _RESCALE = 16
-
-
-class EigensolveError(RuntimeError):
-    """Tridiagonal eigensolver failed to converge."""
 
 
 def eigh_tridiagonal(d, e, **kwargs):
@@ -66,7 +61,7 @@ class PolynomialSpec:
 class RecurrenceCoefficients:
     """Monic three-term recurrence p_{k+1} = (x - a_k) p_k - b_k p_{k-1}.
 
-    b[0] stores the total mass of the weight; b[k] > 0 for k >= 1.
+    b[0] = 0, so the recurrence starts from p_0 = 1 alone; b[k] > 0 for k >= 1.
     """
 
     a: np.ndarray
@@ -80,19 +75,16 @@ def recurrence(spec: PolynomialSpec) -> RecurrenceCoefficients:
     if spec.family == HERMITE:
         a = np.zeros(n)
         b = k / 2.0
-        b[0] = sqrt(pi)
     elif spec.family == LAGUERRE:
         al = spec.alpha
         a = 2.0 * k + al + 1.0
         b = k * (k + al)
-        b[0] = gamma(al + 1.0)
     else:
         al, be = spec.alpha, spec.beta
         s = al + be
         a = np.empty(n)
-        b = np.empty(n)
+        b = np.zeros(n)
         a[0] = (be - al) / (s + 2.0)
-        b[0] = 2.0 ** (s + 1.0) * gamma(al + 1.0) * gamma(be + 1.0) / gamma(s + 2.0)
         if n > 1:
             # k = 1 written with the (1 + s) factor cancelled, valid for s -> -1
             b[1] = 4.0 * (1.0 + al) * (1.0 + be) / ((2.0 + s) ** 2 * (3.0 + s))
@@ -115,8 +107,7 @@ def _eval_all(rec: RecurrenceCoefficients, n: int, x):
     """
     p_prev, p, d_prev, d, s_prev, s, e = 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0
     for k in range(n):
-        t = x - rec.a[k]
-        bk = rec.b[k] if k >= 1 else 0.0
+        t, bk = x - rec.a[k], rec.b[k]
         p_next = t * p - bk * p_prev
         d_next = t * d + p - bk * d_prev
         s_next = t * s + 2.0 * d - bk * s_prev
@@ -137,13 +128,11 @@ def zeros(spec: PolynomialSpec) -> np.ndarray:
     Eigenvalues of the symmetric tridiagonal (Jacobi) matrix built from the
     recurrence, followed by _POLISH_STEPS Newton steps p/d with the rescaled
     recurrence, which stays finite at every degree.  A step that is still not
-    finite (d = 0) is skipped and the eigenvalue kept.
+    finite (d = 0) is skipped and the eigenvalue kept.  A failed eigensolve raises
+    its LinAlgError.
     """
     rec = recurrence(spec)
-    try:
-        x = eigh_tridiagonal(rec.a, np.sqrt(rec.b[1:]), eigvals_only=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigensolveError(f"tridiagonal eigensolve failed for {spec}") from exc
+    x = eigh_tridiagonal(rec.a, np.sqrt(rec.b[1:]), eigvals_only=True)
     for _ in range(_POLISH_STEPS):
         p, d, _, _ = _eval_all(rec, spec.n, x)
         with np.errstate(all="ignore"):

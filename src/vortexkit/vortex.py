@@ -8,9 +8,10 @@ adaptive embedded Runge-Kutta with step rejection, driven by one Dormand-Prince
 are the extra stages of its 7th-order dense output _D, and the error rows _E5
 and _E3); samples come from step ends and from the dense output, so steps are
 never cut at sample times.  Linear impulse Q+iP, angular impulse I and the
-interaction energy H (the Kirchhoff energy with NoFlow) are monitored as
-integration-quality diagnostics, and velocity evaluations, accepted and
-rejected steps are counted.
+interaction energy H (the Kirchhoff energy with NoFlow), the rows of `conserved`,
+are monitored as integration-quality diagnostics, and velocity evaluations,
+accepted and rejected steps are counted.  Samples are rows of arrays; the one
+VortexConfiguration of a run is its validated input.
 """
 
 import csv
@@ -56,24 +57,6 @@ class VortexConfiguration:
         return self.z.size
 
 
-@dataclass(frozen=True)
-class ConservedSet:
-    """Linear impulse Q+iP, angular impulse I, interaction energy H."""
-
-    linear_impulse: complex
-    angular_impulse: float
-    interaction_energy: float
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    """Max absolute deviations of Q+iP, I, H over a completed run."""
-
-    linear: float
-    angular: float
-    energy: float
-
-
 def _check_separation(z, bg, eps):
     """The oracles' collision check, the same rule as kirchhoff_field's but not its code."""
     for d in [min_separation(z)] + [np.abs(z - pole).min() for pole in bg.poles]:
@@ -90,13 +73,12 @@ def rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -> np.ndarray
     return _velocity(cfg.z, cfg.kappa, bg, eps)
 
 
-def _conserved(z, kappa):
-    h = kirchhoff_energy(z, kappa, NoFlow())
-    return ConservedSet(complex((kappa * z).sum()), float((kappa * np.abs(z) ** 2).sum()), h)
-
-
-def conserved(cfg: VortexConfiguration) -> ConservedSet:
-    return _conserved(cfg.z, cfg.kappa)
+def conserved(z, kappa) -> np.ndarray:
+    """The invariants [Q, P, I, H] of positions z: Q+iP = sum kappa z, I = sum kappa |z|^2 and H,
+    the Kirchhoff energy with NoFlow.  An overflow gives inf or NaN, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (kappa * z).sum()
+        return np.array([q.real, q.imag, (kappa * np.abs(z) ** 2).sum(), kirchhoff_energy(z, kappa, NoFlow())])
 
 
 def hamiltonian_rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -> np.ndarray:
@@ -242,33 +224,28 @@ _D[:, [0, *range(5, 16)]] = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled configurations, invariant-drift diagnostics and the integrator's work counters:
-    velocity evaluations, accepted steps and rejected steps."""
+    """Samples as rows: their times (m,), positions (m, n) and invariants (m, 4), the rows
+    [Q, P, I, H] of `conserved`; drift, the max over accepted steps of |d(Q+iP)|, |dI| and |dH|
+    from the start; and the integrator's work counters: velocity evaluations, accepted steps and
+    rejected steps."""
 
-    configurations: list
-    drift: DriftReport
+    times: np.ndarray
+    positions: np.ndarray
+    invariants: np.ndarray
+    drift: np.ndarray
     evaluations: int
     accepted: int
     rejected: int
 
     def to_csv(self, path):
         """Columns t, x_1, y_1, ..., x_n, y_n, Q, P, I, H with a header row."""
-        n = self.configurations[0].n
-        header = ["t"]
-        for i in range(1, n + 1):
-            header += [f"x_{i}", f"y_{i}"]
-        header += ["Q", "P", "I", "H"]
+        n = self.positions.shape[1]
+        header = ["t", *(f"{c}_{i}" for i in range(1, n + 1) for c in "xy"), "Q", "P", "I", "H"]
+        rows = np.column_stack([self.times, self.positions.view(float), self.invariants])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for cfg in self.configurations:
-                c = conserved(cfg)
-                row = [cfg.t]
-                for zi in cfg.z:
-                    row += [zi.real, zi.imag]
-                row += [c.linear_impulse.real, c.linear_impulse.imag,
-                        c.angular_impulse, c.interaction_energy]
-                writer.writerow(["%.17g" % v for v in row])
+            writer.writerows(["%.17g" % v for v in row] for row in rows)
 
 
 def _interpolate(f, x):
@@ -305,8 +282,9 @@ def integrate(
     Steps are not cut at sample times: a sample at the start is the input positions, one at a step's
     end is that step's result, and the samples strictly inside an accepted step come from its
     7th-order interpolant, which costs three more velocity evaluations (rows 13-15 of _A) once per
-    such step.  The last step ends on t_end exactly.  Drift is the max deviation of Q+iP, I, H over
-    all accepted steps.
+    such step.  The last step ends on t_end exactly.  `conserved` is evaluated once per accepted step,
+    whose samples at its end share the result, and once per interpolated sample.  A non-finite
+    invariant makes the drift NaN.
     """
     t0 = cfg.t
     if not (np.isfinite(t_end) and t_end > t0):
@@ -321,10 +299,12 @@ def integrate(
         raise ValueError("sample times must be given and lie in [t, t_end]")
 
     kappa = cfg.kappa
-    c0 = conserved(cfg)
-    drift_lin = drift_ang = drift_en = 0.0
+    c0 = conserved(cfg.z, kappa)
+    drift = np.zeros(3)
+    positions = np.empty((sample_times.size, cfg.n), dtype=complex)
+    invariants = np.empty((sample_times.size, 4))
     si = np.searchsorted(sample_times, t0, side="right")
-    samples = [VortexConfiguration(cfg.z.copy(), kappa, ts) for ts in sample_times[:si]]
+    positions[:si], invariants[:si] = cfg.z, c0
     t, z = t0, cfg.z
     a = _A.astype(complex)  # the stages' products then cast no row
     k = np.empty((16, z.size), dtype=complex)
@@ -358,15 +338,16 @@ def integrate(
             evaluations += 3
             dz = z_new - z
             f = [dz, h * k[0] - dz, 2.0 * dz - h * (k[12] + k[0]), *(h * (_D @ k))]
-            samples += [VortexConfiguration(z + _interpolate(f, (ts - t) / h), kappa, ts)
-                        for ts in sample_times[si:inside]]
+            for i in range(si, inside):
+                positions[i] = z + _interpolate(f, (sample_times[i] - t) / h)
+                invariants[i] = conserved(positions[i], kappa)
         t, z = t_new, z_new
         k[0] = k[12]
         si = np.searchsorted(sample_times, t, side="right")
-        samples += [VortexConfiguration(z, kappa, ts) for ts in sample_times[inside:si]]
-        c = _conserved(z, kappa)
-        drift_lin = max(drift_lin, abs(c.linear_impulse - c0.linear_impulse))
-        drift_ang = max(drift_ang, abs(c.angular_impulse - c0.angular_impulse))
-        drift_en = max(drift_en, abs(c.interaction_energy - c0.interaction_energy))
+        c = conserved(z, kappa)
+        positions[inside:si], invariants[inside:si] = z, c
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN drift, which no bound passes
+            d = np.abs(c - c0)
+        drift = np.maximum(drift, [np.hypot(d[0], d[1]), d[2], d[3]])
         dt = h * min(10.0, max(0.2, 0.9 * err ** -0.125)) if err > 0 else 10.0 * h
-    return Trajectory(samples, DriftReport(drift_lin, drift_ang, drift_en), evaluations, accepted, rejected)
+    return Trajectory(sample_times, positions, invariants, drift, evaluations, accepted, rejected)

@@ -149,6 +149,21 @@ class TestZeros:
         monkeypatch.setattr(orthopoly, "ode_residual_relative", lambda spec, x: x * np.nan)
         assert run(["--out", str(tmp_path), "zeros", "--n", "5"]) == 3
 
+    def test_large_weight_parameter_ok(self, tmp_path, capsys):
+        # the weight's total mass gamma(201), which nothing read, overflowed here
+        assert run(["--out", str(tmp_path), "zeros", "--family", "laguerre", "--alpha", "200", "--n", "3"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 4 and "nan" not in out.lower()
+
+    @pytest.mark.parametrize("command", ["zeros", "equilibrium"])
+    def test_failed_eigensolve_exit_3(self, tmp_path, monkeypatch, capsys, command):
+        def failing(d, e, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(orthopoly, "eigh_tridiagonal", failing)
+        assert run(["--out", str(tmp_path), command]) == 3
+        assert "non-convergence: eigenvalues did not converge" in capsys.readouterr().err
+
     def test_large_n_residuals_finite(self, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "zeros", "--family", "hermite", "--n", "300"]) == 0
         out = capsys.readouterr().out
@@ -172,6 +187,15 @@ class TestEquilibrium:
         assert run(["--out", str(tmp_path), "equilibrium"] + argv) == 0
         doc = json.loads((tmp_path / "equilibrium.json").read_text())
         assert doc["certified"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "coulomb", "--l", "100", "--n", "3"],
+        ["--family", "jacobi", "--p", "100", "--q", "100", "--n", "3"],
+    ], ids=["coulomb_l100", "jacobi_p100_q100"])
+    def test_large_weight_parameter_certified(self, tmp_path, argv):
+        # gamma(l + 2) and gamma(p + q + 2) overflowed in the recurrence the certificate uses
+        assert run(["--out", str(tmp_path), "equilibrium"] + argv) == 0
+        assert json.loads((tmp_path / "equilibrium.json").read_text())["certified"] is True
 
     def test_coulomb_and_jacobi(self, tmp_path):
         assert run(["--out", str(tmp_path), "equilibrium", "--family", "coulomb",
@@ -279,6 +303,14 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
         csv_bytes = [(tmp_path / tag / "trajectory.csv").read_bytes() for tag in ("loud", "quiet")]
         assert csv_bytes[0] == csv_bytes[1]
+
+    def test_non_finite_invariant_exit_3(self, tmp_path, capsys):
+        # I = sum kappa |z|^2 overflows to inf at every sample: the drift is NaN, which no bound passes
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"simulate": {"positions": [[1e160, 0.0], [-1e160, 0.0]]}}))
+        assert run(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 3
+        line = capsys.readouterr().out
+        assert line.startswith("drift |dQ| 0.000e+00  |dI| nan  |dH| 0.000e+00  ")
 
     def test_collision_exit_4(self, tmp_path):
         config = tmp_path / "cfg.json"

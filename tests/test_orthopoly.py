@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import roots_genlaguerre, roots_hermite, roots_jacobi
 
 from vortexkit import orthopoly
@@ -14,7 +15,7 @@ from vortexkit.orthopoly import PolynomialSpec, certify, ode_residual_relative, 
 def monic_recurrence_from_moments(moments, n):
     """Exact monic recurrence from raw moments via Gram-Schmidt over Fractions.
 
-    a_k = <x p_k, p_k>/<p_k, p_k>, b_k = <p_k, p_k>/<p_{k-1}, p_{k-1}>, b_0 = m_0.
+    a_k = <x p_k, p_k>/<p_k, p_k>, b_k = <p_k, p_k>/<p_{k-1}, p_{k-1}>, b_0 = 0 (there is no p_{-1}).
     """
 
     def inner(pc, qc):
@@ -26,7 +27,7 @@ def monic_recurrence_from_moments(moments, n):
         return [Fraction(0)] + list(pc)
 
     polys = [[Fraction(1)]]
-    a, b = [], [moments[0]]
+    a, b = [], [Fraction(0)]
     for k in range(n):
         pk = polys[k]
         norm = inner(pk, pk)
@@ -189,6 +190,24 @@ class TestZeros:
             # Newton correction below 1e-12 at the returned zero
             assert abs(p) <= 1e-12 * abs(d) * max(1.0, abs(x))
             assert abs(ode_residual_relative(spec, x)) < 1e-8
+
+
+DOMAINS = {"hermite": (-np.inf, np.inf), "laguerre": (0.0, np.inf), "jacobi": (-1.0, 1.0)}
+WEIGHT_PARAMETER = st.floats(-1.0, 300.0, exclude_min=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(family=st.sampled_from(sorted(DOMAINS)), n=st.integers(1, 200), alpha=WEIGHT_PARAMETER,
+       beta=WEIGHT_PARAMETER)
+def test_zeros_of_every_family_and_weight(family, n, alpha, beta):
+    # the weight's total mass, gamma(alpha + 1) and the like, overflowed past 171 and is not needed
+    lo, hi = DOMAINS[family]
+    x = zeros(PolynomialSpec(family, n, alpha, beta))
+    y = zeros(PolynomialSpec(family, n + 1, alpha, beta))
+    assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)
+    assert lo < x[0] and x[-1] < hi
+    assert np.all(y[:-1] < x) and np.all(x < y[1:])
+    assert np.abs(ode_residual_relative(PolynomialSpec(family, n, alpha, beta), x)).max() <= 1e-8
 
 
 def eval_unscaled(rec, n, x):

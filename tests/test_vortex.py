@@ -77,18 +77,16 @@ class TestRhs:
 
 class TestConserved:
     def test_symmetric_pair(self):
-        c = conserved(VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0])))
-        assert c.linear_impulse == 0
-        assert c.angular_impulse == pytest.approx(2.0)
-        assert c.interaction_energy == pytest.approx(np.log(2.0))
+        q, p, i, h = conserved(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
+        assert q == p == 0
+        assert i == pytest.approx(2.0)
+        assert h == pytest.approx(np.log(2.0))
 
     def test_single_vortex_empty_energy(self):
-        c = conserved(VortexConfiguration(np.array([1.0 + 2.0j]), np.array([1.5])))
-        assert c.interaction_energy == 0.0
+        assert conserved(np.array([1.0 + 2.0j]), np.array([1.5]))[3] == 0.0
 
     def test_counter_pair_angular(self):
-        c = conserved(VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, -1.0])))
-        assert c.angular_impulse == pytest.approx(0.0)
+        assert conserved(np.array([1.0, -1.0], dtype=complex), np.array([1.0, -1.0]))[2] == pytest.approx(0.0)
 
     def test_interaction_energy_is_the_kirchhoff_energy_without_flow(self):
         # H is E with NoFlow, and E adds the pair terms in the order of the hand-written H sum;
@@ -99,7 +97,7 @@ class TestConserved:
         cases += [(rng.normal(size=n) + 1j * rng.normal(size=n), rng.choice([-2.0, -1.0, 0.5, 3.0], size=n))
                   for n in (1, 2, 3, _BLOCK + 3)]
         for z, kappa in cases:
-            h = np.float64(conserved(VortexConfiguration(z, kappa)).interaction_energy)
+            h = conserved(z, kappa)[3]
             for ref in (kirchhoff_energy(z, kappa, NoFlow()), (kappa * pair_sum(z, kappa, log_abs)).sum()):
                 assert h.tobytes() == np.float64(ref).tobytes()
 
@@ -108,16 +106,14 @@ class TestIntegrate:
     def test_corotating_pair_period(self):
         cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
         traj = integrate(cfg, NoFlow(), 4 * np.pi, rtol=1e-11, atol=1e-13)
-        assert np.abs(traj.configurations[-1].z - cfg.z).max() < 1e-6
-        assert traj.drift.linear < 1e-8
-        assert traj.drift.angular < 1e-8
-        assert traj.drift.energy < 1e-8
+        assert np.abs(traj.positions[-1] - cfg.z).max() < 1e-6
+        assert np.all(traj.drift < 1e-8)
 
     def test_single_vortex_stationary(self):
         cfg = VortexConfiguration(np.array([0.4 + 0.2j]), np.array([2.0]))
         traj = integrate(cfg, NoFlow(), 5.0, sample_times=np.linspace(0, 5, 6))
-        for c in traj.configurations:
-            assert c.z == pytest.approx(cfg.z)
+        for z in traj.positions:
+            assert z == pytest.approx(cfg.z)
 
     def test_equilateral_triangle_rigid(self):
         z0 = np.exp(2j * np.pi * np.arange(3) / 3)
@@ -126,17 +122,17 @@ class TestIntegrate:
         traj = integrate(cfg, NoFlow(), 4 * np.pi / 3, rtol=1e-11, atol=1e-13,
                          sample_times=np.linspace(0, 4 * np.pi / 3, 9))
         d0 = np.abs(z0[:, None] - z0[None, :])
-        for c in traj.configurations:
-            d = np.abs(c.z[:, None] - c.z[None, :])
+        for z in traj.positions:
+            d = np.abs(z[:, None] - z[None, :])
             assert np.abs(d - d0).max() < 1e-8
 
     def test_time_reversal(self):
         rng = np.random.default_rng(5)
         cfg = random_admissible(rng, 4, min_dist=0.5, kappa_choices=(1.0, 2.0))
         fwd = integrate(cfg, NoFlow(), 1.0, rtol=1e-10, atol=1e-12)
-        flipped = VortexConfiguration(fwd.configurations[-1].z, -cfg.kappa)
+        flipped = VortexConfiguration(fwd.positions[-1], -cfg.kappa)
         back = integrate(flipped, NoFlow(), 1.0, rtol=1e-10, atol=1e-12)
-        assert np.abs(back.configurations[-1].z - cfg.z).max() < 1e-7
+        assert np.abs(back.positions[-1] - cfg.z).max() < 1e-7
 
     def test_head_on_collision_raises(self):
         # counter-rotating pair translates head-on into the Coulomb pole at the origin
@@ -229,8 +225,8 @@ class TestStepper:
         traj = integrate(VortexConfiguration(np.array([x0 + 1j * y0]), np.ones(1)), HermiteLinear(), 2.0,
                          sample_times=times)
         exact = (x0 * np.cosh(times) - y0 * np.sinh(times)) + 1j * (y0 * np.cosh(times) - x0 * np.sinh(times))
-        got = np.array([c.z[0] for c in traj.configurations])
-        assert [c.t for c in traj.configurations] == list(times)
+        got = traj.positions[:, 0]
+        assert list(traj.times) == list(times)
         assert np.all(np.abs(got - exact) <= 1e-9 * np.abs(exact))
 
 
@@ -247,9 +243,8 @@ class TestDenseOutput:
         period = 2 * np.pi / abs(omega)
         traj = integrate(VortexConfiguration(z0, np.ones(n)), NoFlow(), period,
                          sample_times=np.linspace(0.0, period, 11))
-        assert np.array_equal(traj.configurations[0].z, z0)
-        for c in traj.configurations:
-            assert np.abs(c.z - z0 * np.exp(1j * omega * c.t)).max() <= 1e-8
+        assert np.array_equal(traj.positions[0], z0)
+        assert np.abs(traj.positions - z0 * np.exp(1j * omega * traj.times[:, None])).max() <= 1e-8
         # the nine inner samples lie inside nine steps, each interpolated once
         assert traj.evaluations == 1 + 12 * (traj.accepted + traj.rejected) + 3 * 9
         assert traj.evaluations <= 400
@@ -259,17 +254,17 @@ class TestDenseOutput:
         cfg = VortexConfiguration(rng.normal(size=5) + 1j * rng.normal(size=5), np.array([1.0, 2.0, -1.0, 1.0, -0.5]))
         traj = integrate(cfg, NoFlow(), 1.0, sample_times=np.linspace(0.0, 1.0, 7))
         assert traj.evaluations > 1 + 12 * (traj.accepted + traj.rejected)  # some samples were interpolated
-        for c in traj.configurations[1:-1]:
-            end = integrate(cfg, NoFlow(), c.t).configurations[-1]
-            assert end.t == c.t
-            assert np.abs(c.z - end.z).max() <= 1e-9 * np.abs(end.z).max()
+        for t, z in zip(traj.times[1:-1], traj.positions[1:-1]):
+            end = integrate(cfg, NoFlow(), t)
+            assert end.times[-1] == t
+            assert np.abs(z - end.positions[-1]).max() <= 1e-9 * np.abs(end.positions[-1]).max()
 
     def test_last_step_ends_on_t_end(self):
         # 0.1 + (0.45 - 0.1) is 0.44999999999999996: a step of t_end - t would stop an ulp short
         cfg = VortexConfiguration(np.array([0.4 + 0.2j]), np.array([2.0]), t=0.1)
         traj = integrate(cfg, NoFlow(), 0.45)
         assert (traj.evaluations, traj.accepted, traj.rejected) == (13, 1, 0)
-        assert [c.t for c in traj.configurations] == [0.1, 0.45]
+        assert list(traj.times) == [0.1, 0.45]
 
     def test_collision_in_an_interpolation_stage_propagates(self, monkeypatch):
         calls = []
@@ -296,14 +291,60 @@ class TestDenseOutput:
         np.fill_diagonal(d, 1.0)
         scale = 0.5 * np.abs(np.outer(kappa, kappa) * np.log(d)).sum() + np.abs(kappa * bg.u(z)).sum()
         e0 = kirchhoff_energy(z, kappa, bg)
-        drift = max(abs(kirchhoff_energy(c.z, kappa, bg) - e0) for c in traj.configurations)
-        assert drift <= 1e-9 * scale and traj.drift.energy > 1.0
+        drift = max(abs(kirchhoff_energy(z, kappa, bg) - e0) for z in traj.positions)
+        assert drift <= 1e-9 * scale and traj.drift[2] > 1.0
 
     def test_readme_coulomb_example_evaluations(self):
         # the README's simulate example: +-1 in the Coulomb field l = 1, t_end 12, 101 samples
         cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.ones(2))
         traj = integrate(cfg, Coulomb(1.0), 12.0, sample_times=np.linspace(0.0, 12.0, 101))
         assert traj.evaluations <= 3500
+
+
+class TestTrajectoryArrays:
+    """Samples are rows of arrays; one `conserved` per accepted step, and none in to_csv."""
+
+    def test_csv_rows_are_the_arrays_bit_for_bit(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        cfg = random_admissible(rng, 4, min_dist=0.5)
+        traj = integrate(cfg, Coulomb(1.0), 0.5, sample_times=np.linspace(0.0, 0.5, 9))
+        assert traj.positions.shape == (9, 4) and traj.invariants.shape == (9, 4)
+        for z, c in zip(traj.positions, traj.invariants):
+            assert c.tobytes() == conserved(z, cfg.kappa).tobytes()
+        monkeypatch.setattr(vortex, "conserved", None)  # the CSV only formats the arrays
+        traj.to_csv(tmp_path / "trajectory.csv")
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,x_1,y_1,x_2,y_2,x_3,y_3,x_4,y_4,Q,P,I,H"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert rows[:, 0].tobytes() == traj.times.tobytes()
+        assert rows[:, 1:9:2].tobytes() == traj.positions.real.tobytes()
+        assert rows[:, 2:9:2].tobytes() == traj.positions.imag.tobytes()
+        assert rows[:, 9:].tobytes() == traj.invariants.tobytes()
+
+    def test_drift_is_the_max_over_accepted_steps(self, monkeypatch):
+        calls = []
+
+        def recording(z, kappa):
+            calls.append(conserved(z, kappa))
+            return calls[-1]
+
+        monkeypatch.setattr(vortex, "conserved", recording)
+        rng = np.random.default_rng(9)
+        cfg = random_admissible(rng, 5, min_dist=0.5)
+        traj = integrate(cfg, Coulomb(1.0), 0.5)  # samples at the start and the end: none interpolated
+        assert len(calls) == 1 + traj.accepted
+        d = np.abs(np.array(calls[1:]) - calls[0])
+        expected = np.array([np.hypot(d[:, 0], d[:, 1]).max(), d[:, 2].max(), d[:, 3].max()])
+        assert traj.drift.tobytes() == expected.tobytes() and np.all(expected > 0)
+        assert traj.invariants.tobytes() == np.array([calls[0], calls[-1]]).tobytes()
+
+    def test_one_configuration_per_run(self, monkeypatch):
+        made = []
+        check = VortexConfiguration.__post_init__
+        monkeypatch.setattr(VortexConfiguration, "__post_init__", lambda cfg: made.append(check(cfg)))
+        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.ones(2))
+        traj = integrate(cfg, NoFlow(), 1.0, sample_times=np.linspace(0.0, 1.0, 11))
+        assert len(made) == 1 and traj.positions.shape == (11, 2)
 
 
 class TestIntegrateRefusesDisabledChecks:

@@ -168,6 +168,14 @@ def _write_report(args, params, result, **doc):
         fh.write(text + "\n")
 
 
+def _write_table(args, params, header, rows):
+    """The one writer of the CSV tables: a header row, then each row's values as %.17g (the
+    shortest form that reads back bit for bit), commas between them and LF line ends."""
+    lines = [",".join(header)] + [",".join(["%.17g" % v for v in row]) for row in rows]
+    with open(os.path.join(args.out, params["output"]), "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def cmd_zeros(args):
     params = _load_params("zeros", args)
     spec = orthopoly.PolynomialSpec(params["family"], params["n"], params["alpha"], params["beta"])
@@ -212,7 +220,8 @@ def cmd_simulate(args):
     times = np.linspace(0.0, params["t_end"], params["samples"])
     traj = integrate(cfg, bg, params["t_end"], rtol=params["rtol"], atol=params["atol"],
                      max_steps=params["max_steps"], sample_times=times, eps=params["collision_eps"])
-    traj.to_csv(os.path.join(args.out, params["output"]))
+    header = ["t", *(f"{c}_{i}" for i in range(1, cfg.n + 1) for c in "xy"), "Q", "P", "I", "H"]
+    _write_table(args, params, header, np.column_stack([traj.times, traj.positions.view(float), traj.invariants]))
     dq, di, dh = traj.drift
     _say(args, f"drift |dQ| {dq:.3e}  |dI| {di:.3e}  |dH| {dh:.3e}  "
                f"evaluations {traj.evaluations}  accepted {traj.accepted}  rejected {traj.rejected}")
@@ -245,24 +254,13 @@ def cmd_beam(args):
     dz = z_total / slices
     rows = []
     charges = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AliasingWarning)
-        try:
-            for s, current in enumerate(_slices(field, dz, slices)):
-                vortices = find_vortices(current)
-                total = sum(c for _, c in vortices)
-                charges.append(total)
-                for (vx, vy), c in vortices:
-                    rows.append((current.z, vx, vy, c))
-                if params["save_fields"]:
-                    save_field(current, os.path.join(args.out, f"field_{s:03d}.bin"))
-        except AliasingWarning as exc:
-            _say(args, f"aliasing: {exc}")
-            return EXIT_ALIASING
-    with open(os.path.join(args.out, params["output"]), "w", newline="") as fh:
-        fh.write("z,x,y,charge\n")
-        for z_, vx, vy, c in rows:
-            fh.write("%.17g,%.17g,%.17g,%d\n" % (z_, vx, vy, c))
+    for s, current in enumerate(_slices(field, dz, slices)):
+        vortices = find_vortices(current)
+        charges.append(sum(c for _, c in vortices))
+        rows += [(current.z, vx, vy, c) for (vx, vy), c in vortices]
+        if params["save_fields"]:
+            save_field(current, os.path.join(args.out, f"field_{s:03d}.bin"))
+    _write_table(args, params, ["z", "x", "y", "charge"], rows)
     conservedq = len(set(charges)) <= 1
     _say(args, f"slices {slices + 1}  total charge per slice {charges}")
     return EXIT_OK if conservedq else EXIT_NONCONVERGENCE
@@ -297,16 +295,21 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AliasingWarning)  # propagate only warns, for library callers
+            os.makedirs(args.out, exist_ok=True)
+            return args.func(args)
+    except AliasingWarning as exc:
+        print(f"aliasing: {exc}", file=sys.stderr)
+        return EXIT_ALIASING
     except CollisionError as exc:
         print(f"collision: {exc}", file=sys.stderr)
         return EXIT_COLLISION
     except (StepLimitError, np.linalg.LinAlgError) as exc:  # a failed eigensolve; ahead of its base ValueError
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:  # OSError: an --out that is a file
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -81,19 +81,21 @@ def recurrence(spec: PolynomialSpec) -> RecurrenceCoefficients:
         b = k * (k + al)
     else:
         al, be = spec.alpha, spec.beta
-        s = al + be
+        # c = 2 + al + be summed as (1 + al) + (1 + be), and 2k + al + be as 2(k - 1) + c, so
+        # nothing cancels as al, be -> -1
+        c = (1.0 + al) + (1.0 + be)
         a = np.empty(n)
         b = np.zeros(n)
-        a[0] = (be - al) / (s + 2.0)
+        a[0] = (be - al) / c
         if n > 1:
-            # k = 1 written with the (1 + s) factor cancelled, valid for s -> -1
-            b[1] = 4.0 * (1.0 + al) * (1.0 + be) / ((2.0 + s) ** 2 * (3.0 + s))
+            # k = 1 written with the (1 + al + be) factor cancelled, valid for al + be -> -1
+            b[1] = 4.0 * (1.0 + al) * (1.0 + be) / (c * c * (1.0 + c))
             kk = k[1:]
-            a[1:] = (be * be - al * al) / ((2.0 * kk + s) * (2.0 * kk + s + 2.0))
+            a[1:] = (be - al) * (be + al) / ((2.0 * (kk - 1.0) + c) * (2.0 * kk + c))
         if n > 2:
             kk = k[2:]
-            t = 2.0 * kk + s
-            b[2:] = 4.0 * kk * (kk + al) * (kk + be) * (kk + s) / (t * t * (t * t - 1.0))
+            t = 2.0 * (kk - 1.0) + c
+            b[2:] = 4.0 * kk * (kk + al) * (kk + be) * ((kk - 2.0) + c) / (t * t * (t * t - 1.0))
     return RecurrenceCoefficients(a=a, b=b)
 
 

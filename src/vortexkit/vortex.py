@@ -14,7 +14,6 @@ accepted and rejected steps are counted.  Samples are rows of arrays; the one
 VortexConfiguration of a run is its validated input.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,7 +226,7 @@ class Trajectory:
     """Samples as rows: their times (m,), positions (m, n) and invariants (m, 4), the rows
     [Q, P, I, H] of `conserved`; drift, the max over accepted steps of |d(Q+iP)|, |dI| and |dH|
     from the start; and the integrator's work counters: velocity evaluations, accepted steps and
-    rejected steps."""
+    rejected steps.  A record of arrays: `cli` writes it as a table."""
 
     times: np.ndarray
     positions: np.ndarray
@@ -236,16 +235,6 @@ class Trajectory:
     evaluations: int
     accepted: int
     rejected: int
-
-    def to_csv(self, path):
-        """Columns t, x_1, y_1, ..., x_n, y_n, Q, P, I, H with a header row."""
-        n = self.positions.shape[1]
-        header = ["t", *(f"{c}_{i}" for i in range(1, n + 1) for c in "xy"), "Q", "P", "I", "H"]
-        rows = np.column_stack([self.times, self.positions.view(float), self.invariants])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(["%.17g" % v for v in row] for row in rows)
 
 
 def _interpolate(f, x):

@@ -284,6 +284,13 @@ class TestEquilibrium:
         assert run(["--config", str(tmp_path / "nope.json"), "--out", str(tmp_path),
                     "equilibrium"]) == 2
 
+    def test_out_that_is_a_file_exit_2(self, tmp_path, capsys):
+        # os.makedirs raised FileExistsError ahead of the exit-code table: a traceback and exit 1
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["--out", str(out), "equilibrium"]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_default_pair(self, tmp_path):
@@ -450,7 +457,7 @@ class TestBeam:
             assert run(["--out", str(tmp_path), "beam", "--slices", slices]) == 2
         assert not (tmp_path / "vortex_track.csv").exists()
 
-    def test_aliasing_exit_5(self, tmp_path):
+    def test_aliasing_exit_5(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         # high-order mode whose spectrum spills past half-Nyquist
         config.write_text(json.dumps({
@@ -458,6 +465,10 @@ class TestBeam:
                      "k": 100.0, "slices": 2}
         }))
         assert run(["--config", str(config), "--out", str(tmp_path), "beam"]) == 5
+        # main's exit-code table reports it on stderr, as it does codes 2-4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("aliasing: ")
+        assert not (tmp_path / "vortex_track.csv").exists()
 
     def test_save_fields(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -465,6 +476,16 @@ class TestBeam:
         assert run(["--config", str(config), "--out", str(tmp_path), "beam"]) == 0
         for s in range(3):
             assert (tmp_path / f"field_{s:03d}.bin").exists()
+
+
+class TestTables:
+    def test_both_tables_end_their_lines_with_lf(self, tmp_path):
+        # one writer: trajectory.csv ended its lines with CRLF, vortex_track.csv with LF
+        assert run(["--quiet", "--out", str(tmp_path), "simulate"]) == 0
+        assert run(["--quiet", "--out", str(tmp_path), "beam", "--slices", "1"]) == 0
+        for name in ("trajectory.csv", "vortex_track.csv"):
+            data = (tmp_path / name).read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n")
 
 
 class TestImports:

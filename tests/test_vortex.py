@@ -1,10 +1,12 @@
 """Kirchhoff dynamics: right-hand side, conservation, Hamiltonian consistency."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexkit import backgrounds, vortex
+from vortexkit import backgrounds, cli, vortex
 from vortexkit.backgrounds import (
     _BLOCK, Coulomb, ConjugateLinear, CustomRational, HermiteLinear, JacobiCharges, NoFlow, kirchhoff_energy,
     kirchhoff_field, log_abs, pair_sum,
@@ -186,10 +188,11 @@ class TestIntegrate:
             vortex._velocity(np.array([0.5j, 1.0, 0.5j]), np.ones(3), NoFlow(), 0.0)
 
     def test_csv_export(self, tmp_path):
-        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-        traj = integrate(cfg, NoFlow(), 1.0, sample_times=np.linspace(0, 1, 5))
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"simulate": {"positions": [[1.0, 0.0], [-1.0, 0.0]],
+                                                   "strengths": [1.0, 1.0], "t_end": 1.0, "samples": 5}}))
+        assert cli.main(["--config", str(config), "--out", str(tmp_path), "--quiet", "simulate"]) == 0
+        path = tmp_path / "trajectory.csv"
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x_1,y_1,x_2,y_2,Q,P,I,H"
         assert len(lines) == 6
@@ -302,17 +305,29 @@ class TestDenseOutput:
 
 
 class TestTrajectoryArrays:
-    """Samples are rows of arrays; one `conserved` per accepted step, and none in to_csv."""
+    """Samples are rows of arrays; one `conserved` per accepted step, and none in the CSV writer."""
 
     def test_csv_rows_are_the_arrays_bit_for_bit(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)
         cfg = random_admissible(rng, 4, min_dist=0.5)
-        traj = integrate(cfg, Coulomb(1.0), 0.5, sample_times=np.linspace(0.0, 0.5, 9))
+        trajs = []
+
+        def recording(*args, **kwargs):
+            trajs.append(integrate(*args, **kwargs))
+            monkeypatch.setattr(vortex, "conserved", None)  # the CSV only formats the arrays
+            return trajs[-1]
+
+        monkeypatch.setattr(cli, "integrate", recording)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"simulate": {
+            "positions": np.stack([cfg.z.real, cfg.z.imag], -1).tolist(), "strengths": cfg.kappa.tolist(),
+            "background": {"kind": "coulomb", "l": 1.0}, "t_end": 0.5, "samples": 9,
+            "drift_bound": 1e300}}))  # the field moves Q+iP, I and H: no drift gate here
+        assert cli.main(["--config", str(config), "--out", str(tmp_path), "--quiet", "simulate"]) == 0
+        (traj,) = trajs
         assert traj.positions.shape == (9, 4) and traj.invariants.shape == (9, 4)
         for z, c in zip(traj.positions, traj.invariants):
             assert c.tobytes() == conserved(z, cfg.kappa).tobytes()
-        monkeypatch.setattr(vortex, "conserved", None)  # the CSV only formats the arrays
-        traj.to_csv(tmp_path / "trajectory.csv")
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,x_1,y_1,x_2,y_2,x_3,y_3,x_4,y_4,Q,P,I,H"
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])

@@ -180,6 +180,8 @@ def newton(residual, z, kappa, bg, tol, max_iter) -> NewtonResult:
     at most 30 times until residual() is defined and max|F| strictly decreases (the
     accepted trial's F is reused).  Stops at max|F| <= tol, after max_iter steps,
     when no halving decreases max|F|, or at a singular or ill-conditioned step (LinAlgError).
+    A trial that rounds to z itself ends the halving unevaluated: rounding is monotone, so
+    every shorter step rounds to z as well, and F(z) does not decrease below itself.
     """
     f = residual(z)
     fmax = np.abs(f).max()
@@ -193,6 +195,8 @@ def newton(residual, z, kappa, bg, tol, max_iter) -> NewtonResult:
         for _ in range(31):
             zn = z + lam * dz
             lam *= 0.5
+            if np.array_equal(zn, z):  # every shorter step rounds to z too: F cannot decrease
+                break
             try:
                 fn = residual(zn)
             except ValueError:
@@ -201,7 +205,7 @@ def newton(residual, z, kappa, bg, tol, max_iter) -> NewtonResult:
             if fn_max < fmax:
                 z, f, fmax = zn, fn, fn_max
                 break
-        else:
+        if z is not zn:  # no trial was accepted
             break
         steps += 1
     return NewtonResult(z, float(fmax), steps, bool(fmax <= tol))
@@ -227,12 +231,33 @@ def stationary(z0, kappa, bg, tol, max_iter) -> NewtonResult:
     return replace(result, positions=np.sort(result.positions))
 
 
-def default_guess(n, bg) -> np.ndarray:
-    """The line guess: n Chebyshev points affinely mapped into bg's domain.
+def _semicircle(n) -> np.ndarray:
+    """The n quantiles s_k, k = 1..n, of the semicircle law on [-1, 1] at q = (k - 1/2)/n, increasing.
 
-    A point within half the smallest spacing (0.5 for n = 1) of a real pole of a custom
-    field moves out to that distance, on its own side: Coulomb's and Jacobi's poles end
-    their domains, so every pole that reaches the rule lies inside the open domain.
+    s = -cos(E/2), where E - sin E = 2 pi q (Kepler's equation with eccentricity 1): 8 Newton
+    steps from E = (12 pi q)^(1/3) on the lower half, which the upper half mirrors, so the
+    quantiles are exactly odd and the middle one of odd n is 0.
+    """
+    m = 2.0 * np.pi * (np.arange(1, n // 2 + 1) - 0.5) / n
+    e = np.cbrt(6.0 * m)
+    for _ in range(8):
+        e = e - (e - np.sin(e) - m) / (1.0 - np.cos(e))
+    low = -np.cos(0.5 * e)
+    return np.concatenate([low, np.zeros(n % 2), -low[::-1]])
+
+
+def default_guess(n, bg) -> np.ndarray:
+    """The line guess: n points at the quantiles of the field's equilibrium measure, or of a law near it.
+
+    A linear field w = b + a x with a > 0 and no poles (HermiteLinear, and such custom fields)
+    puts its stationary points at scaled Hermite zeros, whose counting measure tends to the
+    semicircle on -b/a +- sqrt(2n/a): the guess is -b/a + sqrt(2n/a) s_k, s_k its quantiles
+    (`_semicircle`), with offsets from -b/a exactly odd, when all of them are finite.  Every
+    other field takes n Chebyshev points, the quantiles of the arcsine law, affinely mapped
+    into bg's domain.  Then a point
+    within half the smallest spacing (0.5 for n = 1) of a real pole of a custom field moves
+    out to that distance, on its own side: Coulomb's and Jacobi's poles end their domains,
+    so every pole that reaches the rule lies inside the open domain.
     Refuses n < 1, and a field that is not rational or is zero: with w = 0 the points
     repel without bound.
     """
@@ -240,6 +265,12 @@ def default_guess(n, bg) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     if not isinstance(bg, CustomRational) or not (any(bg.residues) or any(bg.poly)):
         raise ValueError(f"unsupported background {bg!r}: the field must be rational and not zero")
+    if not bg.poles and len(bg.poly) == 2 and bg.poly[1] > 0:
+        b, a = bg.poly
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (0.0 - b / a) + np.sqrt(2.0 * n / a) * _semicircle(n)  # 0.0 - 0.0 is 0.0, not -0.0
+        if np.all(np.isfinite(x)):  # else the equilibrium lies beyond the floats: the Chebyshev guess, exit 3
+            return x
     c = np.sort(np.cos((2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)))
     if isinstance(bg, Coulomb):
         return 2.0 * n * (c + 1.0) + 0.5

@@ -225,8 +225,13 @@ def cmd_simulate(args):
     dq, di, dh = traj.drift
     _say(args, f"drift |dQ| {dq:.3e}  |dI| {di:.3e}  |dH| {dh:.3e}  "
                f"evaluations {traj.evaluations}  accepted {traj.accepted}  rejected {traj.rejected}")
-    # fails closed: a NaN drift is not <= the bound
-    return EXIT_OK if np.all(traj.drift <= params["drift_bound"]) else EXIT_NONCONVERGENCE
+    # each drift relative to its invariant's size at the start: sum |kappa||z| for Q+iP, sum |kappa||z|^2
+    # for I, sum_{i<j} |kappa_i kappa_j| for H; an overflow is inf or NaN, and fails closed (NaN is not <=)
+    k = np.abs(kappa)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.abs(z)
+        bound = params["drift_bound"] * np.array([k @ r, k @ r**2, k[1:] @ np.cumsum(k)[:-1]])
+        return EXIT_OK if np.all(traj.drift <= bound) else EXIT_NONCONVERGENCE
 
 
 def cmd_laughlin(args):

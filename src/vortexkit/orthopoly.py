@@ -5,9 +5,10 @@ normalizations (physicists' Hermite H_n = 2^n p_n, Laguerre L_n^(a) = (-1)^n/n! 
 Jacobi P_n^(a,b) = binom(2n+a+b, n)/2^n p_n) follow from the leading coefficients
 and are not exposed.
 
-One evaluator, `_eval_all`, gives p, p', p'' divided by 2^e and the exponent e,
-so nothing overflows at any degree.  Its two users, the zeros polish and the
-relative ODE residual, are ratios, so they use the scaled values as they are.
+One evaluator, `_eval_all`, gives p and as many derivatives as asked (p', p'')
+divided by 2^e and the exponent e, so nothing overflows at any degree.  Its two
+users here, the zeros polish (p, p') and the relative ODE residual (p, p', p''),
+are ratios, so they use the scaled values as they are.
 `certify` checks points, such as the stationary vortices on a line, against the
 zeros and the relative ODE residual.
 """
@@ -99,29 +100,33 @@ def recurrence(spec: PolynomialSpec) -> RecurrenceCoefficients:
     return RecurrenceCoefficients(a=a, b=b)
 
 
-def _eval_all(rec: RecurrenceCoefficients, n: int, x):
-    """Value and first two derivatives of the monic degree-n polynomial at x (scalar or array).
+def _eval_all(rec: RecurrenceCoefficients, n: int, x, rows=3):
+    """Value and first rows - 1 derivatives of the monic degree-n polynomial at x (scalar or array).
 
-    Returns (p, d, s, e): the monic values are p·2^e, d·2^e, s·2^e.  Every
-    _RESCALE steps the whole state is divided by a power of two per point, so
-    nothing overflows; the scaling is exact, so ratios such as p/d equal the
-    unscaled ones bit for bit.
+    Returns (p, d, s, e) for rows = 3, (p, d, e) for 2 and (p, e) for 1: the monic values are
+    p·2^e, d·2^e, s·2^e.  The derivatives are one (rows, ...) state, row r stepping as
+    (x - a_k) row_r + r row_{r-1} - b_k prev_r, so each row takes the same operations in the
+    same order at every rows.  Every _RESCALE steps the whole state is divided by a power of
+    two per point, so nothing overflows; the scaling is exact, so ratios such as p/d equal
+    the unscaled ones bit for bit (e itself depends on rows).
     """
-    p_prev, p, d_prev, d, s_prev, s, e = 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0
+    x = np.asarray(x, dtype=float)
+    prev = np.zeros((rows,) + x.shape)
+    cur = np.zeros((rows,) + x.shape)
+    cur[0] = 1.0
+    r = np.arange(1.0, rows).reshape((-1,) + (1,) * x.ndim)
+    e = 0
     for k in range(n):
-        t, bk = x - rec.a[k], rec.b[k]
-        p_next = t * p - bk * p_prev
-        d_next = t * d + p - bk * d_prev
-        s_next = t * s + 2.0 * d - bk * s_prev
-        p_prev, p = p, p_next
-        d_prev, d = d, d_next
-        s_prev, s = s, s_next
+        nxt = (x - rec.a[k]) * cur
+        nxt[1:] += r * cur[:-1]
+        nxt -= rec.b[k] * prev
+        prev, cur = cur, nxt
         if k % _RESCALE == _RESCALE - 1:
-            state = [p_prev, p, d_prev, d, s_prev, s]
-            shift = np.frexp(np.max(np.abs(state), axis=0))[1]
-            p_prev, p, d_prev, d, s_prev, s = np.ldexp(state, -shift)
+            state = np.stack((prev, cur))
+            shift = np.frexp(np.abs(state).max(axis=(0, 1)))[1]
+            prev, cur = np.ldexp(state, -shift)
             e = e + shift
-    return p, d, s, e
+    return (*cur, e)
 
 
 def zeros(spec: PolynomialSpec) -> np.ndarray:
@@ -136,7 +141,7 @@ def zeros(spec: PolynomialSpec) -> np.ndarray:
     rec = recurrence(spec)
     x = eigh_tridiagonal(rec.a, np.sqrt(rec.b[1:]), eigvals_only=True)
     for _ in range(_POLISH_STEPS):
-        p, d, _, _ = _eval_all(rec, spec.n, x)
+        p, d, _ = _eval_all(rec, spec.n, x, rows=2)
         with np.errstate(all="ignore"):
             dx = p / d
         x = np.where(np.isfinite(dx), x - dx, x)

@@ -71,7 +71,7 @@ def _laguerre(p, alpha, x):
     """The generalized Laguerre polynomial L_p^alpha(x) = (-1)^p/p! times the monic one of orthopoly."""
     if p == 0:
         return 1.0
-    value, _, _, e = _eval_all(recurrence(PolynomialSpec(LAGUERRE, p, alpha=alpha)), p, x)
+    value, e = _eval_all(recurrence(PolynomialSpec(LAGUERRE, p, alpha=alpha)), p, x, rows=1)
     return np.ldexp(value, e) * ((-1) ** p / math.factorial(p))
 
 

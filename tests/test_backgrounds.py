@@ -199,6 +199,23 @@ class TestNewton:
         assert (sol.positions.tolist(), sol.residual_inf, sol.iterations, sol.converged) == ([3.0], 2.0, 0, False)
         assert len(calls) == 1 + 31  # the full step and 30 halvings
 
+    def test_no_trial_repeats_the_iterate(self, monkeypatch):
+        # Jacobi 1/2 at n = 100 stalls near 3e-10: its last steps round to the iterate itself after
+        # a few halvings, and the shorter trials used to be evaluated all the same (30 of 38 calls)
+        seen, repeats = set(), []
+        field = backgrounds.kirchhoff_field
+
+        def recording(x, kappa, bg, eps=0.0):
+            repeats.append(x.tobytes() in seen)
+            seen.add(x.tobytes())
+            return field(x, kappa, bg, eps)
+
+        monkeypatch.setattr(backgrounds, "kirchhoff_field", recording)
+        bg = JacobiCharges(0.5, 0.5)
+        sol = stationary(default_guess(100, bg), -1.0, bg, 1e-12, 200)
+        assert not sol.converged and 0.0 < sol.residual_inf < 1e-9
+        assert repeats and not any(repeats)
+
     def test_max_iter_and_met_tolerance(self):
         sol = newton(cube, np.array([1.5]), 1.0, CUBE, 1e-14, 2)
         assert sol.iterations == 2 and sol.residual_inf > 1e-14 and not sol.converged

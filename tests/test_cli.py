@@ -319,6 +319,32 @@ class TestSimulate:
         line = capsys.readouterr().out
         assert line.startswith("drift |dQ| 0.000e+00  |dI| nan  |dH| 0.000e+00  ")
 
+    @staticmethod
+    def simulate(tmp_path, **section):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"simulate": section}))
+        return run(["--config", str(config), "--out", str(tmp_path), "--quiet", "simulate"])
+
+    @staticmethod
+    def jittered_ring(n=30):
+        rng = np.random.default_rng(9)
+        z = np.exp(2j * np.pi * np.arange(n) / n) + 1e-6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        return {"positions": np.column_stack([z.real, z.imag]).tolist(), "strengths": [1.0] * n,
+                "t_end": 0.25, "samples": 11}
+
+    def test_drift_is_gated_relative_to_the_invariant(self, tmp_path):
+        # |dH| 1.017e-8 on H of size sum_{i<j} |kappa_i kappa_j| = 435: an absolute 1e-8 failed it
+        assert self.simulate(tmp_path, **self.jittered_ring()) == 0
+
+    def test_loose_ring_still_fails_its_drift_gate(self, tmp_path):
+        # |dH| 1.1e-5 against 1e-8 * 435
+        assert self.simulate(tmp_path, **self.jittered_ring(), rtol=1e-7) == 3
+
+    def test_drift_gate_is_scale_free(self, tmp_path):
+        # the default pair at 2^10 times its positions, for 2^20 times as long, is the same motion
+        # to rounding; its |dI| 1.6e-6 is 8e-13 of I = 2^21, but failed an absolute 1e-8
+        assert self.simulate(tmp_path, positions=[[1024.0, 0.0], [-1024.0, 0.0]], t_end=2.0**20) == 0
+
     def test_collision_exit_4(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({

@@ -270,6 +270,27 @@ class TestRescaledRecurrence:
         # the unscaled Laguerre recurrence overflows at every point of degree 250
         assert compared > 0 or (family, n) == ("laguerre", 250)
 
+    @pytest.mark.parametrize("family,kwargs", [
+        ("hermite", {}),
+        ("laguerre", {"alpha": 3.0}),
+        ("jacobi", {"alpha": 0.5, "beta": -0.5}),
+    ])
+    @pytest.mark.parametrize("n", [5, 40, 300])
+    def test_fewer_rows_are_the_leading_rows(self, family, kwargs, n):
+        # each row steps the same way at every rows; only the shared exponent e may differ
+        spec = PolynomialSpec(family, n, **kwargs)
+        z = zeros(spec)
+        x = np.concatenate([z, np.linspace(z[0] - 1.0, z[-1] + 1.0, 41)])
+        *full, e3 = orthopoly._eval_all(recurrence(spec), n, x)
+        for rows in (1, 2):
+            *lead, e = orthopoly._eval_all(recurrence(spec), n, x, rows=rows)
+            assert len(lead) == rows
+            with np.errstate(over="ignore", divide="ignore"):  # even Hermite has p' = 0 at x = 0
+                for got, ref in zip(lead, full):
+                    assert np.ldexp(got, e).tobytes() == np.ldexp(ref, e3).tobytes()
+                if rows == 2:
+                    assert (lead[0] / lead[1]).tobytes() == (full[0] / full[1]).tobytes()
+
     def test_finite_where_unscaled_overflows(self):
         spec = PolynomialSpec("laguerre", 500, alpha=50.0)
         x = zeros(spec)

@@ -1,4 +1,4 @@
-"""Point-vortex dynamics, Stieltjes equilibria, Landau-level operators, paraxial beams."""
+"""Point-vortex dynamics, Stieltjes and Laughlin equilibria, paraxial beams and Landau-level ladder operators."""
 
 from .orthopoly import PolynomialSpec, RecurrenceCoefficients, recurrence, zeros
 from .backgrounds import (
@@ -21,17 +21,13 @@ from .vortex import (
     poisson_bracket,
     integrate,
 )
-from .landau import (
-    LaughlinParams,
-    log_laughlin,
-    ladder_apply,
-)
 from .paraxial import (
     BeamField,
     lg_mode,
     propagate,
     topological_charge,
     find_vortices,
+    ladder_apply,
     save_field,
     load_field,
 )

@@ -285,12 +285,13 @@ def default_guess(n, bg) -> np.ndarray:
     return x
 
 
-def ring_guess(n, m, l_B, seed) -> np.ndarray:
-    """The plane guess for n particles of strength m: the origin for n = 1, else a ring at 0.9 of
-    the radius l_B sqrt(2 m (n - 1)), its angles jittered by 0.01 standard normals from seed."""
+def ring_guess(n, m, seed) -> np.ndarray:
+    """The plane guess for n particles of strength m in units of l_B (omega = 1/4): the origin for
+    n = 1, else a ring at 0.9 of the radius sqrt(2 m (n - 1)), its angles jittered by 0.01 standard
+    normals from seed."""
     if n == 1:
         return np.array([0.0 + 0.0j])
-    r0 = l_B * np.sqrt(2.0 * m * (n - 1))
+    r0 = np.sqrt(2.0 * m * (n - 1))
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(n) / n
     return 0.9 * r0 * np.exp(1j * (angles + 0.01 * rng.standard_normal(n)))
@@ -440,14 +441,15 @@ class JacobiCharges(_Family):
 class ConjugateLinear:
     """w(z) = -omega * conj(z): the Gaussian confinement of the planar problem.
 
-    omega = 1/(4 l_B^2).  Its potential U = -(omega/2)|z|^2 is not Re of an analytic Phi.
+    omega = 1/(4 l_B^2), 1/4 in units of l_B; a finite positive float.  Its potential
+    U = -(omega/2)|z|^2 is not Re of an analytic Phi.
     """
 
     omega: float = 0.25
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
+        if not 0 < self.omega < np.inf:
+            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
 
     poles = ()
 

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .backgrounds import (
     NoFlow, HermiteLinear, Coulomb, JacobiCharges, ConjugateLinear, CustomRational, CollisionError, default_guess,
     ring_guess, stationary,
 )
-from .landau import LaughlinParams
 from .paraxial import AliasingWarning, _slices, find_vortices, lg_mode, save_field
 from .vortex import StepLimitError, VortexConfiguration, integrate
 
@@ -236,13 +235,21 @@ def cmd_simulate(args):
 
 def cmd_laughlin(args):
     params = _load_params("laughlin", args)
-    lp = LaughlinParams(params["N"], params["m_exp"], params["l_B"])
-    guess = ring_guess(lp.N, lp.m_exp, lp.l_B, args.seed)
-    result = stationary(guess, lp.m_exp, ConjugateLinear(lp.omega), params["tol"], params["max_iter"])
+    n, m, l_b = params["N"], params["m_exp"], params["l_B"]
+    if n < 1 or m < 1 or m % 2 == 0 or not l_b > 0:
+        raise ConfigError(f"laughlin needs N >= 1, an odd m_exp >= 1 and l_B > 0, got {n}, {m} and {l_b}")
+    # solved in units of l_B (omega = 1/4, residual_inf and tol in units of 1/l_B), then scaled by
+    # l_B on the float view: a complex product would turn 0 * inf into NaN.  At a power-of-two l_B
+    # the positions are the l_B = 1 positions times l_B, bit for bit.
+    result = stationary(ring_guess(n, m, args.seed), m, ConjugateLinear(0.25), params["tol"], params["max_iter"])
     radii = np.abs(result.positions)
-    _write_report(args, params, result, N=lp.N, m_exp=lp.m_exp, l_B=lp.l_B, radius_mean=float(radii.mean()),
-                  radius_min=float(radii.min()), radius_max=float(radii.max()))
-    _say(args, f"residual {result.residual_inf:.3e}  mean radius {radii.mean():.12g}")
+    with np.errstate(over="ignore"):
+        z = (result.positions.view(float) * l_b).view(complex)
+    result = replace(result, positions=z, converged=result.converged and bool(np.isfinite(z).all()))
+    # a Python float product overflows to inf without a warning, and the writer writes inf as null
+    mean, lo, hi = (l_b * float(r) for r in (radii.mean(), radii.min(), radii.max()))
+    _write_report(args, params, result, N=n, m_exp=m, l_B=l_b, radius_mean=mean, radius_min=lo, radius_max=hi)
+    _say(args, f"residual {result.residual_inf:.3e}  mean radius {mean:.12g}")
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 

@@ -16,8 +16,7 @@ from vortexkit.backgrounds import (
     ConjugateLinear, Coulomb, HermiteLinear, JacobiCharges, NoFlow, default_guess, kirchhoff_field, kirchhoff_jacobian,
     ring_guess, stationary,
 )
-from vortexkit.landau import LaughlinParams, ladder_apply
-from vortexkit.paraxial import BeamField, find_vortices, lg_mode, propagate, topological_charge
+from vortexkit.paraxial import BeamField, find_vortices, ladder_apply, lg_mode, propagate, topological_charge
 from vortexkit.vortex import VortexConfiguration, hamiltonian_rhs, integrate, rhs
 
 
@@ -102,10 +101,9 @@ def test_04_laughlin_pair_radius():
     worst = 0.0
     for m in (1, 3, 5):
         for l_b in (0.5, 1.0, 2.0):
-            params = LaughlinParams(2, m, l_b)
             target = l_b * np.sqrt(2.0 * m)
             guess = np.array([1.1 * target + 0.2j, -0.9 * target - 0.1j])
-            sol = stationary(guess, m, ConjugateLinear(params.omega), 1e-12, 200)
+            sol = stationary(guess, m, ConjugateLinear(1.0 / (4.0 * l_b**2)), 1e-12, 200)
             assert sol.converged
             worst = max(worst, np.abs(np.abs(sol.positions) - target).max())
     report(
@@ -264,8 +262,9 @@ def test_11_laughlin_equilibria_are_rotating_vortex_crystals():
     # rotation at -omega/m.  rhs is computed apart from the solve, an independent oracle of it.
     worst = 0.0
     for m, l_b, n in itertools.product((1, 3, 5), (0.5, 1.0, 2.0), (10, 30, 100)):
-        bg = ConjugateLinear(LaughlinParams(n, m, l_b).omega)
-        sol = stationary(ring_guess(n, m, l_b, 0), m, bg, 1e-10, 200)  # the `laughlin` command's solve
+        bg = ConjugateLinear(1.0 / (4.0 * l_b**2))
+        # the `laughlin` command's guess and solve, at magnetic length l_b in place of 1
+        sol = stationary(l_b * ring_guess(n, m, 0), m, bg, 1e-10, 200)
         assert sol.converged
         v = rhs(VortexConfiguration(sol.positions, np.ones(n)), NoFlow())
         worst = max(worst, np.abs(v + 1j * bg.omega / m * sol.positions).max() / np.abs(v).max())

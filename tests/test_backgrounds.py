@@ -15,7 +15,6 @@ from vortexkit.backgrounds import (
     default_guess, kirchhoff_energy, kirchhoff_field, kirchhoff_jacobian, log_abs, min_separation, newton,
     pair_jacobian, pair_sum, stationary,
 )
-from vortexkit.landau import LaughlinParams
 from vortexkit.vortex import VortexConfiguration, conserved, rhs
 
 SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
@@ -243,8 +242,9 @@ class TestNewton:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("z, bg", [
-        # the CLI's N = 3 ring guess (less its jitter) at l_B = 4e-155: F is finite, a ± diag(b) overflows
-        (7.2e-155 * np.exp(2j * np.pi * np.arange(3) / 3), ConjugateLinear(LaughlinParams(3, 1, 4e-155).omega)),
+        # an N = 3 ring guess (less its jitter) at l_B = 4e-155, omega = 1/(4 l_B^2) = 1.5625e308:
+        # F is finite, a ± diag(b) overflows
+        (7.2e-155 * np.exp(2j * np.pi * np.arange(3) / 3), ConjugateLinear(1.0 / (4.0 * 4e-155**2))),
         # on the line, an entry 1/(z_i - z_k)^2 of a overflows: (1e-170)^2 is 0
         (np.array([-1.0, 0.0, 1e-170]), HermiteLinear()),
     ], ids=["planar-assembly", "line-entry"])
@@ -440,7 +440,7 @@ class TestFamilyConstructors:
     @pytest.mark.parametrize("make", [lambda: Coulomb(-1), lambda: JacobiCharges(0, 1),
                                       lambda: JacobiCharges(1, -0.5), lambda: Coulomb(np.nan),
                                       lambda: JacobiCharges(np.nan, 1), lambda: JacobiCharges(1, np.nan),
-                                      lambda: ConjugateLinear(np.nan)])
+                                      lambda: ConjugateLinear(np.nan), lambda: ConjugateLinear(np.inf)])
     def test_invalid_parameters_raise(self, make):
         with pytest.raises(ValueError):
             make()
@@ -539,9 +539,8 @@ class TestWhereTheFieldIsDefined:
         monkeypatch.setattr(backgrounds, "_row_blocks", lambda *a, **k: passes.append(1) or blocks(*a, **k))
         z = np.exp(2j * np.pi * np.arange(5) / 5)
         cfg = VortexConfiguration(z, np.ones(5))
-        laughlin = LaughlinParams(5)
         for call in (lambda: rhs(cfg, Coulomb(1.0)),
-                     lambda: kirchhoff_field(z, laughlin.m_exp, ConjugateLinear(laughlin.omega)),
+                     lambda: kirchhoff_field(z, 1, ConjugateLinear(0.25)),
                      lambda: kirchhoff_field(np.arange(1.0, 6.0), -1.0, Coulomb(1.0))):
             passes.clear()
             call()

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vortexkit
 from vortexkit import cli, orthopoly
@@ -426,25 +428,62 @@ class TestLaughlin:
         assert len(doc["positions"]) == 3 and all(len(p) == 2 for p in doc["positions"])
 
     @pytest.mark.parametrize("l_b", ["1e-160", "1e160"])
-    def test_magnetic_length_without_finite_omega_exit_2(self, tmp_path, capsys, l_b):
-        # 1e-160 gave omega = inf and a report with "residual_inf": Infinity; 1e160 an
-        # OverflowError traceback (exit 1) from l_B**2
-        assert run(["--out", str(tmp_path), "laughlin", "--N", "3", "--l-B", l_b]) == 2
-        assert "l_B" in capsys.readouterr().err
-        assert not (tmp_path / "laughlin.json").exists()
+    def test_magnetic_length_without_finite_omega_scales_the_unit_answer(self, tmp_path, l_b):
+        # omega = 1/(4 l_B^2) is inf at 1e-160 and 1/(4 l_B^2) overflowed at 1e160, so both were refused;
+        # the problem is solved in units of l_B, so its answer here is l_B times the l_B = 1 answer
+        assert run(["--quiet", "--out", str(tmp_path / "unit"), "laughlin", "--N", "3"]) == 0
+        assert run(["--quiet", "--out", str(tmp_path / "scaled"), "laughlin", "--N", "3", "--l-B", l_b]) == 0
+        unit, scaled = (strict_json(tmp_path / d / "laughlin.json") for d in ("unit", "scaled"))
+        assert scaled["converged"] is True and scaled["iterations"] == unit["iterations"]
+        for key in ("radius_mean", "radius_min", "radius_max"):
+            assert scaled[key] == pytest.approx(float(l_b) * unit[key], rel=np.finfo(float).eps)
 
     def test_non_finite_jacobian_exits_3_silently(self, tmp_path):
-        # omega = 1.56e308 is finite, but the 2n real Jacobian overflows in its assembly.
-        # LAPACK used to print "On entry to DLASCL parameter number 4 had an illegal value"
-        # to the process's stdout, despite --quiet; a subprocess sees that output.
+        # `laughlin` solves at omega = 1/4 and never forms a large omega, so the overflow is driven
+        # through a custom `equilibrium` field w = 1e308 z: an entry of the Newton Jacobian at the
+        # guess is inf.  LAPACK used to print "On entry to DLASCL parameter number 4 had an illegal
+        # value" to the process's stdout, despite --quiet; a subprocess sees that output.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"equilibrium": {"family": "custom", "n": 3, "poly": [0.0, 1e308]}}))
         env = dict(os.environ, PYTHONPATH=str(Path(vortexkit.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "vortexkit.cli", "--quiet",
-             "--out", str(tmp_path), "laughlin", "--N", "3", "--l-B", "4e-155"],
+             "--config", str(config), "--out", str(tmp_path), "equilibrium"],
             capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "")
-        doc = strict_json(tmp_path / "laughlin.json")
+        doc = strict_json(tmp_path / "equilibrium.json")
         assert (doc["iterations"], doc["converged"]) == (0, False)
+
+    def test_large_magnetic_length_is_solved(self, tmp_path):
+        # the absolute tol used to hold at the guess, 0.9 of the radius, after 0 Newton steps;
+        # residual_inf and tol are in units of 1/l_B now.  The equilateral radius is 2 l_B.
+        assert run(["--quiet", "--out", str(tmp_path), "laughlin", "--N", "3", "--l-B", "1e150"]) == 0
+        doc = strict_json(tmp_path / "laughlin.json")
+        assert doc["iterations"] > 0 and doc["converged"] is True
+        assert doc["radius_mean"] == pytest.approx(2e150, rel=1e-12)
+
+    def test_positions_beyond_the_floats_exit_3(self, tmp_path):
+        # the equilibrium at radius 2e308 is solved in units of l_B; its positions overflow when scaled
+        assert run(["--quiet", "--out", str(tmp_path), "laughlin", "--N", "3", "--l-B", "1e308"]) == 3
+        doc = strict_json(tmp_path / "laughlin.json")
+        assert doc["converged"] is False
+        assert None in sum(doc["positions"], [])
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(n=st.integers(1, 10), k=st.integers(-490, 490), seed=st.integers(0, 2**32 - 1))
+    def test_power_of_two_magnetic_length_scales_exactly(self, n, k, seed):
+        # l_B = 2^k scales the l_B = 1 answer exactly: the same exit code and every position times
+        # 2^k, bit for bit (N = 7 exits 3 at every scale)
+        with tempfile.TemporaryDirectory() as out:
+            docs, codes = [], []
+            for l_b in (1.0, 2.0**k):
+                codes.append(run(["--quiet", "--seed", str(seed), "--out", out, "laughlin", "--N", str(n),
+                                  "--l-B", repr(l_b)]))
+                docs.append(json.loads(Path(out, "laughlin.json").read_text()))
+        unit, scaled = docs
+        assert codes[0] == codes[1]
+        assert scaled["positions"] == [[2.0**k * x for x in p] for p in unit["positions"]]
+        assert (scaled["iterations"], scaled["residual_inf"]) == (unit["iterations"], unit["residual_inf"])
 
     def test_non_finite_numbers_written_as_null_exit_3(self, tmp_path, monkeypatch):
         # the writer's rule, on a solve whose residual and one position are not finite

@@ -1,15 +1,27 @@
-"""Laughlin wavefunction, planar equilibria, ladder operators."""
+"""Laughlin states in the plane: log|psi| as a Kirchhoff energy, the stationarity field, its
+Jacobian and solves; the ladder operators."""
+
+import json
 
 import numpy as np
 import pytest
 
-from vortexkit.backgrounds import ConjugateLinear, kirchhoff_field, kirchhoff_jacobian, ring_guess, stationary
-from vortexkit.landau import (
-    LaughlinParams,
-    ladder_apply,
-    log_laughlin,
+from vortexkit import cli
+from vortexkit.backgrounds import (
+    ConjugateLinear, kirchhoff_energy, kirchhoff_field, kirchhoff_jacobian, ring_guess, stationary,
 )
-from vortexkit.paraxial import BeamField
+from vortexkit.paraxial import BeamField, ladder_apply
+
+
+def omega_of(l_b):
+    """omega = 1/(4 l_B^2), the confinement of magnetic length l_B."""
+    return 1.0 / (4.0 * l_b**2)
+
+
+def log_modulus(z, m, l_b):
+    """Re log psi = sum_{i<j} m ln|z_i - z_j| - sum_j |z_j|^2/(4 l_B^2), the Laughlin wavefunction's
+    log-modulus: the Kirchhoff energy of strengths m in ConjugateLinear(2 omega), over m."""
+    return kirchhoff_energy(np.asarray(z, dtype=complex), m, ConjugateLinear(2.0 * omega_of(l_b))) / m
 
 
 def gaussian_field(n, extent, l_b=1.0, prefactor=None):
@@ -24,43 +36,42 @@ def gaussian_field(n, extent, l_b=1.0, prefactor=None):
 
 
 class TestLogLaughlin:
+    """log|psi| through `kirchhoff_energy`, and the parameters the `laughlin` command refuses."""
+
     def test_single_particle_origin(self):
-        assert log_laughlin(np.array([0.0j]), LaughlinParams(1)) == 0.0
+        assert log_modulus([0.0j], 1, 1.0) == 0.0
 
     def test_pair_principal_branch(self):
-        val = log_laughlin(np.array([1.0, -1.0], dtype=complex), LaughlinParams(2, 1, 1.0))
-        assert val == pytest.approx(np.log(2.0) + np.pi * 1j - 0.5)
+        # the real part of log psi at +-1: m ln 2 - (1 + 1)/4
+        assert log_modulus([1.0, -1.0], 1, 1.0) == pytest.approx(np.log(2.0) - 0.5)
 
     def test_swap_antisymmetry_modulus(self):
         rng = np.random.default_rng(0)
         z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        params = LaughlinParams(3, 3, 0.8)
-        a = log_laughlin(z, params)
         zs = z.copy()
         zs[[0, 1]] = zs[[1, 0]]
-        b = log_laughlin(zs, params)
-        # |psi| is branch-free; imaginary parts differ by multiples of pi*m
-        assert a.real == pytest.approx(b.real, abs=1e-12)
-        assert (b - a).imag / np.pi == pytest.approx(round((b - a).imag / np.pi), abs=1e-10)
-
-    def test_coincident_particles_rejected(self):
-        with pytest.raises(ValueError):
-            log_laughlin(np.array([1.0 + 0j, 1.0 + 0j]), LaughlinParams(2))
+        # |psi| is symmetric under a swap, psi itself antisymmetric for odd m
+        assert log_modulus(z, 3, 0.8) == pytest.approx(log_modulus(zs, 3, 0.8), abs=1e-12)
 
     @pytest.mark.parametrize("bad", [dict(N=0), dict(N=2, m_exp=2), dict(N=2, l_B=0.0), dict(N=2, l_B=np.nan)])
-    def test_invalid_params(self, bad):
-        with pytest.raises(ValueError):
-            LaughlinParams(**{"N": 2, "m_exp": 1, "l_B": 1.0, **bad})
+    def test_invalid_params(self, bad, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"laughlin": bad}))
+        assert cli.main(["--quiet", "--config", str(config), "--out", str(tmp_path), "laughlin"]) == 2
+        assert not (tmp_path / "laughlin.json").exists()
 
     @pytest.mark.parametrize("l_b", [1e160, 10**200, 1e-160], ids=["1e160", "int_1e200", "1e-160"])
     def test_magnetic_length_without_finite_positive_omega(self, l_b):
-        # 1e160**2 overflows (OverflowError) and 10**200 cannot become a float; at
-        # 1e-160, l_B**2 rounds to a subnormal and omega = 1/(4 l_B^2) is inf
+        # l_B^2 overflows at 1e160 and 1e200, so omega is 0; at 1e-160 l_B^2 rounds to a subnormal
+        # and omega is inf.  ConjugateLinear, the one check of omega, refuses both; the `laughlin`
+        # command solves in units of l_B and never forms this omega.
+        with np.errstate(over="ignore", divide="ignore"):
+            omega = 1.0 / (4.0 * np.float64(l_b) ** 2)
         with pytest.raises(ValueError, match="omega"):
-            LaughlinParams(2, 1, l_b)
+            ConjugateLinear(omega)
 
     def test_small_magnetic_length_with_finite_omega_accepted(self):
-        assert 0 < LaughlinParams(2, 1, 1e-150).omega < np.inf
+        assert 0 < ConjugateLinear(omega_of(1e-150)).omega < np.inf
 
 
 class TestStationarityResidual:
@@ -71,54 +82,51 @@ class TestStationarityResidual:
         for m in (1, 3, 5):
             for l_b in (0.5, 1.0, 2.0):
                 a = l_b * np.sqrt(2.0 * m)
-                params = LaughlinParams(2, m, l_b)
-                s = kirchhoff_field(np.array([a, -a], dtype=complex), params.m_exp, ConjugateLinear(params.omega))
+                s = kirchhoff_field(np.array([a, -a], dtype=complex), m, ConjugateLinear(omega_of(l_b)))
                 assert np.abs(s).max() < 1e-13
 
     def test_single_particle(self):
-        params = LaughlinParams(1, 1, 1.0)
-        bg = ConjugateLinear(params.omega)
+        bg = ConjugateLinear(omega_of(1.0))
         z = np.array([2.0 + 1.0j])
-        s = kirchhoff_field(z, params.m_exp, bg)
+        s = kirchhoff_field(z, 1, bg)
         assert s[0] == pytest.approx(-np.conj(z[0]) / 4.0)
-        assert np.abs(kirchhoff_field(np.array([0.0j]), params.m_exp, bg)).max() == 0.0
+        assert np.abs(kirchhoff_field(np.array([0.0j]), 1, bg)).max() == 0.0
 
     def test_conjugation_property(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=5) + 1j * rng.normal(size=5)
-        params = LaughlinParams(5, 3, 0.9)
-        bg = ConjugateLinear(params.omega)
-        s = kirchhoff_field(z, params.m_exp, bg)
-        sc = kirchhoff_field(np.conj(z), params.m_exp, bg)
+        bg = ConjugateLinear(omega_of(0.9))
+        s = kirchhoff_field(z, 3, bg)
+        sc = kirchhoff_field(np.conj(z), 3, bg)
         assert np.abs(sc - np.conj(s)).max() < 1e-12
 
     def test_rotational_equivariance(self):
         rng = np.random.default_rng(12)
         z = rng.normal(size=4) + 1j * rng.normal(size=4)
-        params = LaughlinParams(4, 1, 1.0)
         theta = 0.83
-        bg = ConjugateLinear(params.omega)
-        s = kirchhoff_field(z, params.m_exp, bg)
-        srot = kirchhoff_field(z * np.exp(1j * theta), params.m_exp, bg)
+        bg = ConjugateLinear(omega_of(1.0))
+        s = kirchhoff_field(z, 1, bg)
+        srot = kirchhoff_field(z * np.exp(1j * theta), 1, bg)
         assert np.abs(srot - s * np.exp(-1j * theta)).max() < 1e-12
 
     def test_gradient_of_log_modulus(self):
         # 2 d/dzbar_j log|psi| + omega z_j equals conj(S_j); finite differences
         rng = np.random.default_rng(21)
         z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        params = LaughlinParams(3, 3, 1.2)
-        s = kirchhoff_field(z, params.m_exp, ConjugateLinear(params.omega))
+        m, l_b = 3, 1.2
+        omega = omega_of(l_b)
+        s = kirchhoff_field(z, m, ConjugateLinear(omega))
         h = 1e-6
         for j in range(3):
             def logmod(dz):
                 zz = z.copy()
                 zz[j] += dz
-                return log_laughlin(zz, params).real
+                return log_modulus(zz, m, l_b)
 
             gx = (logmod(h) - logmod(-h)) / (2 * h)
             gy = (logmod(1j * h) - logmod(-1j * h)) / (2 * h)
             two_dzbar = gx + 1j * gy
-            assert two_dzbar + params.omega * z[j] == pytest.approx(np.conj(s[j]), abs=1e-6)
+            assert two_dzbar + omega * z[j] == pytest.approx(np.conj(s[j]), abs=1e-6)
 
 
 class TestPlanarJacobian:
@@ -126,15 +134,14 @@ class TestPlanarJacobian:
         # the shared jacobian's Wirtinger blocks: dS/dx = a + diag(b), dS/dy = i(a - diag(b))
         rng = np.random.default_rng(77)
         worst = 0.0
-        for params in (LaughlinParams(2, 1, 1.0), LaughlinParams(5, 3, 1.1), LaughlinParams(7, 1, 0.7)):
-            n = params.N
+        for n, m, l_b in ((2, 1, 1.0), (5, 3, 1.1), (7, 1, 0.7)):
             while True:
                 z = 2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
                 d = np.abs(z[:, None] - z[None, :]) + np.eye(n)
                 if d.min() > 0.3:
                     break
-            bg = ConjugateLinear(params.omega)
-            a, b = kirchhoff_jacobian(z, params.m_exp, bg)
+            bg = ConjugateLinear(omega_of(l_b))
+            a, b = kirchhoff_jacobian(z, m, bg)
             b = np.eye(n) * b
             h = 1e-6
             for i in range(n):
@@ -142,40 +149,38 @@ class TestPlanarJacobian:
                     zp, zm = z.copy(), z.copy()
                     zp[i] += step
                     zm[i] -= step
-                    fd = (kirchhoff_field(zp, params.m_exp, bg) - kirchhoff_field(zm, params.m_exp, bg)) / (2 * h)
+                    fd = (kirchhoff_field(zp, m, bg) - kirchhoff_field(zm, m, bg)) / (2 * h)
                     worst = max(worst, np.abs(col.real - fd.real).max(),
                                 np.abs(col.imag - fd.imag).max())
         assert worst < 1e-6
 
 
-def solve_plane(params, guess, tol=1e-10, max_iter=200):
-    """The plane solve of the `laughlin` command: strengths m in ConjugateLinear(omega)."""
-    return stationary(np.asarray(guess, dtype=complex), params.m_exp, ConjugateLinear(params.omega), tol, max_iter)
+def solve_plane(guess, m=1, l_b=1.0, tol=1e-10, max_iter=200):
+    """The plane solve of strengths m in ConjugateLinear(omega), the `laughlin` command's at l_B = 1."""
+    return stationary(np.asarray(guess, dtype=complex), m, ConjugateLinear(omega_of(l_b)), tol, max_iter)
 
 
 class TestPlanarEquilibrium:
     def test_pair_radius(self):
-        params = LaughlinParams(2, 1, 1.0)
-        sol = solve_plane(params, np.array([1.2 + 0.3j, -1.1 - 0.2j]), tol=1e-12)
+        sol = solve_plane(np.array([1.2 + 0.3j, -1.1 - 0.2j]), tol=1e-12)
         assert sol.converged and sol.residual_inf <= 1e-12
         assert np.abs(sol.positions) == pytest.approx([np.sqrt(2.0)] * 2, abs=1e-10)
 
     def test_single_particle_origin(self):
-        sol = solve_plane(LaughlinParams(1), np.array([0.3 + 0.4j]))
+        sol = solve_plane(np.array([0.3 + 0.4j]))
         assert sol.converged
         assert abs(sol.positions[0]) < 1e-10
 
     def test_triangle(self):
         # brute-force oracle: minimize max |S| over symmetric triangle radius
-        params = LaughlinParams(3, 1, 1.0)
-        bg = ConjugateLinear(params.omega)
+        bg = ConjugateLinear(omega_of(1.0))
         radii = np.linspace(1.5, 2.5, 20001)
         best = min(
             radii,
-            key=lambda r: np.abs(kirchhoff_field(r * np.exp(2j * np.pi * np.arange(3) / 3), params.m_exp, bg)).max(),
+            key=lambda r: np.abs(kirchhoff_field(r * np.exp(2j * np.pi * np.arange(3) / 3), 1, bg)).max(),
         )
         guess = 1.7 * np.exp(2j * np.pi * np.arange(3) / 3 + 0.05j)
-        sol = solve_plane(params, guess, tol=1e-12)
+        sol = solve_plane(guess, tol=1e-12)
         assert sol.converged and sol.residual_inf <= 1e-10
         z = sol.positions
         d = np.abs(z[:, None] - z[None, :])
@@ -188,17 +193,16 @@ class TestPlanarEquilibrium:
         # max|S| is 1.6e-16 here, and the rotation iz is a null vector of the Jacobian at
         # S = 0, so rcond < eps: the one refusal rule of the line stops the plane too
         z = 2.0 * np.exp(2j * np.pi * np.arange(3) / 3)
-        sol = solve_plane(LaughlinParams(3, 1, 1.0), z, tol=0.0)
+        sol = solve_plane(z, tol=0.0)
         assert (sol.positions.tolist(), sol.iterations, sol.converged) == (z.tolist(), 0, False)
 
     @pytest.mark.parametrize("n", [10, 30])
     def test_returned_residual_is_max_modulus(self, n):
         # the modulus of the complex S_j, not the largest of its real and imaginary parts
-        params = LaughlinParams(n)
-        sol = solve_plane(params, ring_guess(n, 1, 1.0, n))
+        sol = solve_plane(ring_guess(n, 1, n))
         assert sol.converged
-        bg = ConjugateLinear(params.omega)
-        assert sol.residual_inf == np.abs(kirchhoff_field(sol.positions, params.m_exp, bg)).max()
+        bg = ConjugateLinear(omega_of(1.0))
+        assert sol.residual_inf == np.abs(kirchhoff_field(sol.positions, 1, bg)).max()
 
 
 class TestLadder:

@@ -122,10 +122,13 @@ def _refuse_unknown(what, keys, known):
 def _typed(what, default, value):
     """value as its default's type: an int takes an integral number, a float any number but a
     bool, a list or tuple a list whose elements are typed as the default's first one (as a
-    float when it has none), None (beam z_total) None or a float, any other type only itself."""
+    float when it has none), None (beam z_total) None or a float, any other type only itself.
+    A JSON integer has no bound: one outside the float range is refused like a non-finite number."""
     if default is None:
         return None if value is None else _typed(what, 0.0, value)
     kind, number = type(default), type(value) in (int, float)
+    if type(value) is int and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{what} must lie within the float range, got an integer of {value.bit_length()} bits")
     if kind in (list, tuple) and type(value) is list:
         first = default[0] if default else 0.0
         return kind(_typed(what, first, v) for v in value)
@@ -256,7 +259,6 @@ def cmd_laughlin(args):
 def cmd_beam(args):
     params = _load_params("beam", args)
     n, dx, k, w0 = params["grid"], params["dx"], params["k"], params["w0"]
-    field = lg_mode(params["p"], params["ell"], w0, n, n, dx, dx, k)
     z_total = params["z_total"]
     if z_total is None:
         z_total = 0.5 * k * w0**2  # one Rayleigh range
@@ -264,9 +266,11 @@ def cmd_beam(args):
     if slices < 1:
         raise ConfigError(f"slices must be >= 1, got {slices}")
     dz = z_total / slices
+    # no name here holds the waist field: each slice is freed once the loop moves past it
+    beam = _slices(lg_mode(params["p"], params["ell"], w0, n, n, dx, dx, k), dz, slices)
     rows = []
     charges = []
-    for s, current in enumerate(_slices(field, dz, slices)):
+    for s, current in enumerate(beam):
         vortices = find_vortices(current)
         charges.append(sum(c for _, c in vortices))
         rows += [(current.z, vx, vy, c) for (vx, vy), c in vortices]

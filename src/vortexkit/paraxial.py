@@ -6,6 +6,11 @@ the split-step structure carries no splitting error and conserves energy to
 rounding.  The phase has unit modulus, so |spectrum| never changes along z: a
 run of slices takes the forward transform, the aliasing check and the phase
 factor once, and then costs one multiply and one inverse transform per slice.
+Both 2-d factors that are not transforms are built from 1-d factors: the
+Fresnel factor is exp(-i ky^2 dz/2k) exp(-i kx^2 dz/2k) (Goodman, Introduction
+to Fourier Optics, sec. 4.2) and the Gaussian of an LG mode is
+exp(-y^2/w0^2) exp(-x^2/w0^2), each an outer product of two grid axes, so no
+2-d exp runs outside the FFT.
 `ladder_apply` applies the Landau-level lowering and raising operators to a
 field by centered differences.
 """
@@ -66,7 +71,7 @@ class BeamField:
         return np.meshgrid(self.x(), self.y())
 
     def power(self):
-        return float(np.sum(np.abs(self.amplitude) ** 2) * self.dx * self.dy)
+        return float(np.vdot(self.amplitude, self.amplitude).real * self.dx * self.dy)
 
 
 def _laguerre(p, alpha, x):
@@ -93,46 +98,56 @@ def lg_mode(p, ell, w0, nx, ny, dx, dy, k, z=0.0) -> BeamField:
         raise ValueError(f"grid extent must cover >= 6 waists, got {nx * dx} x {ny * dy}")
     x = (np.arange(nx) - nx // 2) * (math.sqrt(2.0) * dx / w0)
     y = (np.arange(ny) - ny // 2) * (math.copysign(math.sqrt(2.0), ell) * dy / w0)
-    w = x[None, :] + 1j * y[:, None]
-    rho = x[None, :] ** 2 + y[:, None] ** 2
-    u = w ** abs(ell) * (_laguerre(p, abs(ell), rho) * np.exp(-0.5 * rho))
-    u /= np.sqrt(np.sum(np.abs(u) ** 2) * dx * dy)
+    u = np.exp(-0.5 * y**2)[:, None] * np.exp(-0.5 * x**2)  # exp(-|w|^2/2), separable
+    if p > 0:
+        u *= _laguerre(p, abs(ell), x**2 + y[:, None] ** 2)
+    u = u.astype(complex)
+    if ell:
+        w = x + 1j * y[:, None]
+        for _ in range(abs(ell)):
+            u *= w
+    u *= 1.0 / math.sqrt(np.vdot(u, u).real * dx * dy)  # a real scale, not a complex division
     return BeamField(u, dx, dy, k, z)
 
 
-def _spectral_energy_fraction_outer(spec_sq, nx, ny):
-    fx = np.fft.fftfreq(nx)
-    fy = np.fft.fftfreq(ny)
-    fx_lim = np.abs(fx).max()
-    fy_lim = np.abs(fy).max()
-    outer = (np.abs(fx)[None, :] / fx_lim > 0.75) | (np.abs(fy)[:, None] / fy_lim > 0.75)
-    total = spec_sq.sum()
+def _spectral_energy_fraction_outer(spec):
+    """Share of |spec|^2 above 3/4 of the largest frequency on either axis: the total minus
+    the inner rectangle, summed as inner rows @ |spec|^2 @ inner columns."""
+    power = np.abs(spec)
+    power *= power
+    total = power.sum()
     if total == 0.0:
         return 0.0
-    return float(spec_sq[outer].sum() / total)
+    fy, fx = (np.abs(np.fft.fftfreq(n)) for n in spec.shape)
+    inner = (fy <= 0.75 * fy.max()).astype(float) @ power @ (fx <= 0.75 * fx.max()).astype(float)
+    return float((total - inner) / total)
 
 
 def _slices(field: BeamField, dz, count):
     """Yield `field` itself, then `count` fields each dz further along z.
 
     One forward transform serves every slice: slice s is ifft2(spec * phase**s),
-    with the running product kept in place.  The transform and the aliasing
-    check run only when the first propagated slice is asked for.
+    with the running product kept in place.  The phase is the outer product of
+    its 1-d ky and kx factors.  The transform and the aliasing check run only
+    when the first propagated slice is asked for.
     """
     yield field
-    kx = 2.0 * np.pi * np.fft.fftfreq(field.nx, field.dx)
-    ky = 2.0 * np.pi * np.fft.fftfreq(field.ny, field.dy)
-    k2 = kx[None, :] ** 2 + ky[:, None] ** 2
     spec = np.fft.fft2(field.amplitude)
-    frac = _spectral_energy_fraction_outer(np.abs(spec) ** 2, field.nx, field.ny)
+    frac = _spectral_energy_fraction_outer(spec)
     if frac > 0.01:
         warnings.warn(
             f"{100 * frac:.2f}% of energy in outer quarter of spectrum", AliasingWarning
         )
-    phase = np.exp(-1j * k2 * dz / (2.0 * field.k))
+    c = -dz / (2.0 * field.k)
+    kx = 2.0 * np.pi * np.fft.fftfreq(field.nx, field.dx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(field.ny, field.dy)
+    phase = np.exp(1j * c * ky**2)[:, None] * np.exp(1j * c * kx**2)
+    z0 = field.z
     for s in range(1, count + 1):
         spec *= phase
-        yield replace(field, amplitude=np.fft.ifft2(spec), z=field.z + s * dz)
+        # rebinding field keeps no earlier slice alive here: the caller decides which it holds
+        field = replace(field, amplitude=np.fft.ifft2(spec), z=z0 + s * dz)
+        yield field
 
 
 def propagate(field: BeamField, dz) -> BeamField:

@@ -386,7 +386,8 @@ class TestSimulate:
 
 
 class TestNonFiniteInput:
-    """A NaN from a flag or a config file is invalid input (exit 2), not a run that exits 0 or 3."""
+    """A NaN, or an integer beyond the floats, from a flag or a config file is invalid input (exit 2),
+    not a run that exits 0, 1 or 3."""
 
     def test_nan_t_end_exit_2(self, tmp_path):
         assert run(["--out", str(tmp_path), "simulate", "--t-end", "nan"]) == 2
@@ -406,6 +407,14 @@ class TestNonFiniteInput:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"simulate": {"background": {"kind": "coulomb", "l": float("nan")}}}))
         assert run(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 2
+
+    @pytest.mark.parametrize("command, key", [("laughlin", "l_B"), ("equilibrium", "n")])
+    def test_integer_beyond_the_floats_exit_2(self, tmp_path, capsys, command, key):
+        # a JSON integer has no bound: float() of this 401-digit one raised OverflowError, exit 1
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({command: {key: 10**400}}))
+        assert run(["--config", str(config), "--out", str(tmp_path), command]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: ")
 
 
 class TestLaughlin:

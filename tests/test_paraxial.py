@@ -227,6 +227,16 @@ class TestLgMode:
             assert np.abs(f.amplitude - want).max() <= 1e-13 * np.abs(want).max()
             assert f.power() == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("p", range(4))
+    def test_matches_polar_form_on_a_non_square_grid(self, p):
+        # the Gaussian is exp(-y^2/w0^2)[:, None] * exp(-x^2/w0^2): axis 0 must take y and dy
+        nx, ny, dx = 128, 256, 1.0 / 16
+        for ell in range(-3, 4):
+            f = lg_mode(p, ell, 1.0, nx, ny, dx, 2 * dx, 100.0)
+            want = lg_mode_polar(p, ell, 1.0, nx, ny, dx, 2 * dx)
+            assert f.amplitude.shape == (ny, nx)
+            assert np.abs(f.amplitude - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_fundamental_gaussian(self, gauss_beam):
         phase = np.angle(gauss_beam.amplitude)
         mask = np.abs(gauss_beam.amplitude) > 1e-8
@@ -260,6 +270,21 @@ class TestPropagate:
         z_r = 0.5 * gauss_beam.k * 1.0**2
         out = propagate(gauss_beam, z_r)
         assert measured_width(out) == pytest.approx(np.sqrt(2.0), rel=0.005)
+
+    def test_gaussian_beam_closed_form(self):
+        # LG(0,0) at the beam defaults: u = (s0/s) A0 exp(-r^2/(4s)), s = w0^2/4 + iz/2k
+        n, dx, k, w0 = 256, 0.0625, 100.0, 1.0
+        f = lg_mode(0, 0, w0, n, n, dx, dx, k)
+        xg, yg = f.grid()
+        r2 = xg**2 + yg**2
+        s0, z_r = w0**2 / 4, 0.5 * k * w0**2
+        a0 = f.amplitude[n // 2, n // 2]
+        slices = list(_slices(f, z_r / 4, 4))
+        for zeta, g in zip((0.25, 0.5, 0.75, 1.0), slices[1:]):
+            s = s0 + 1j * zeta * z_r / (2 * k)
+            want = (s0 / s) * a0 * np.exp(-r2 / (4 * s))
+            assert g.z == pytest.approx(zeta * z_r, rel=1e-15)
+            assert np.abs(g.amplitude - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_zero_field(self):
         f = BeamField(np.zeros((32, 32), dtype=complex), 0.1, 0.1, 10.0)
@@ -302,6 +327,24 @@ class TestPropagate:
         f = BeamField(noise, 0.1, 0.1, 10.0)
         with pytest.warns(AliasingWarning):
             propagate(f, 0.1)
+
+    @pytest.mark.parametrize("shape", [(16, 32), (64, 16), (128, 256), (256, 64)])
+    def test_aliasing_fraction_matches_mask_formula(self, shape):
+        # the former formula: a 2-d boolean mask of the outer quarter over |spec|^2
+        def masked(spec_sq, nx, ny):
+            fx, fy = np.fft.fftfreq(nx), np.fft.fftfreq(ny)
+            outer = ((np.abs(fx)[None, :] / np.abs(fx).max() > 0.75)
+                     | (np.abs(fy)[:, None] / np.abs(fy).max() > 0.75))
+            return float(spec_sq[outer].sum() / spec_sq.sum())
+
+        rng = np.random.default_rng(shape[0] + shape[1])
+        ny, nx = shape
+        for spread in (0.0, 3.0):  # flat spectra, and magnitudes over many decades
+            spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            spec *= np.exp(spread * rng.normal(size=shape))
+            want = masked(np.abs(spec) ** 2, nx, ny)
+            assert abs(paraxial._spectral_energy_fraction_outer(spec) - want) <= 1e-14
+        assert paraxial._spectral_energy_fraction_outer(np.zeros(shape, dtype=complex)) == 0.0
 
     def test_slices_from_one_transform(self, gauss_beam):
         slices = list(_slices(gauss_beam, 4.0, 3))

@@ -16,16 +16,13 @@ from .backgrounds import (
 from .vortex import (
     VortexConfiguration,
     rhs,
-    hamiltonian_rhs,
     conserved,
-    poisson_bracket,
     integrate,
 )
 from .paraxial import (
     BeamField,
     lg_mode,
     propagate,
-    topological_charge,
     find_vortices,
     ladder_apply,
     save_field,

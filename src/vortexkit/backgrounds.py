@@ -5,8 +5,8 @@ real potential U(z) with 2 dU/dz = w.  All but ConjugateLinear are rational,
 w(z) = sum_m r_m/(z - p_m) + polynomial(z): CustomRationals that only set their
 poles, residues and polynomial.
 
-`pair_sum` is the sum over pairs and `min_separation` the distinctness check of
-input configurations, both over blocks of _BLOCK rows (memory O(n * _BLOCK)).
+`pair_sum` is the one sum over pairs, over blocks of _BLOCK rows (memory
+O(n * _BLOCK)); given eps, it is the one pair pass that decides a collision.
 `kirchhoff_field` is F, written once: vortices move with conj(i F), and the
 stationary problems (kappa = -1 on a line, kappa = m in ConjugateLinear for
 Laughlin) are F = 0, solved by `stationary` alone, from `default_guess` on the
@@ -295,15 +295,6 @@ def ring_guess(n, m, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(n) / n
     return 0.9 * r0 * np.exp(1j * (angles + 0.01 * rng.standard_normal(n)))
-
-
-def min_separation(z) -> float:
-    """Smallest |z_i - z_j| over pairs i != j; inf for fewer than two points."""
-    best = np.inf
-    for _, d, diag in _row_blocks(np.asarray(z), upper=True):
-        d[:, :diag.size][_SELF_OR_LOWER[:diag.size, :diag.size]] = np.inf
-        best = np.minimum(best, np.abs(d).min())
-    return float(best)
 
 
 def _horner(coeffs, z):

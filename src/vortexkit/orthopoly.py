@@ -100,8 +100,9 @@ def recurrence(spec: PolynomialSpec) -> RecurrenceCoefficients:
     return RecurrenceCoefficients(a=a, b=b)
 
 
-def _eval_all(rec: RecurrenceCoefficients, n: int, x, rows=3):
-    """Value and first rows - 1 derivatives of the monic degree-n polynomial at x (scalar or array).
+def _eval_all(rec: RecurrenceCoefficients, x, rows=3):
+    """Value and first rows - 1 derivatives of the monic polynomial of rec, degree rec.a.size,
+    at x (scalar or array).
 
     Returns (p, d, s, e) for rows = 3, (p, d, e) for 2 and (p, e) for 1: the monic values are
     p·2^e, d·2^e, s·2^e.  The derivatives are one (rows, ...) state, row r stepping as
@@ -116,7 +117,7 @@ def _eval_all(rec: RecurrenceCoefficients, n: int, x, rows=3):
     cur[0] = 1.0
     r = np.arange(1.0, rows).reshape((-1,) + (1,) * x.ndim)
     e = 0
-    for k in range(n):
+    for k in range(rec.a.size):
         nxt = (x - rec.a[k]) * cur
         nxt[1:] += r * cur[:-1]
         nxt -= rec.b[k] * prev
@@ -141,7 +142,7 @@ def zeros(spec: PolynomialSpec) -> np.ndarray:
     rec = recurrence(spec)
     x = eigh_tridiagonal(rec.a, np.sqrt(rec.b[1:]), eigvals_only=True)
     for _ in range(_POLISH_STEPS):
-        p, d, _ = _eval_all(rec, spec.n, x, rows=2)
+        p, d, _ = _eval_all(rec, x, rows=2)
         with np.errstate(all="ignore"):
             dx = p / d
         x = np.where(np.isfinite(dx), x - dx, x)
@@ -167,7 +168,7 @@ def ode_residual_relative(spec: PolynomialSpec, x):
     """Residual of the family's ODE (see `_ode`) for the monic polynomial at x (scalar or
     array), scaled by the sum of its terms' size bounds; both are scaled by the same 2^-e."""
     x = np.asarray(x, dtype=float)
-    p, d, s, _ = _eval_all(recurrence(spec), spec.n, x)
+    p, d, s, _ = _eval_all(recurrence(spec), x)
     pairs = list(zip(_ode(spec, x), (s, d, p)))
     terms = sum(c * f for (c, _), f in pairs)
     scale = sum(b * abs(f) for (_, b), f in pairs)

@@ -78,7 +78,7 @@ def _laguerre(p, alpha, x):
     """The generalized Laguerre polynomial L_p^alpha(x) = (-1)^p/p! times the monic one of orthopoly."""
     if p == 0:
         return 1.0
-    value, e = _eval_all(recurrence(PolynomialSpec(LAGUERRE, p, alpha=alpha)), p, x, rows=1)
+    value, e = _eval_all(recurrence(PolynomialSpec(LAGUERRE, p, alpha=alpha)), x, rows=1)
     return np.ldexp(value, e) * ((-1) ** p / math.factorial(p))
 
 
@@ -156,43 +156,6 @@ def propagate(field: BeamField, dz) -> BeamField:
     return out
 
 
-def _bilinear(amp, xi, yi):
-    """Bilinear interpolation at fractional pixel coordinates (xi along axis 1)."""
-    ny, nx = amp.shape
-    x0 = np.clip(np.floor(xi).astype(int), 0, nx - 2)
-    y0 = np.clip(np.floor(yi).astype(int), 0, ny - 2)
-    tx = xi - x0
-    ty = yi - y0
-    return (
-        amp[y0, x0] * (1 - tx) * (1 - ty)
-        + amp[y0, x0 + 1] * tx * (1 - ty)
-        + amp[y0 + 1, x0] * (1 - tx) * ty
-        + amp[y0 + 1, x0 + 1] * tx * ty
-    )
-
-
-def topological_charge(field: BeamField, center, radius) -> int:
-    """Winding number of the phase around a circle (center, radius in pixels).
-
-    Phase differences are unwrapped step by step; every step must stay below pi.
-    """
-    cx, cy = center
-    n_samples = max(64, int(np.ceil(4.0 * 2.0 * np.pi * radius)))
-    theta = 2.0 * np.pi * np.arange(n_samples + 1) / n_samples
-    xi = cx + radius * np.cos(theta)
-    yi = cy + radius * np.sin(theta)
-    if xi.min() < 0 or yi.min() < 0 or xi.max() > field.nx - 1 or yi.max() > field.ny - 1:
-        raise ValueError("loop leaves the grid")
-    u = _bilinear(field.amplitude, xi, yi)
-    peak = np.abs(field.amplitude).max()
-    if np.abs(u).min() < 1e-6 * peak:
-        raise ValueError("amplitude on loop below 1e-6 of peak (core intersects loop)")
-    dphi = np.angle(u[1:] / u[:-1])
-    if np.abs(dphi).max() >= np.pi:
-        raise ValueError("phase step >= pi on loop; increase sampling")
-    return int(round(dphi.sum() / (2.0 * np.pi)))
-
-
 def _circulation(u, idx, nx):
     """Summed phase steps around the plaquettes whose top-left corners are at the
     flat indices idx: each edge, along +x or +y, is the angle of conj(u_a) u_b."""
@@ -229,8 +192,8 @@ def find_vortices(field: BeamField, margin: int = 4):
     """Per-plaquette phase-winding scan with bilinear sub-pixel refinement.
 
     Each grid edge carries one phase step, taken along +x or +y: the angle of
-    u_b conj(u_a) on the peak-normalised field u = amp / peak, as
-    `topological_charge` takes the angle of a ratio.  With |u| <= 1 no product
+    u_b conj(u_a) on the peak-normalised field u = amp / peak, the angle of
+    the ratio u_b / u_a without a division.  With |u| <= 1 no product
     overflows, and none underflows in modulus except next to a dead pixel.  A
     plaquette's winding is the circulation of its four edges over 2 pi, so the two
     plaquettes that share an edge see it with opposite signs and the windings

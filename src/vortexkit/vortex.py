@@ -18,15 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import CollisionError, CustomRational, NoFlow, kirchhoff_energy, kirchhoff_field, min_separation
+# CollisionError is what integrate raises at a collision; its callers import it from here
+from .backgrounds import CollisionError, NoFlow, kirchhoff_energy, kirchhoff_field
 
 
 class StepLimitError(RuntimeError):
     """Adaptive integrator exhausted its step budget (near-collision stiffness)."""
-
-
-class UnsupportedBackgroundError(ValueError):
-    """Background whose potential is not Re Phi of an analytic Phi, as the Hamiltonian form needs."""
 
 
 @dataclass(frozen=True)
@@ -48,19 +45,12 @@ class VortexConfiguration:
             raise ValueError("strengths must be finite and nonzero")
         if not np.all(np.isfinite(z.view(float))):
             raise ValueError("positions must be finite")
-        if min_separation(z) == 0.0:
+        if np.unique(z).size < z.size:
             raise ValueError("positions must be pairwise distinct")
 
     @property
     def n(self):
         return self.z.size
-
-
-def _check_separation(z, bg, eps):
-    """The oracles' collision check, the same rule as kirchhoff_field's but not its code."""
-    for d in [min_separation(z)] + [np.abs(z - pole).min() for pole in bg.poles]:
-        if d <= eps:
-            raise CollisionError(f"distance {d:.3e} not above epsilon {eps:.1e}")
 
 
 def _velocity(z, kappa, bg, eps):
@@ -78,68 +68,6 @@ def conserved(z, kappa) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         q = (kappa * z).sum()
         return np.array([q.real, q.imag, (kappa * np.abs(z) ** 2).sum(), kirchhoff_energy(z, kappa, NoFlow())])
-
-
-def hamiltonian_rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -> np.ndarray:
-    """Velocities from Hamilton's equations with analytic gradients.
-
-    H_tot = sum_{i<j} kappa_i kappa_j ln|z_i - z_j| + sum_k kappa_k Re Phi(z_k), Phi' = w,
-    with the bracket {f, g} = sum_k (1/kappa_k)(f_x g_y - f_y g_x).  H_tot is the
-    Kirchhoff energy E of `backgrounds.kirchhoff_energy`; this oracle differentiates
-    it by hand and never evaluates it.
-    """
-    if not isinstance(bg, CustomRational):
-        raise UnsupportedBackgroundError(
-            f"{type(bg).__name__} background has no real line potential in this form"
-        )
-    z, kappa = cfg.z, cfg.kappa
-    _check_separation(z, bg, eps)
-    n = z.size
-    v = np.zeros(n, dtype=complex)
-    for k in range(n):
-        xdot = 0.0
-        ydot = 0.0
-        for j in range(n):
-            if j == k:
-                continue
-            dxy = z[k] - z[j]
-            r2 = dxy.real**2 + dxy.imag**2
-            # xdot_k = (1/kappa_k) dH/dy_k, ydot_k = -(1/kappa_k) dH/dx_k
-            xdot += kappa[j] * dxy.imag / r2
-            ydot += -kappa[j] * dxy.real / r2
-        wk = bg.w(z[k])
-        # d/dy Re Phi = -Im Phi' = -Im w; d/dx Re Phi = Re w (Cauchy-Riemann)
-        xdot += -np.imag(wk)
-        ydot += -np.real(wk)
-        v[k] = xdot + 1j * ydot
-    return v
-
-
-def poisson_bracket(f, g, cfg: VortexConfiguration, step: float = 1e-5, eps: float = 1e-12):
-    """{f, g} = sum_k (1/kappa_k)(df/dx_k dg/dy_k - df/dy_k dg/dx_k) by central differences.
-
-    f and g take the complex position vector and return a real number.
-    """
-    z, kappa = cfg.z, cfg.kappa
-    n = z.size
-
-    def partials(func):
-        fx = np.empty(n)
-        fy = np.empty(n)
-        for k in range(n):
-            for d, out in ((step, fx), (1j * step, fy)):
-                zp = z.copy()
-                zm = z.copy()
-                zp[k] += d
-                zm[k] -= d
-                for stencil in (zp, zm):
-                    _check_separation(stencil, NoFlow(), eps)
-                out[k] = (func(zp) - func(zm)) / (2.0 * step)
-        return fx, fy
-
-    fx, fy = partials(f)
-    gx, gy = partials(g)
-    return float(np.sum((fx * gy - fy * gx) / kappa))
 
 
 # Dormand-Prince 8(5,3) (Hairer-Norsett-Wanner I, Sec. II.5 and II.6; the digits of scipy's

@@ -16,8 +16,9 @@ from vortexkit.backgrounds import (
     ConjugateLinear, Coulomb, HermiteLinear, JacobiCharges, NoFlow, default_guess, kirchhoff_field, kirchhoff_jacobian,
     ring_guess, stationary,
 )
-from vortexkit.paraxial import BeamField, find_vortices, ladder_apply, lg_mode, propagate, topological_charge
-from vortexkit.vortex import VortexConfiguration, hamiltonian_rhs, integrate, rhs
+from vortexkit.paraxial import BeamField, find_vortices, ladder_apply, lg_mode, propagate
+from vortexkit.vortex import VortexConfiguration, integrate, rhs
+from oracles import hamiltonian_rhs, topological_charge
 
 
 def report(name, ok, detail=""):

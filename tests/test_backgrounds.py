@@ -12,10 +12,11 @@ import vortexkit
 from vortexkit import backgrounds, cli, orthopoly, vortex
 from vortexkit.backgrounds import (
     _BLOCK, CollisionError, ConjugateLinear, Coulomb, CustomRational, DomainError, HermiteLinear, JacobiCharges, NoFlow,
-    default_guess, kirchhoff_energy, kirchhoff_field, kirchhoff_jacobian, log_abs, min_separation, newton,
+    default_guess, kirchhoff_energy, kirchhoff_field, kirchhoff_jacobian, log_abs, newton,
     pair_jacobian, pair_sum, stationary,
 )
 from vortexkit.vortex import VortexConfiguration, conserved, rhs
+from oracles import min_separation
 
 SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
 EPS = np.finfo(float).eps

@@ -94,7 +94,7 @@ class TestRecurrence:
 
 def monic_value_and_slope(spec, x):
     """p(x) and p'(x) of the monic polynomial, from `_eval_all`'s scaled values."""
-    p, d, _, e = orthopoly._eval_all(recurrence(spec), spec.n, x)
+    p, d, _, e = orthopoly._eval_all(recurrence(spec), x)
     return np.ldexp(p, e), np.ldexp(d, e)
 
 
@@ -186,7 +186,7 @@ class TestZeros:
     def test_zero_certification(self, spec):
         rec = orthopoly.recurrence(spec)
         for x in zeros(spec):
-            p, d, _, _ = orthopoly._eval_all(rec, spec.n, x)
+            p, d, _, _ = orthopoly._eval_all(rec, x)
             # Newton correction below 1e-12 at the returned zero
             assert abs(p) <= 1e-12 * abs(d) * max(1.0, abs(x))
             assert abs(ode_residual_relative(spec, x)) < 1e-8
@@ -253,7 +253,7 @@ class TestRescaledRecurrence:
         spec = PolynomialSpec(family, n, **kwargs)
         z = zeros(spec)
         x = np.concatenate([z, np.random.default_rng(n).uniform(z[0] - 1.0, z[-1] + 1.0, 20)])
-        p, d, _, e = orthopoly._eval_all(recurrence(spec), n, x)
+        p, d, _, e = orthopoly._eval_all(recurrence(spec), x)
         rel = ode_residual_relative(spec, x)
         compared = 0
         with np.errstate(all="ignore"):
@@ -281,9 +281,9 @@ class TestRescaledRecurrence:
         spec = PolynomialSpec(family, n, **kwargs)
         z = zeros(spec)
         x = np.concatenate([z, np.linspace(z[0] - 1.0, z[-1] + 1.0, 41)])
-        *full, e3 = orthopoly._eval_all(recurrence(spec), n, x)
+        *full, e3 = orthopoly._eval_all(recurrence(spec), x)
         for rows in (1, 2):
-            *lead, e = orthopoly._eval_all(recurrence(spec), n, x, rows=rows)
+            *lead, e = orthopoly._eval_all(recurrence(spec), x, rows=rows)
             assert len(lead) == rows
             with np.errstate(over="ignore", divide="ignore"):  # even Hermite has p' = 0 at x = 0
                 for got, ref in zip(lead, full):
@@ -299,7 +299,7 @@ class TestRescaledRecurrence:
         assert not np.all(np.isfinite(ref))
         res = ode_residual_relative(spec, x)
         assert np.all(np.isfinite(res)) and np.abs(res).max() <= 1e-8
-        assert np.all(np.isfinite(orthopoly._eval_all(recurrence(spec), spec.n, x)[:3]))
+        assert np.all(np.isfinite(orthopoly._eval_all(recurrence(spec), x)[:3]))
 
 
 class TestOdeResidual:

@@ -25,8 +25,8 @@ from vortexkit.paraxial import (
     load_field,
     propagate,
     save_field,
-    topological_charge,
 )
+from oracles import topological_charge
 
 
 def measured_width(field):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexkit import backgrounds, cli, vortex
+import oracles
+import vortexkit
+from vortexkit import backgrounds, cli, paraxial, vortex
 from vortexkit.backgrounds import (
     _BLOCK, Coulomb, ConjugateLinear, CustomRational, HermiteLinear, JacobiCharges, NoFlow, kirchhoff_energy,
     kirchhoff_field, log_abs, pair_sum,
@@ -14,14 +16,12 @@ from vortexkit.backgrounds import (
 from vortexkit.vortex import (
     CollisionError,
     StepLimitError,
-    UnsupportedBackgroundError,
     VortexConfiguration,
     conserved,
-    hamiltonian_rhs,
     integrate,
-    poisson_bracket,
     rhs,
 )
+from oracles import UnsupportedBackgroundError, hamiltonian_rhs, min_separation, poisson_bracket
 
 
 def random_admissible(rng, n, min_dist=0.1, kappa_choices=(1.0, 2.0, -1.0)):
@@ -562,7 +562,55 @@ class TestOraclesIndependentOfField:
             hamiltonian_rhs(cfg, Coulomb(0.0))
 
 
+MOVED_TO_ORACLES = ("hamiltonian_rhs", "poisson_bracket", "_check_separation", "UnsupportedBackgroundError",
+                    "topological_charge", "_bilinear", "min_separation")
+
+
+@pytest.mark.parametrize("name", MOVED_TO_ORACLES)
+def test_oracles_live_only_in_the_tests(name):
+    assert callable(getattr(oracles, name))
+    for module in (vortexkit, vortex, paraxial, backgrounds):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def accepted(z):
+    """Whether VortexConfiguration takes the positions z, asserted to be the oracle's answer."""
+    z = np.asarray(z, dtype=complex)
+    try:
+        VortexConfiguration(z, np.ones(z.size))
+    except ValueError as exc:
+        assert str(exc) == "positions must be pairwise distinct"
+        taken = False
+    else:
+        taken = True
+    assert taken == (min_separation(z) > 0.0)
+    return taken
+
+
 class TestValidation:
+    def test_coincident_pair_in_different_row_blocks_rejected(self):
+        n = 2 * _BLOCK + 3
+        rng = np.random.default_rng(31)
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert accepted(z)
+        z[n - 1] = z[3]  # rows 3 and n - 1 lie in the first and the third block of _BLOCK rows
+        assert not accepted(z)
+
+    @pytest.mark.parametrize("a,b", [
+        (complex(0.0, 1.0), complex(-0.0, 1.0)),
+        (complex(1.0, 0.0), complex(1.0, -0.0)),
+        (complex(0.0, 0.0), complex(-0.0, -0.0)),
+    ])
+    def test_signed_zeros_coincide(self, a, b):
+        assert not accepted([a, 2.0 + 3.0j, b])
+
+    @pytest.mark.parametrize("a,b", [
+        (complex(0.0, 1.0), complex(5e-324, 1.0)),
+        (complex(1.0, 0.0), complex(1.0, 5e-324)),
+    ])
+    def test_smallest_subnormal_apart_accepted(self, a, b):
+        assert accepted([a, 2.0 + 3.0j, b])
+
     def test_coincident_positions_rejected(self):
         with pytest.raises(ValueError):
             VortexConfiguration(np.array([1.0 + 0j, 1.0 + 0j]), np.array([1.0, 1.0]))

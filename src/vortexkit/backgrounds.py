@@ -10,7 +10,8 @@ O(n * _BLOCK)); given eps, it is the one pair pass that decides a collision.
 `kirchhoff_field` is F, written once: vortices move with conj(i F), and the
 stationary problems (kappa = -1 on a line, kappa = m in ConjugateLinear for
 Laughlin) are F = 0, solved by `stationary` alone, from `default_guess` on the
-line or `ring_guess` in the plane: `newton` with the step from `kirchhoff_jacobian`.
+line or `ring_guess` in the plane: `newton`, the damped loop that knows no field, with the
+step `_newton_step` from `kirchhoff_jacobian`, which `stationary` alone binds.
 They are the critical points of `kirchhoff_energy`, E, with 2 dE/dz_i = kappa_i F_i;
 E is the one energy sum, and the invariant of the motion in every background.
 F alone decides where it is defined (CollisionError, found in the pair pass), and
@@ -163,8 +164,8 @@ def _newton_step(z, kappa, bg, f):
 
 @dataclass(frozen=True)
 class NewtonResult:
-    """The one record of a solve of F = 0: the last iterate, its max|F|, the Newton steps
-    taken, and whether max|F| <= tol (never so for a NaN residual)."""
+    """The one record of a Newton solve: the last iterate, its max|f|, the Newton steps
+    taken, and whether max|f| <= tol (never so for a NaN residual)."""
 
     positions: np.ndarray
     residual_inf: float
@@ -172,30 +173,32 @@ class NewtonResult:
     converged: bool
 
 
-def newton(residual, z, kappa, bg, tol, max_iter) -> NewtonResult:
-    """Damped Newton on F(z) = 0.
+def newton(residual, step, z, tol, max_iter) -> NewtonResult:
+    """Damped Newton on residual(z) = 0, any residual, with the full step step(z, f) at z, where residual is f.
 
-    residual(z) is `kirchhoff_field(z, kappa, bg)`, raising ValueError at the
-    trial points its caller rejects.  Each iteration takes the full step, halved
-    at most 30 times until residual() is defined and max|F| strictly decreases (the
-    accepted trial's F is reused).  Stops at max|F| <= tol, after max_iter steps,
-    when no halving decreases max|F|, or at a singular or ill-conditioned step (LinAlgError).
+    residual raises ValueError at the trial points its caller rejects, and step raises
+    LinAlgError where it is singular or ill-conditioned.  Each iteration takes the full step, halved
+    at most 30 times until residual() is defined and max|f| strictly decreases (the
+    accepted trial's f is reused).  Stops at max|f| <= tol, after max_iter steps, when no
+    halving decreases max|f|, or at a singular step.  Refuses tol < 0 and max_iter < 0 (ValueError).
     A trial that rounds to z itself ends the halving unevaluated: rounding is monotone, so
-    every shorter step rounds to z as well, and F(z) does not decrease below itself.
+    every shorter step rounds to z as well, and f(z) does not decrease below itself.
     """
+    if not (tol >= 0 and max_iter >= 0):
+        raise ValueError(f"need tol >= 0 and max_iter >= 0; got {tol} and {max_iter}")
     f = residual(z)
     fmax = np.abs(f).max()
     steps = 0
     while fmax > tol and steps < max_iter:
         try:
-            dz = _newton_step(z, kappa, bg, f)
+            dz = step(z, f)
         except np.linalg.LinAlgError:
             break
         lam = 1.0
         for _ in range(31):
             zn = z + lam * dz
             lam *= 0.5
-            if np.array_equal(zn, z):  # every shorter step rounds to z too: F cannot decrease
+            if np.array_equal(zn, z):  # every shorter step rounds to z too: f cannot decrease
                 break
             try:
                 fn = residual(zn)
@@ -212,23 +215,23 @@ def newton(residual, z, kappa, bg, tol, max_iter) -> NewtonResult:
 
 
 def stationary(z0, kappa, bg, tol, max_iter) -> NewtonResult:
-    """`newton` on F = kirchhoff_field(z, kappa, bg) = 0 from z0: the one solve of a stationary problem.
+    """`newton` on F = kirchhoff_field(z, kappa, bg) = 0 from z0, with the step `_newton_step`: the one
+    solve of a stationary problem, and the one code that binds the Kirchhoff step.
 
     A real z0 is a line problem: its points are sorted before and after the solve, and a
     trial point outside the open bg.domain raises DomainError, which the line search refuses.
     A z0 where F is not defined raises from the first evaluation of F.
     """
-    if np.iscomplexobj(z0):
-        return newton(lambda z: kirchhoff_field(z, kappa, bg), np.asarray(z0), kappa, bg, tol, max_iter)
-    lo, hi = bg.domain
-
-    def field(x):
-        if np.any(x <= lo) or np.any(x >= hi):
+    def field(z):
+        if line and (np.any(z <= lo) or np.any(z >= hi)):
             raise DomainError(f"points outside open domain ({lo}, {hi})")
-        return kirchhoff_field(x, kappa, bg)
+        return kirchhoff_field(z, kappa, bg)
 
-    result = newton(field, np.sort(np.asarray(z0, dtype=float)), kappa, bg, tol, max_iter)
-    return replace(result, positions=np.sort(result.positions))
+    line = not np.iscomplexobj(z0)
+    lo, hi = bg.domain if line else (None, None)
+    z0 = np.sort(np.asarray(z0, dtype=float)) if line else np.asarray(z0)
+    result = newton(field, lambda z, f: _newton_step(z, kappa, bg, f), z0, tol, max_iter)
+    return replace(result, positions=np.sort(result.positions)) if line else result
 
 
 def _semicircle(n) -> np.ndarray:

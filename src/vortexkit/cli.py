@@ -180,6 +180,8 @@ def _write_table(args, params, header, rows):
 
 def cmd_zeros(args):
     params = _load_params("zeros", args)
+    if params["tol"] < 0:
+        raise ConfigError(f"zeros tol must be >= 0, got {params['tol']}")
     spec = orthopoly.PolynomialSpec(params["family"], params["n"], params["alpha"], params["beta"])
     xs = orthopoly.zeros(spec)
     res = orthopoly.ode_residual_relative(spec, xs)
@@ -213,6 +215,8 @@ def cmd_equilibrium(args):
 
 def cmd_simulate(args):
     params = _load_params("simulate", args)
+    if params["drift_bound"] < 0:
+        raise ConfigError(f"simulate drift_bound must be >= 0, got {params['drift_bound']}")
     z = np.array([complex(x, y) for x, y in params["positions"]])
     kappa = np.array(params["strengths"], dtype=float)
     cfg = VortexConfiguration(z, kappa)

@@ -3,6 +3,7 @@ bounded memory; the Kirchhoff field's damped Newton solver, and its jacobian and
 solutions off the line; the background families against their closed forms; the
 one check of where the field is defined."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -161,7 +162,37 @@ def cube(z):
     return kirchhoff_field(z, 1.0, CUBE)
 
 
+def kirchhoff_step(kappa, bg):
+    """The step `stationary` binds: `_newton_step` at kappa and bg."""
+    return lambda z, f: backgrounds._newton_step(z, kappa, bg, f)
+
+
 class TestNewton:
+    def test_signature_knows_no_field(self):
+        assert list(inspect.signature(newton).parameters) == ["residual", "step", "z", "tol", "max_iter"]
+
+    def test_batched_cube_roots_without_a_field(self):
+        # z^3 = 2 elementwise from three starts, one near each root, with the elementwise step
+        # -f / (3 z^2): no Kirchhoff field and no matrix
+        roots = 2.0 ** (1 / 3) * np.exp(2j * np.pi * np.arange(3) / 3)
+        start = np.array([1.5, -0.5 + 1.2j, -0.7 - 1.0j])
+        sol = newton(lambda z: z**3 - 2.0, lambda z, f: -f / (3.0 * z**2), start, 0.0, 50)
+        assert 0 < sol.iterations < 50
+        assert np.all(np.abs(sol.positions - roots) <= 1e-15 * np.abs(roots))
+
+    @pytest.mark.parametrize("tol, max_iter", [(-1.0, 50), (np.nan, 50), (1e-12, -1)],
+                             ids=["negative_tol", "nan_tol", "negative_max_iter"])
+    def test_refuses_settings_that_cannot_be_met(self, tol, max_iter):
+        def untouched(z):
+            raise AssertionError("residual evaluated")
+
+        with pytest.raises(ValueError, match="need tol >= 0 and max_iter >= 0"):
+            newton(untouched, kirchhoff_step(1.0, CUBE), np.array([1.5]), tol, max_iter)
+
+    def test_zero_tol_and_zero_max_iter_are_valid(self):
+        sol = newton(cube, kirchhoff_step(1.0, CUBE), np.array([1.5]), 0.0, 0)
+        assert (sol.positions.tolist(), sol.iterations, sol.converged) == ([1.5], 0, False)
+
     def test_one_residual_per_iteration(self):
         calls = []
 
@@ -169,7 +200,7 @@ class TestNewton:
             calls.append(z)
             return cube(z)
 
-        sol = newton(field, np.array([1.5]), 1.0, CUBE, 1e-14, 50)
+        sol = newton(field, kirchhoff_step(1.0, CUBE), np.array([1.5]), 1e-14, 50)
         assert sol.converged and sol.residual_inf <= 1e-14
         assert sol.positions == pytest.approx([2.0 ** (1 / 3)], abs=1e-14)
         assert 0 < sol.iterations and len(calls) == sol.iterations + 1  # every full step was accepted
@@ -183,7 +214,7 @@ class TestNewton:
             return kirchhoff_field(z, 1.0, bg)
 
         # the first full step lands at 20 - 80 < 0
-        sol = newton(field, np.array([20.0]), 1.0, bg, 1e-12, 50)
+        sol = newton(field, kirchhoff_step(1.0, bg), np.array([20.0]), 1e-12, 50)
         assert sol.converged and sol.residual_inf <= 1e-12 and sol.positions == pytest.approx([4.0], abs=1e-12)
 
     def test_stops_when_no_halving_decreases(self):
@@ -192,10 +223,13 @@ class TestNewton:
 
         def field(z):
             calls.append(z)
-            return -kirchhoff_field(z, 1.0, bg)  # the sign opposite to the jacobian's
+            return kirchhoff_field(z, 1.0, bg)
+
+        def uphill(z, f):
+            return -kirchhoff_step(1.0, bg)(z, f)  # the Newton step reversed
 
         # an uphill step: no trial decreases |F|
-        sol = newton(field, np.array([3.0]), 1.0, bg, 1e-12, 50)
+        sol = newton(field, uphill, np.array([3.0]), 1e-12, 50)
         assert (sol.positions.tolist(), sol.residual_inf, sol.iterations, sol.converged) == ([3.0], 2.0, 0, False)
         assert len(calls) == 1 + 31  # the full step and 30 halvings
 
@@ -217,9 +251,9 @@ class TestNewton:
         assert repeats and not any(repeats)
 
     def test_max_iter_and_met_tolerance(self):
-        sol = newton(cube, np.array([1.5]), 1.0, CUBE, 1e-14, 2)
+        sol = newton(cube, kirchhoff_step(1.0, CUBE), np.array([1.5]), 1e-14, 2)
         assert sol.iterations == 2 and sol.residual_inf > 1e-14 and not sol.converged
-        met = newton(cube, sol.positions, 1.0, CUBE, sol.residual_inf, 50)
+        met = newton(cube, kirchhoff_step(1.0, CUBE), sol.positions, sol.residual_inf, 50)
         assert (met.residual_inf, met.iterations, met.converged) == (sol.residual_inf, 0, True)
 
     @pytest.mark.parametrize("x", [[0.3], [-1.0, 1.0], [-1.0, 0.5, 2.0]])
@@ -229,7 +263,7 @@ class TestNewton:
         # leaves a pivot of 1e-16, whose step would move every point to -1.35e16)
         bg = CustomRational(poly=(0.5,))
         x = np.array(x)
-        sol = newton(lambda z: kirchhoff_field(z, -1.0, bg), x, -1.0, bg, 1e-12, 50)
+        sol = newton(lambda z: kirchhoff_field(z, -1.0, bg), kirchhoff_step(-1.0, bg), x, 1e-12, 50)
         assert (sol.positions.tolist(), sol.iterations, sol.converged) == (x.tolist(), 0, False)
         assert sol.residual_inf == np.abs(kirchhoff_field(x, -1.0, bg)).max()
 
@@ -237,7 +271,7 @@ class TestNewton:
     def test_non_finite_residual_never_converges(self, bad):
         # NaN > tol is false, so the loop stops at once; converged must not read that as
         # max|F| <= tol.  An infinite max|F| tries a step, and no trial decreases it.
-        sol = newton(lambda z: np.full(z.shape, bad), np.array([1.0, 2.0]), 1.0, CUBE, 1e-12, 50)
+        sol = newton(lambda z: np.full(z.shape, bad), kirchhoff_step(1.0, CUBE), np.array([1.0, 2.0]), 1e-12, 50)
         assert (sol.iterations, sol.converged) == (0, False)
         np.testing.assert_equal(sol.residual_inf, bad)
 
@@ -251,7 +285,7 @@ class TestNewton:
     ], ids=["planar-assembly", "line-entry"])
     def test_non_finite_jacobian_is_a_singular_step(self, z, bg):
         # refused before LAPACK sees it, without a RuntimeWarning, on both branches
-        sol = newton(lambda z: kirchhoff_field(z, 1.0, bg), z, 1.0, bg, 1e-12, 50)
+        sol = newton(lambda z: kirchhoff_field(z, 1.0, bg), kirchhoff_step(1.0, bg), z, 1e-12, 50)
         assert np.isfinite(sol.residual_inf)
         assert (sol.positions.tolist(), sol.iterations, sol.converged) == (z.tolist(), 0, False)
 
@@ -276,7 +310,7 @@ class TestNewton:
             backgrounds._newton_step(z, -1.0, bg, kirchhoff_field(z, -1.0, bg))
 
     def test_record_holds_python_scalars(self):
-        sol = newton(cube, np.array([1.5]), 1.0, CUBE, 1e-14, 50)
+        sol = newton(cube, kirchhoff_step(1.0, CUBE), np.array([1.5]), 1e-14, 50)
         assert [type(v) for v in (sol.residual_inf, sol.iterations, sol.converged)] == [float, int, bool]
 
 
@@ -313,7 +347,7 @@ class TestKirchhoff:
         x = orthopoly.zeros(orthopoly.PolynomialSpec("hermite", n))
         rng = np.random.default_rng(n)
         guess = 1j * x + 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        sol = newton(lambda z: kirchhoff_field(z, 1.0, bg), guess, 1.0, bg, 1e-13, 50)
+        sol = newton(lambda z: kirchhoff_field(z, 1.0, bg), kirchhoff_step(1.0, bg), guess, 1e-13, 50)
         assert sol.converged and sol.residual_inf <= 1e-13 and sol.iterations < 50
         z = sol.positions
         assert np.abs(z[np.argsort(z.imag)] - 1j * x).max() <= 1e-14 * np.abs(x).max()

@@ -59,14 +59,32 @@ class TestParameterTable:
         # no step would be taken, and that used to read as an exhausted step budget (exit 3)
         ("simulate", "max_steps", 0),
         ("simulate", "max_steps", -5),
+        # a solver setting that can never be met; each used to run and exit 3, as a non-convergence
+        ("equilibrium", "max_iter", -5),
+        ("equilibrium", "tol", -1),
+        ("laughlin", "max_iter", -1),
+        ("zeros", "tol", -1),
+        ("simulate", "drift_bound", -1),
     ], ids=["fractional_samples", "fractional_n", "fractional_max_iter", "fractional_grid", "bool_samples",
-            "string_alpha", "int_save_fields", "zero_max_steps", "negative_max_steps"])
+            "string_alpha", "int_save_fields", "zero_max_steps", "negative_max_steps", "negative_equilibrium_max_iter",
+            "negative_equilibrium_tol", "negative_laughlin_max_iter", "negative_zeros_tol", "negative_drift_bound"])
     def test_ill_typed_or_invalid_value_exit_2(self, tmp_path, capsys, command, key, value):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({command: {key: value}}))
         assert run(["--config", str(config), "--out", str(tmp_path), command]) == 2
         assert key in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command, key", [
+        ("equilibrium", "max_iter"), ("equilibrium", "tol"), ("laughlin", "max_iter"), ("zeros", "tol"),
+        ("simulate", "drift_bound"),
+    ])
+    def test_zero_setting_is_valid(self, tmp_path, capsys, command, key):
+        # 0 is a setting that can be met: no step, or an exact answer; here none is reached (exit 3)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({command: {key: 0}}))
+        assert run(["--quiet", "--config", str(config), "--out", str(tmp_path), command]) == 3
+        assert "invalid input" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, section, key", [
         ("simulate", {"positions": [[1.0, "a"], [2.0, 0.0]]}, "positions"),

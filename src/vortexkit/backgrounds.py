@@ -5,8 +5,9 @@ real potential U(z) with 2 dU/dz = w.  All but ConjugateLinear are rational,
 w(z) = sum_m r_m/(z - p_m) + polynomial(z): CustomRationals that only set their
 poles, residues and polynomial.
 
-`pair_sum` is the one sum over pairs, over blocks of _BLOCK rows (memory
-O(n * _BLOCK)); given eps, it is the one pair pass that decides a collision.
+`_row_blocks` is the one generator of the differences z_i - z_j: full rows, in
+blocks of _BLOCK (memory O(n * _BLOCK)), for F's Cauchy sum `pair_sum`, the one
+pair pass that decides a collision, and for E's sum of ln|z_i - z_j|.
 `kirchhoff_field` is F, written once: vortices move with conj(i F), and the
 stationary problems (kappa = -1 on a line, kappa = m in ConjugateLinear for
 Laughlin) are F = 0, solved by `stationary` alone, from `default_guess` on the
@@ -45,49 +46,27 @@ def _refuse_within(dist, eps, *what):
 
 
 _BLOCK = 128
-_SELF_OR_LOWER = np.tri(_BLOCK, dtype=bool)  # j <= i: the pairs an upper sum leaves out of a block
 
 
-def _row_blocks(z, upper):
-    """Yield (j0, d, diag) for each block of rows i0 <= i < i0 + _BLOCK.
-
-    d[r, k] = z[i0 + r] - z[j0 + k], with j0 = i0 when `upper` and 0 otherwise,
-    and diag is the strided view of d's self pairs z_i - z_i (j0 + k == i0 + r).
-    When `upper`, the pairs j <= i are d[:, :b][_SELF_OR_LOWER[:b, :b]], b = diag.size.
-    """
+def _row_blocks(z):
+    """Yield (i0, d, diag) for each block of rows i0 <= i < i0 + _BLOCK: d[r, j] = z[i0 + r] - z[j]
+    over every j, and diag the strided view of d's self pairs z_i - z_i (j = i0 + r)."""
     for i0 in range(0, z.size, _BLOCK):
-        j0 = i0 if upper else 0
-        d = z[i0:i0 + _BLOCK, None] - z[j0:]
-        yield j0, d, d.ravel()[i0 - j0::d.shape[1] + 1]
+        d = z[i0:i0 + _BLOCK, None] - z
+        yield i0, d, d.ravel()[i0::z.size + 1]
 
 
-def log_abs(d):
-    """ln|d|, the pair term of the Kirchhoff energy."""
-    return np.log(np.abs(d))
+def pair_sum(z, c=1.0, eps=0.0):
+    """s_i = sum over j != i of c_j/(z_i - z_j), c a scalar or one weight per point.
 
-
-def pair_sum(z, c=1.0, g=None, eps=None):
-    """s_i = sum over j != i of c_j/(z_i - z_j); with g, s_i = sum over j > i of c_j g(z_i - z_j).
-
-    c is a scalar or one weight per point.  The sums with g count each
-    unordered pair once in sum(s).  With eps, a pair with |z_i - z_j| <= eps
-    raises CollisionError before the reciprocal sees its block.
+    A pair with |z_i - z_j| <= eps raises CollisionError before the reciprocal sees its block.
     """
     z = np.asarray(z)
     parts = []
-    for j0, d, diag in _row_blocks(z, upper=g is not None):
-        if g is None:
-            diag[:] = np.inf  # skipped by the check; its reciprocal is 0
-            if eps is not None:
-                _refuse_within(np.abs(d), eps, "pairwise distance")
-            t = c * np.reciprocal(d)
-        else:
-            b = diag.size
-            drop = _SELF_OR_LOWER[:b, :b]
-            d[:, :b][drop] = 1.0  # keeps g finite on the dropped pairs
-            t = (c[j0:] if np.ndim(c) else c) * g(d)
-            t[:, :b][drop] = 0.0
-        parts.append(t.sum(axis=1))
+    for _, d, diag in _row_blocks(z):
+        diag[:] = np.inf  # skipped by the check; its reciprocal is 0
+        _refuse_within(np.abs(d), eps, "pairwise distance")
+        parts.append((c * np.reciprocal(d)).sum(axis=1))
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -116,8 +95,18 @@ def kirchhoff_field(z, kappa, bg, eps=0.0):
 
 
 def kirchhoff_energy(z, kappa, bg) -> float:
-    """E = sum_{i<j} kappa_i kappa_j ln|z_i - z_j| + sum_k kappa_k U(z_k), U = bg.u; 2 dE/dz_i = kappa_i F_i."""
-    return float((kappa * (pair_sum(z, kappa, log_abs) + bg.u(z))).sum())
+    """E = sum_{i<j} kappa_i kappa_j ln|z_i - z_j| + sum_k kappa_k U(z_k), U = bg.u; 2 dE/dz_i = kappa_i F_i.
+
+    The pair part is half the full-row sum over j != i, over the row blocks of F's pair pass.
+    """
+    z = np.asarray(z)
+    kappa = np.full(z.shape, kappa, dtype=float)
+    pair = np.zeros(z.size)
+    for i0, d, diag in _row_blocks(z):
+        diag[:] = 1.0  # ln|1| = 0: the self pairs drop out
+        a = np.abs(d, dtype=float)
+        pair[i0:i0 + _BLOCK] = np.log(a, out=a) @ kappa
+    return float((kappa * (0.5 * pair + bg.u(z))).sum())
 
 
 def kirchhoff_jacobian(z, kappa, bg):

@@ -92,6 +92,8 @@ def lg_mode(p, ell, w0, nx, ny, dx, dy, k, z=0.0) -> BeamField:
     """
     if p < 0 or w0 <= 0:
         raise ValueError("need p >= 0 and w0 > 0")
+    if not (dx > 0 and dy > 0):  # before w0 / dx; NaN too
+        raise ValueError(f"need dx > 0 and dy > 0, got {dx} and {dy}")
     if w0 / dx < 8 or w0 / dy < 8:
         raise ValueError(f"waist under-resolved: need >= 8 samples across w0={w0}")
     if nx * dx < 6 * w0 or ny * dy < 6 * w0:

@@ -7,13 +7,14 @@ own collision check, `_check_separation`; `min_separation`, the smallest
 pairwise distance, is what that check and the distinctness rule of
 `VortexConfiguration` are compared against; `topological_charge` counts the
 winding on a sampled loop, the count `find_vortices` takes per plaquette.
-None of them imports `kirchhoff_field`, `pair_sum`, `vortex._velocity`,
-`find_vortices` or `_circulation`.
+None of them imports `_row_blocks`, `pair_sum`, `kirchhoff_field`,
+`vortex._velocity`, `find_vortices` or `_circulation`: `min_separation` runs
+a pair loop of its own.
 """
 
 import numpy as np
 
-from vortexkit.backgrounds import _SELF_OR_LOWER, CollisionError, CustomRational, NoFlow, _row_blocks
+from vortexkit.backgrounds import CollisionError, CustomRational, NoFlow
 from vortexkit.paraxial import BeamField
 from vortexkit.vortex import VortexConfiguration
 
@@ -24,10 +25,10 @@ class UnsupportedBackgroundError(ValueError):
 
 def min_separation(z) -> float:
     """Smallest |z_i - z_j| over pairs i != j; inf for fewer than two points."""
+    z = np.asarray(z)
     best = np.inf
-    for _, d, diag in _row_blocks(np.asarray(z), upper=True):
-        d[:, :diag.size][_SELF_OR_LOWER[:diag.size, :diag.size]] = np.inf
-        best = np.minimum(best, np.abs(d).min())
+    for i in range(z.size - 1):
+        best = np.minimum(best, np.abs(z[i] - z[i + 1:]).min())
     return float(best)
 
 

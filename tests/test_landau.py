@@ -1,5 +1,5 @@
 """Laughlin states in the plane: log|psi| as a Kirchhoff energy, the stationarity field, its
-Jacobian and solves; the ladder operators."""
+Jacobian and solves."""
 
 import json
 
@@ -10,7 +10,6 @@ from vortexkit import cli
 from vortexkit.backgrounds import (
     ConjugateLinear, kirchhoff_energy, kirchhoff_field, kirchhoff_jacobian, ring_guess, stationary,
 )
-from vortexkit.paraxial import BeamField, ladder_apply
 
 
 def omega_of(l_b):
@@ -22,17 +21,6 @@ def log_modulus(z, m, l_b):
     """Re log psi = sum_{i<j} m ln|z_i - z_j| - sum_j |z_j|^2/(4 l_B^2), the Laughlin wavefunction's
     log-modulus: the Kirchhoff energy of strengths m in ConjugateLinear(2 omega), over m."""
     return kirchhoff_energy(np.asarray(z, dtype=complex), m, ConjugateLinear(2.0 * omega_of(l_b))) / m
-
-
-def gaussian_field(n, extent, l_b=1.0, prefactor=None):
-    dx = extent / n
-    x = (np.arange(n) - n // 2) * dx
-    xg, yg = np.meshgrid(x, x)
-    z = xg + 1j * yg
-    psi = np.exp(-np.abs(z) ** 2 / (4 * l_b**2)).astype(complex)
-    if prefactor is not None:
-        psi = prefactor(z) * psi
-    return BeamField(psi, dx, dx, 1.0), z
 
 
 class TestLogLaughlin:
@@ -203,53 +191,3 @@ class TestPlanarEquilibrium:
         assert sol.converged
         bg = ConjugateLinear(omega_of(1.0))
         assert sol.residual_inf == np.abs(kirchhoff_field(sol.positions, 1, bg)).max()
-
-
-class TestLadder:
-    @pytest.mark.parametrize("prefactor", [None, lambda z: z])
-    def test_lowering_annihilates_lll(self, prefactor):
-        norms = []
-        for n in (64, 128, 256):
-            field, _ = gaussian_field(n, 16.0, prefactor=prefactor)
-            low = ladder_apply(field, "lower", 1.0)
-            norms.append(np.linalg.norm(low.amplitude) / np.linalg.norm(field.amplitude))
-        # O(h^2): each halving of h cuts the residual by ~4
-        assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.2)
-        assert norms[1] / norms[2] == pytest.approx(4.0, rel=0.2)
-
-    def test_raised_state_orthogonal_to_ground(self):
-        field, _ = gaussian_field(256, 16.0)
-        up = ladder_apply(field, "raise", 1.0)
-        psi = field.amplitude
-        overlap = abs(np.vdot(psi, up.amplitude)) / (np.linalg.norm(psi) * np.linalg.norm(up.amplitude))
-        assert overlap < 1e-3
-
-    def test_commutator_is_unity(self):
-        vals = []
-        for n in (128, 256):
-            field, _ = gaussian_field(n, 16.0)
-            psi = field.amplitude
-            ada = ladder_apply(ladder_apply(field, "raise", 1.0), "lower", 1.0).amplitude
-            aad = ladder_apply(ladder_apply(field, "lower", 1.0), "raise", 1.0).amplitude
-            vals.append(complex(np.vdot(psi, ada - aad) / np.vdot(psi, psi)))
-        assert vals[1].real == pytest.approx(1.0, abs=5e-3)
-        err = [abs(v - 1.0) for v in vals]
-        assert err[0] / err[1] == pytest.approx(4.0, rel=0.3)
-
-    def test_invalid_operator_name(self):
-        field, _ = gaussian_field(16, 16.0)
-        with pytest.raises(ValueError):
-            ladder_apply(field, "sideways", 1.0)
-
-    def test_mixed_terms_cancel_for_radial_functions(self):
-        # omega (zbar d/dzbar - z d/dz) f(r) = 0 on a grid, to O(h^2)
-        n = 256
-        field, z = gaussian_field(n, 12.0)
-        u = field.amplitude
-        ux = np.gradient(u, field.dx, axis=1)
-        uy = np.gradient(u, field.dy, axis=0)
-        dz = 0.5 * (ux - 1j * uy)
-        dzbar = 0.5 * (ux + 1j * uy)
-        omega = 0.25
-        mixed = omega * (np.conj(z) * dzbar - z * dz)
-        assert np.abs(mixed).max() < 1e-4

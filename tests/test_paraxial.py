@@ -1,4 +1,4 @@
-"""Beam synthesis, propagation, vortex detection, field I/O.
+"""Beam synthesis, propagation, vortex detection, field I/O; the ladder operators.
 
 The transform checks of the former radix-2 module live here, against the
 numpy.fft path `propagate` uses: DFT agreement (dense-matrix oracle), frequency
@@ -25,6 +25,7 @@ from vortexkit.paraxial import (
     _slices,
     BeamField,
     find_vortices,
+    ladder_apply,
     lg_mode,
     load_field,
     propagate,
@@ -273,6 +274,12 @@ class TestLgMode:
             lg_mode(0, 0, 0.2, 64, 64, 0.1, 0.1, 1.0)  # under-resolved waist
         with pytest.raises(ValueError):
             lg_mode(0, 0, 2.0, 16, 16, 0.25, 0.25, 1.0)  # extent < 6 w0
+
+    @pytest.mark.parametrize("dx, dy", [(0.0, 0.1), (0.1, 0.0), (-0.1, 0.1), (0.1, -0.1), (np.nan, 0.1)])
+    def test_refuses_a_spacing_that_is_not_positive(self, dx, dy):
+        # a zero spacing used to raise ZeroDivisionError, and a negative one read as an under-resolved waist
+        with pytest.raises(ValueError, match="need dx > 0 and dy > 0"):
+            lg_mode(0, 0, 1.0, 64, 64, dx, dy, 1.0)
 
 
 class TestPropagate:
@@ -743,3 +750,67 @@ class TestFieldIO:
         path.write_bytes(b"NOTFIELD" + b"\0" * 64)
         with pytest.raises(ValueError):
             load_field(path)
+
+
+def gaussian_field(n, extent, l_b=1.0, prefactor=None):
+    """exp(-|z|^2/(4 l_B^2)), times prefactor(z) if given, on an n x n grid of side extent."""
+    dx = extent / n
+    x = (np.arange(n) - n // 2) * dx
+    xg, yg = np.meshgrid(x, x)
+    z = xg + 1j * yg
+    psi = np.exp(-np.abs(z) ** 2 / (4 * l_b**2)).astype(complex)
+    if prefactor is not None:
+        psi = prefactor(z) * psi
+    return BeamField(psi, dx, dx, 1.0), z
+
+
+class TestLadder:
+    """`ladder_apply` on the lowest Landau level, by centred differences: O(h^2) errors."""
+
+    @pytest.mark.parametrize("prefactor", [None, lambda z: z])
+    def test_lowering_annihilates_lll(self, prefactor):
+        norms = []
+        for n in (64, 128, 256):
+            field, _ = gaussian_field(n, 16.0, prefactor=prefactor)
+            low = ladder_apply(field, "lower", 1.0)
+            norms.append(np.linalg.norm(low.amplitude) / np.linalg.norm(field.amplitude))
+        # O(h^2): each halving of h cuts the residual by ~4
+        assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.2)
+        assert norms[1] / norms[2] == pytest.approx(4.0, rel=0.2)
+
+    def test_raised_state_orthogonal_to_ground(self):
+        field, _ = gaussian_field(256, 16.0)
+        up = ladder_apply(field, "raise", 1.0)
+        psi = field.amplitude
+        overlap = abs(np.vdot(psi, up.amplitude)) / (np.linalg.norm(psi) * np.linalg.norm(up.amplitude))
+        assert overlap < 1e-3
+
+    def test_commutator_is_unity(self):
+        vals = []
+        for n in (128, 256):
+            field, _ = gaussian_field(n, 16.0)
+            psi = field.amplitude
+            ada = ladder_apply(ladder_apply(field, "raise", 1.0), "lower", 1.0).amplitude
+            aad = ladder_apply(ladder_apply(field, "lower", 1.0), "raise", 1.0).amplitude
+            vals.append(complex(np.vdot(psi, ada - aad) / np.vdot(psi, psi)))
+        assert vals[1].real == pytest.approx(1.0, abs=5e-3)
+        err = [abs(v - 1.0) for v in vals]
+        assert err[0] / err[1] == pytest.approx(4.0, rel=0.3)
+
+    def test_invalid_operator_name(self):
+        field, _ = gaussian_field(16, 16.0)
+        with pytest.raises(ValueError):
+            ladder_apply(field, "sideways", 1.0)
+
+    def test_mixed_terms_cancel_for_radial_functions(self):
+        # omega (zbar d/dzbar - z d/dz) f(r) = 0 on a grid, to O(h^2)
+        n = 256
+        field, z = gaussian_field(n, 12.0)
+        u = field.amplitude
+        ux = np.gradient(u, field.dx, axis=1)
+        uy = np.gradient(u, field.dy, axis=0)
+        dz = 0.5 * (ux - 1j * uy)
+        dzbar = 0.5 * (ux + 1j * uy)
+        omega = 0.25
+        mixed = omega * (np.conj(z) * dzbar - z * dz)
+        assert np.abs(mixed).max() < 1e-4

@@ -56,12 +56,19 @@ def _row_blocks(z):
         yield i0, d, d.ravel()[i0::z.size + 1]
 
 
+def _inexact(z):
+    """z as an array of floats or complex numbers; float and complex input as it is.  An integer
+    block could hold no inf on its diagonal, and its squares would wrap round past 2**63."""
+    z = np.asarray(z)
+    return z.astype(np.result_type(z, 1.0), copy=False)
+
+
 def pair_sum(z, c=1.0, eps=0.0):
     """s_i = sum over j != i of c_j/(z_i - z_j), c a scalar or one weight per point.
 
     A pair with |z_i - z_j| <= eps raises CollisionError before the reciprocal sees its block.
     """
-    z = np.asarray(z)
+    z = _inexact(z)
     parts = []
     for _, d, diag in _row_blocks(z):
         diag[:] = np.inf  # skipped by the check; its reciprocal is 0
@@ -75,7 +82,7 @@ def pair_jacobian(z, c=1.0):
 
     c is a scalar or one weight per point.
     """
-    z = np.asarray(z)
+    z = _inexact(z)
     d = z[:, None] - z[None, :]
     np.fill_diagonal(d, 1.0)  # complex inf would square to nan
     jac = c / d**2

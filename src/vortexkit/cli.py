@@ -8,6 +8,7 @@ Exit codes: 0 ok, 2 validation, 3 non-convergence, 4 collision, 5 aliasing.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -296,7 +297,10 @@ _COMMANDS = {  # function, help, and the keys that are also flags: t_end is --t-
 }
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on the first call.  It holds only the constants of
+    _COMMANDS and _DEFAULTS, and parse_args returns a fresh Namespace, so main's calls share nothing."""
     ap = argparse.ArgumentParser(prog="vortexkit", description=__doc__)
     ap.add_argument("--config", default=None, help="JSON config path")
     ap.add_argument("--out", default=".", help="output directory")

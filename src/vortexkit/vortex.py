@@ -22,6 +22,9 @@ import numpy as np
 from .backgrounds import CollisionError, NoFlow, kirchhoff_energy, kirchhoff_field
 
 
+_NO_FLOW = NoFlow()  # one instance, so conserved builds no background and no polynomial cache per call
+
+
 class StepLimitError(RuntimeError):
     """Adaptive integrator exhausted its step budget (near-collision stiffness)."""
 
@@ -57,7 +60,7 @@ def _velocity(z, kappa, bg, eps):
     return np.conj(1j * kirchhoff_field(z, kappa, bg, eps))
 
 
-def rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -> np.ndarray:
+def rhs(cfg: VortexConfiguration, bg=_NO_FLOW, eps: float = 1e-12) -> np.ndarray:
     """Velocities dz_i/dt; O(n^2) pairwise sum."""
     return _velocity(cfg.z, cfg.kappa, bg, eps)
 
@@ -67,7 +70,7 @@ def conserved(z, kappa) -> np.ndarray:
     the Kirchhoff energy with NoFlow.  An overflow gives inf or NaN, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         q = (kappa * z).sum()
-        return np.array([q.real, q.imag, (kappa * np.abs(z) ** 2).sum(), kirchhoff_energy(z, kappa, NoFlow())])
+        return np.array([q.real, q.imag, (kappa * np.abs(z) ** 2).sum(), kirchhoff_energy(z, kappa, _NO_FLOW)])
 
 
 # Dormand-Prince 8(5,3) (Hairer-Norsett-Wanner I, Sec. II.5 and II.6; the digits of scipy's
@@ -176,7 +179,7 @@ def _interpolate(f, x):
 
 def integrate(
     cfg: VortexConfiguration,
-    bg=NoFlow(),
+    bg=_NO_FLOW,
     t_end: float = 1.0,
     rtol: float = 1e-10,
     atol: float = 1e-12,

@@ -1,7 +1,8 @@
 """Blocked pair kernel and its jacobian: agreement with explicit double loops, and
 bounded memory; the Kirchhoff field's damped Newton solver, and its jacobian and
 solutions off the line; the background families against their closed forms; the
-one check of where the field is defined."""
+one check of where the field is defined; the Laughlin stationarity field (strengths m in
+ConjugateLinear) and its Jacobian."""
 
 import inspect
 import tracemalloc
@@ -150,6 +151,21 @@ def test_pair_jacobian_matches_loop(n):
         ref[i, i] = -ref[i].sum()
     scale = np.abs(ref).sum(axis=1, keepdims=True)
     assert np.all(np.abs(pair_jacobian(z, c) - ref) <= 4 * EPS * scale)
+
+
+def test_integer_positions_are_taken_as_floats():
+    # an integer block could hold no inf on its diagonal (OverflowError), and its squares wrap at 2**63
+    for points in ([0, 2], [-3, 0, 1, 7], [0, 2**33, -(2**34)]):
+        z, x = np.array(points), np.array(points, dtype=float)
+        for bg in (NoFlow(), HermiteLinear()):
+            assert_same_bytes(kirchhoff_field(z, 1.0, bg), kirchhoff_field(x, 1.0, bg))
+        for c in (1.0, -2.5, np.arange(1.0, z.size + 1)):
+            assert_same_bytes(pair_sum(z, c), pair_sum(x, c))
+            assert_same_bytes(pair_jacobian(z, c), pair_jacobian(x, c))
+    assert kirchhoff_field(np.array([0, 2]), 1.0, NoFlow()).tolist() == [-0.5, 0.5]
+    # float and complex positions are used as they are
+    for z in (np.array([0.0, 2.0], dtype=np.float32), np.array([1j, 2.0])):
+        assert pair_sum(z).dtype == z.dtype and pair_jacobian(z).dtype == z.dtype
 
 
 # One point: no pairs, F = w.  w = z^3 - 2 makes the step -F / (3 z^2).
@@ -362,6 +378,98 @@ class TestKirchhoff:
             err = a @ (1j * z) + b * np.conj(1j * z) + 1j * kirchhoff_field(z, kappa, bg)
             scale = np.abs(a) @ np.abs(z) + np.abs(b) * np.abs(z)  # the size of the terms
             assert np.all(np.abs(err) <= 1e-14 * scale)
+
+
+def omega_of(l_b):
+    """omega = 1/(4 l_B^2), the confinement of magnetic length l_B."""
+    return 1.0 / (4.0 * l_b**2)
+
+
+def log_modulus(z, m, l_b):
+    """Re log psi = sum_{i<j} m ln|z_i - z_j| - sum_j |z_j|^2/(4 l_B^2), the Laughlin wavefunction's
+    log-modulus: the Kirchhoff energy of strengths m in ConjugateLinear(2 omega), over m."""
+    return kirchhoff_energy(np.asarray(z, dtype=complex), m, ConjugateLinear(2.0 * omega_of(l_b))) / m
+
+
+class TestStationarityResidual:
+    """S_j = m sum_{i != j} 1/(z_j - z_i) - conj(z_j)/(4 l_B^2): the Kirchhoff field of strengths m
+    in ConjugateLinear(omega)."""
+
+    def test_symmetric_pair_closed_form(self):
+        for m in (1, 3, 5):
+            for l_b in (0.5, 1.0, 2.0):
+                a = l_b * np.sqrt(2.0 * m)
+                s = kirchhoff_field(np.array([a, -a], dtype=complex), m, ConjugateLinear(omega_of(l_b)))
+                assert np.abs(s).max() < 1e-13
+
+    def test_single_particle(self):
+        bg = ConjugateLinear(omega_of(1.0))
+        z = np.array([2.0 + 1.0j])
+        s = kirchhoff_field(z, 1, bg)
+        assert s[0] == pytest.approx(-np.conj(z[0]) / 4.0)
+        assert np.abs(kirchhoff_field(np.array([0.0j]), 1, bg)).max() == 0.0
+
+    def test_conjugation_property(self):
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=5) + 1j * rng.normal(size=5)
+        bg = ConjugateLinear(omega_of(0.9))
+        s = kirchhoff_field(z, 3, bg)
+        sc = kirchhoff_field(np.conj(z), 3, bg)
+        assert np.abs(sc - np.conj(s)).max() < 1e-12
+
+    def test_rotational_equivariance(self):
+        rng = np.random.default_rng(12)
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
+        theta = 0.83
+        bg = ConjugateLinear(omega_of(1.0))
+        s = kirchhoff_field(z, 1, bg)
+        srot = kirchhoff_field(z * np.exp(1j * theta), 1, bg)
+        assert np.abs(srot - s * np.exp(-1j * theta)).max() < 1e-12
+
+    def test_gradient_of_log_modulus(self):
+        # 2 d/dzbar_j log|psi| + omega z_j equals conj(S_j); finite differences
+        rng = np.random.default_rng(21)
+        z = rng.normal(size=3) + 1j * rng.normal(size=3)
+        m, l_b = 3, 1.2
+        omega = omega_of(l_b)
+        s = kirchhoff_field(z, m, ConjugateLinear(omega))
+        h = 1e-6
+        for j in range(3):
+            def logmod(dz):
+                zz = z.copy()
+                zz[j] += dz
+                return log_modulus(zz, m, l_b)
+
+            gx = (logmod(h) - logmod(-h)) / (2 * h)
+            gy = (logmod(1j * h) - logmod(-1j * h)) / (2 * h)
+            two_dzbar = gx + 1j * gy
+            assert two_dzbar + omega * z[j] == pytest.approx(np.conj(s[j]), abs=1e-6)
+
+
+class TestPlanarJacobian:
+    def test_matches_central_differences(self):
+        # the shared jacobian's Wirtinger blocks: dS/dx = a + diag(b), dS/dy = i(a - diag(b))
+        rng = np.random.default_rng(77)
+        worst = 0.0
+        for n, m, l_b in ((2, 1, 1.0), (5, 3, 1.1), (7, 1, 0.7)):
+            while True:
+                z = 2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                d = np.abs(z[:, None] - z[None, :]) + np.eye(n)
+                if d.min() > 0.3:
+                    break
+            bg = ConjugateLinear(omega_of(l_b))
+            a, b = kirchhoff_jacobian(z, m, bg)
+            b = np.eye(n) * b
+            h = 1e-6
+            for i in range(n):
+                for col, step in (((a + b)[:, i], h), ((1j * (a - b))[:, i], 1j * h)):
+                    zp, zm = z.copy(), z.copy()
+                    zp[i] += step
+                    zm[i] -= step
+                    fd = (kirchhoff_field(zp, m, bg) - kirchhoff_field(zm, m, bg)) / (2 * h)
+                    worst = max(worst, np.abs(col.real - fd.real).max(),
+                                np.abs(col.imag - fd.imag).max())
+        assert worst < 1e-6
 
 
 def peak_mib(fn):

@@ -643,3 +643,45 @@ class TestDeterminism:
                         "laughlin", "--N", "3"]) == 0
             docs.append(json.loads((out / "laughlin.json").read_text()))
         assert docs[0]["radius_mean"] == pytest.approx(docs[1]["radius_mean"], abs=1e-9)
+
+
+def fresh(argv, cwd):
+    """argv run by `python -m vortexkit.cli` in a new interpreter, which builds its parser afresh."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vortexkit.__file__).parents[1]), COLUMNS="80")
+    return subprocess.run([sys.executable, "-m", "vortexkit.cli"] + argv, capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=120)
+
+
+class TestOneParser:
+    """main parses with the one parser of the process, and no call leaves anything to the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_state(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"equilibrium": {"max_iter": 50, "output": "first.json"}}))
+        # at tol 1e-3 the certificate may fail (exit 3); the second call must solve at the default 1e-12
+        assert run(["--tol", "1e-3", "--seed", "5", "--quiet", "--config", str(config), "--out",
+                    str(tmp_path / "first"), "equilibrium", "--family", "coulomb", "--l", "1", "--n", "7"]) in (0, 3)
+        assert (tmp_path / "first" / "first.json").exists()
+        capsys.readouterr()
+        assert run(["--out", str(tmp_path / "in_process"), "equilibrium", "--n", "5"]) == 0
+        said = capsys.readouterr()
+        proc = fresh(["--out", str(tmp_path / "fresh"), "equilibrium", "--n", "5"], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, said.out, said.err)
+        assert [p.name for p in (tmp_path / "in_process").iterdir()] == ["equilibrium.json"]
+        report = (tmp_path / "in_process" / "equilibrium.json").read_bytes()
+        assert report == (tmp_path / "fresh" / "equilibrium.json").read_bytes()
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [[command, "--help"] for command in cli._COMMANDS],
+                             ids=["vortexkit"] + list(cli._COMMANDS))
+    def test_help_as_in_a_fresh_process(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(["--quiet", "--out", str(tmp_path), "zeros", "--n", "4"]) == 0
+        with pytest.raises(SystemExit) as exit_:
+            run(argv)
+        said = capsys.readouterr()
+        proc = fresh(argv, tmp_path)
+        assert (exit_.value.code, said.out, said.err) == (0, proc.stdout, proc.stderr)
+        assert proc.returncode == 0 and said.out.startswith("usage: vortexkit")

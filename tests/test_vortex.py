@@ -105,6 +105,16 @@ class TestConserved:
             terms = kappa[i] * kappa[j] * np.log(np.abs(z[i] - z[j]))
             assert abs(h - terms.sum()) <= z.size * np.finfo(float).eps * np.abs(terms).sum()
 
+    def test_one_background_for_every_call(self, monkeypatch):
+        # H takes the one module-level NoFlow: no background is built, nor its polynomial cache, per call
+        seen = []
+        energy = vortex.kirchhoff_energy
+        monkeypatch.setattr(vortex, "kirchhoff_energy", lambda z, kappa, bg: seen.append(bg) or energy(z, kappa, bg))
+        z, kappa = np.array([1.0, -1.0j, 2.0]), np.ones(3)
+        for _ in range(3):
+            conserved(z, kappa)
+        assert len(seen) == 3 and all(bg is seen[0] for bg in seen) and seen[0] == NoFlow()
+
 
 class TestIntegrate:
     def test_corotating_pair_period(self):

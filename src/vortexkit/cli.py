@@ -185,11 +185,12 @@ def cmd_zeros(args):
         raise ConfigError(f"zeros tol must be >= 0, got {params['tol']}")
     spec = orthopoly.PolynomialSpec(params["family"], params["n"], params["alpha"], params["beta"])
     xs = orthopoly.zeros(spec)
-    res = orthopoly.ode_residual_relative(spec, xs)
-    rows = [f"{x:24.16e}  {r:14.3e}" for x, r in zip(xs, res)]
-    _say(args, "\n".join([f"{'zero':>24}  {'ode_residual':>14}"] + rows))
-    # fails closed: a NaN residual is not <= tol
-    return EXIT_OK if np.all(np.abs(res) <= params["tol"]) else EXIT_NONCONVERGENCE
+    step = orthopoly.newton_step(spec, xs)
+    rows = [f"{x:24.16e}  {h:14.3e}" for x, h in zip(xs, step)]
+    _say(args, "\n".join([f"{'zero':>24}  {'newton_step':>14}"] + rows))
+    # the next Newton step is each zero's error to first order; fails closed: NaN is not <= tol
+    certified = np.abs(step) <= params["tol"] * np.maximum(1.0, np.abs(xs))
+    return EXIT_OK if np.all(certified) else EXIT_NONCONVERGENCE
 
 
 def cmd_equilibrium(args):
@@ -288,7 +289,7 @@ def cmd_beam(args):
 
 
 _COMMANDS = {  # function, help, and the keys that are also flags: t_end is --t-end
-    "zeros": (cmd_zeros, "orthogonal polynomial zeros and ODE residuals", ("family", "n", "alpha", "beta")),
+    "zeros": (cmd_zeros, "orthogonal polynomial zeros and their Newton steps", ("family", "n", "alpha", "beta")),
     "equilibrium": (cmd_equilibrium, "solve and certify a stationary configuration",
                     ("family", "n", "l", "p", "q")),
     "simulate": (cmd_simulate, "integrate the time-dependent vortex equations", ("t_end", "samples")),

@@ -1,4 +1,4 @@
-"""Classical orthogonal polynomials: monic recurrences, high-accuracy zeros, ODE residuals.
+"""Classical orthogonal polynomials: monic recurrences, high-accuracy zeros, Newton steps.
 
 All polynomials are monic internally.  Conversion factors to the conventional
 normalizations (physicists' Hermite H_n = 2^n p_n, Laguerre L_n^(a) = (-1)^n/n! p_n,
@@ -6,11 +6,12 @@ Jacobi P_n^(a,b) = binom(2n+a+b, n)/2^n p_n) follow from the leading coefficient
 and are not exposed.
 
 One evaluator, `_eval_all`, gives p and as many derivatives as asked (p', p'')
-divided by 2^e and the exponent e, so nothing overflows at any degree.  Its two
-users here, the zeros polish (p, p') and the relative ODE residual (p, p', p''),
-are ratios, so they use the scaled values as they are.
+divided by 2^e and the exponent e, so nothing overflows at any degree.  Its user
+here, `newton_step` (p/p'), is a ratio, so it uses the scaled values as they are.
+The zeros polish takes that step, and at a returned zero the next step is the
+zero's error to first order: that is how a zero is certified.
 `certify` checks points, such as the stationary vortices on a line, against the
-zeros and the relative ODE residual.
+zeros.
 """
 
 from dataclasses import dataclass
@@ -130,56 +131,35 @@ def _eval_all(rec: RecurrenceCoefficients, x, rows=3):
     return (*cur, e)
 
 
+def newton_step(spec: PolynomialSpec, x):
+    """The Newton step p(x)/p'(x) of the monic polynomial at x (scalar or array), from the
+    rescaled recurrence; inf or NaN where p' is 0 or the evaluation fails.  At a zero it is the
+    zero's error to first order."""
+    with np.errstate(all="ignore"):
+        p, d, _ = _eval_all(recurrence(spec), x, rows=2)
+        return (p / d)[()]
+
+
 def zeros(spec: PolynomialSpec) -> np.ndarray:
     """All n real zeros, strictly increasing.
 
     Eigenvalues of the symmetric tridiagonal (Jacobi) matrix built from the
-    recurrence, followed by _POLISH_STEPS Newton steps p/d with the rescaled
-    recurrence, which stays finite at every degree.  A step that is still not
-    finite (d = 0) is skipped and the eigenvalue kept.  A failed eigensolve raises
-    its LinAlgError.
+    recurrence, followed by _POLISH_STEPS steps of `newton_step`, which stays
+    finite at every degree.  A step that is still not finite (p' = 0) is skipped
+    and the eigenvalue kept.  A failed eigensolve raises its LinAlgError.
     """
     rec = recurrence(spec)
     x = eigh_tridiagonal(rec.a, np.sqrt(rec.b[1:]), eigvals_only=True)
     for _ in range(_POLISH_STEPS):
-        p, d, _ = _eval_all(rec, x, rows=2)
-        with np.errstate(all="ignore"):
-            dx = p / d
+        dx = newton_step(spec, x)
         x = np.where(np.isfinite(dx), x - dx, x)
     return np.sort(x)
 
 
-def _ode(spec: PolynomialSpec, x):
-    """The family's ODE at x as (coefficient, size bound) pairs of f'', f' and f.
-
-    Hermite: f'' - 2x f' + 2n f; Laguerre: x f'' + (alpha+1-x) f' + n f;
-    Jacobi: (1-x^2) f'' + [beta-alpha-(alpha+beta+2)x] f' + n(n+alpha+beta+1) f.
-    """
-    n, al, be = spec.n, spec.alpha, spec.beta
-    if spec.family == HERMITE:
-        return (1.0, 1.0), (-2.0 * x, 2.0 * abs(x)), (2.0 * n, 2.0 * n)
-    if spec.family == LAGUERRE:
-        return (x, abs(x)), (al + 1.0 - x, abs(al + 1.0) + abs(x)), (n, n)
-    c, j = n * (n + al + be + 1.0), al + be + 2.0
-    return (1.0 - x * x, abs(1.0 - x * x)), (be - al - j * x, abs(be - al) + j * abs(x)), (c, c)
-
-
-def ode_residual_relative(spec: PolynomialSpec, x):
-    """Residual of the family's ODE (see `_ode`) for the monic polynomial at x (scalar or
-    array), scaled by the sum of its terms' size bounds; both are scaled by the same 2^-e."""
-    x = np.asarray(x, dtype=float)
-    p, d, s, _ = _eval_all(recurrence(spec), x)
-    pairs = list(zip(_ode(spec, x), (s, d, p)))
-    terms = sum(c * f for (c, _), f in pairs)
-    scale = sum(b * abs(f) for (_, b), f in pairs)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(scale == 0.0, 0.0, terms / scale)[()]
-
-
 def certify(x, spec: PolynomialSpec):
     """(certified, max_zero_deviation) of the points x against the zeros of spec: certified when
-    the sorted points are within 1e-10 of the zeros and the relative ODE residual is at most 1e-8
-    at each point.  A degree mismatch, or a non-finite point or zero, raises ValueError."""
+    the sorted points are within 1e-10 of the zeros.  A degree mismatch, or a non-finite point or
+    zero, raises ValueError."""
     x = np.asarray(x, dtype=float)
     if spec.n != x.size:
         raise ValueError(f"spec degree {spec.n} does not match {x.size} positions")
@@ -187,5 +167,4 @@ def certify(x, spec: PolynomialSpec):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(ref))):
         raise ValueError("cannot certify non-finite positions or reference zeros")
     dev = float(np.abs(np.sort(x) - ref).max())
-    ode_ok = np.all(np.abs(ode_residual_relative(spec, x)) <= 1e-8)
-    return bool(dev <= 1e-10 and ode_ok), dev
+    return dev <= 1e-10, dev

@@ -82,8 +82,8 @@ def _laguerre(p, alpha, x):
     return np.ldexp(value, e) * ((-1) ** p / math.factorial(p))
 
 
-def lg_mode(p, ell, w0, nx, ny, dx, dy, k, z=0.0) -> BeamField:
-    """Laguerre-Gaussian LG_{p,ell} at the waist plane, unit grid norm.
+def lg_mode(p, ell, w0, nx, ny, dx, dy, k) -> BeamField:
+    """Laguerre-Gaussian LG_{p,ell} at the waist plane z = 0, unit grid norm.
 
     It is the polynomial-Gaussian beam w^|ell| L_p^|ell|(|w|^2) exp(-|w|^2/2)
     with w = sqrt(2) (x + i sign(ell) y) / w0 and sign(0) = +1 (Indebetouw,
@@ -109,7 +109,7 @@ def lg_mode(p, ell, w0, nx, ny, dx, dy, k, z=0.0) -> BeamField:
         for _ in range(abs(ell)):
             u *= w
     u *= 1.0 / math.sqrt(np.vdot(u, u).real * dx * dy)  # a real scale, not a complex division
-    return BeamField(u, dx, dy, k, z)
+    return BeamField(u, dx, dy, k)
 
 
 def _spectral_energy_fraction_outer(spec):

@@ -151,7 +151,7 @@ class TestZeros:
     def test_default_ok(self, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "zeros"]) == 0
         out = capsys.readouterr().out
-        assert "ode_residual" in out
+        assert "newton_step" in out
 
     def test_flags_override(self, tmp_path):
         assert run(["--out", str(tmp_path), "zeros", "--family", "laguerre",
@@ -168,9 +168,25 @@ class TestZeros:
         assert run(["--quiet", "--out", str(tmp_path), "zeros"]) == 0
         assert capsys.readouterr().out == ""
 
-    def test_nan_residual_exit_3(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(orthopoly, "ode_residual_relative", lambda spec, x: x * np.nan)
+    def test_nan_step_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(orthopoly, "newton_step", lambda spec, x: x * np.nan)
         assert run(["--out", str(tmp_path), "zeros", "--n", "5"]) == 3
+
+    def test_points_that_are_not_zeros_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the midpoints between the degree-21 zeros, handed over as the degree-20 ones: the
+        # polynomial's ODE holds at every x, so only the Newton step tells them from zeros
+        x = orthopoly.zeros(orthopoly.PolynomialSpec("hermite", 21))
+        monkeypatch.setattr(orthopoly, "zeros", lambda spec: 0.5 * (x[1:] + x[:-1]))
+        assert run(["--out", str(tmp_path), "zeros", "--n", "20"]) == 3
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(row.split()[0]) for row in rows] == (0.5 * (x[1:] + x[:-1])).tolist()
+
+    def test_jacobi_near_minus_one_ok(self, tmp_path, capsys):
+        # correct zeros (mpmath agrees to 1e-16); the ODE residual read 3.2e-2 here and exited 3
+        assert run(["--out", str(tmp_path), "zeros", "--family", "jacobi", "--n", "157",
+                    "--alpha", "-0.99999999999219402", "--beta", "-0.99999999998952838"]) == 0
+        rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 157 and all(abs(float(step)) <= 1e-8 * max(1.0, abs(float(x))) for x, step in rows)
 
     def test_large_weight_parameter_ok(self, tmp_path, capsys):
         # the weight's total mass gamma(201), which nothing read, overflowed here

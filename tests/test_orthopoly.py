@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import roots_genlaguerre, roots_hermite, roots_jacobi
 
 from vortexkit import orthopoly
-from vortexkit.orthopoly import PolynomialSpec, certify, ode_residual_relative, recurrence, zeros
+from vortexkit.orthopoly import PolynomialSpec, certify, newton_step, recurrence, zeros
 
 
 def monic_recurrence_from_moments(moments, n):
@@ -163,15 +163,15 @@ class TestZeros:
         (PolynomialSpec("jacobi", 1000), roots_jacobi, (1000, 0.0, 0.0)),
     ], ids=["hermite300", "hermite1000", "laguerre3_200", "jacobi1000"])
     def test_large_n_finite_and_accurate(self, spec, roots, args):
-        # The unscaled monic recurrence overflows here; the polish and the ODE
-        # certificate must not.
+        # The unscaled monic recurrence overflows here; the polish and the Newton
+        # step that certifies it must not.
         x = zeros(spec)
         ref = roots(*args)[0]
         assert np.all(np.isfinite(x))
         assert np.all(np.diff(x) > 0)
         assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
-        res = ode_residual_relative(spec, x)
-        assert np.all(np.isfinite(res)) and np.abs(res).max() <= 1e-8
+        step = newton_step(spec, x)
+        assert np.all(np.isfinite(step)) and np.all(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(x)))
 
     def test_domains(self):
         assert np.all(zeros(PolynomialSpec("laguerre", 15, alpha=3.0)) > 0)
@@ -189,7 +189,7 @@ class TestZeros:
             p, d, _, _ = orthopoly._eval_all(rec, x)
             # Newton correction below 1e-12 at the returned zero
             assert abs(p) <= 1e-12 * abs(d) * max(1.0, abs(x))
-            assert abs(ode_residual_relative(spec, x)) < 1e-8
+            assert newton_step(spec, x) == p / d  # the same ratio from two rows as from three
 
 
 DOMAINS = {"hermite": (-np.inf, np.inf), "laguerre": (0.0, np.inf), "jacobi": (-1.0, 1.0)}
@@ -209,35 +209,23 @@ def test_zeros_of_every_family_and_weight(family, n, alpha, beta):
     assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)
     assert lo < x[0] and x[-1] < hi
     assert np.all(y[:-1] < x) and np.all(x < y[1:])
-    assert np.abs(ode_residual_relative(PolynomialSpec(family, n, alpha, beta), x)).max() <= 1e-8
+    assert np.all(np.abs(newton_step(PolynomialSpec(family, n, alpha, beta), x)) <= 1e-12 * np.maximum(1.0, np.abs(x)))
 
 
 def eval_unscaled(rec, n, x):
-    """The unscaled scalar monic recurrence: p, p', p'' at x (overflows at large n)."""
-    p_prev, p, d_prev, d, s_prev, s = 0.0, 1.0, 0.0, 0.0, 0.0, 0.0
+    """The unscaled scalar monic recurrence: p, p' at x (overflows at large n)."""
+    p_prev, p, d_prev, d = 0.0, 1.0, 0.0, 0.0
     for k in range(n):
         ak, bk = rec.a[k], (rec.b[k] if k >= 1 else 0.0)
         p_prev, p = p, (x - ak) * p - bk * p_prev
         d_prev, d = d, (x - ak) * d + p_prev - bk * d_prev
-        s_prev, s = s, (x - ak) * s + 2.0 * d_prev - bk * s_prev
-    return p, d, s
+    return p, d
 
 
-def ode_residual_relative_unscaled(spec, x):
-    """Relative ODE residual from `eval_unscaled`, each family's terms written out."""
-    n, al, be = spec.n, spec.alpha, spec.beta
-    p, d, s = eval_unscaled(recurrence(spec), n, x)
-    if spec.family == "hermite":
-        terms = (s, -2.0 * x * d, 2.0 * n * p)
-        scale = abs(s) + 2.0 * abs(x) * abs(d) + 2.0 * n * abs(p)
-    elif spec.family == "laguerre":
-        terms = (x * s, (al + 1.0 - x) * d, n * p)
-        scale = abs(x) * abs(s) + (abs(al + 1.0) + abs(x)) * abs(d) + n * abs(p)
-    else:
-        terms = ((1.0 - x * x) * s, (be - al - (al + be + 2.0) * x) * d, n * (n + al + be + 1.0) * p)
-        scale = (abs(1.0 - x * x) * abs(s) + (abs(be - al) + (al + be + 2.0) * abs(x)) * abs(d)
-                 + n * (n + al + be + 1.0) * abs(p))
-    return 0.0 if scale == 0.0 else sum(terms) / scale
+def step_unscaled(spec, x):
+    """The Newton step p/p' from `eval_unscaled`."""
+    p, d = eval_unscaled(recurrence(spec), spec.n, x)
+    return p / d
 
 
 class TestRescaledRecurrence:
@@ -254,19 +242,17 @@ class TestRescaledRecurrence:
         z = zeros(spec)
         x = np.concatenate([z, np.random.default_rng(n).uniform(z[0] - 1.0, z[-1] + 1.0, 20)])
         p, d, _, e = orthopoly._eval_all(recurrence(spec), x)
-        rel = ode_residual_relative(spec, x)
+        step = newton_step(spec, x)
         compared = 0
         with np.errstate(all="ignore"):
             values, slopes = np.ldexp(p, e), np.ldexp(d, e)
             for i, xi in enumerate(x):
-                pr, dr, sr = eval_unscaled(recurrence(spec), n, float(xi))
-                ref = ode_residual_relative_unscaled(spec, float(xi))
-                if np.isfinite([pr, dr, sr]).all() and dr != 0.0:
+                pr, dr = eval_unscaled(recurrence(spec), n, float(xi))
+                if np.isfinite([pr, dr]).all() and dr != 0.0:
                     assert p[i] / d[i] == pr / dr
+                    assert step[i] == pr / dr
                     assert (values[i], slopes[i]) == (pr, dr)
                     compared += 1
-                if np.isfinite(ref):
-                    assert rel[i] == ref
         # the unscaled Laguerre recurrence overflows at every point of degree 250
         assert compared > 0 or (family, n) == ("laguerre", 250)
 
@@ -295,23 +281,28 @@ class TestRescaledRecurrence:
         spec = PolynomialSpec("laguerre", 500, alpha=50.0)
         x = zeros(spec)
         with np.errstate(all="ignore"):
-            ref = [ode_residual_relative_unscaled(spec, float(xi)) for xi in x]
+            ref = [step_unscaled(spec, float(xi)) for xi in x]
         assert not np.all(np.isfinite(ref))
-        res = ode_residual_relative(spec, x)
-        assert np.all(np.isfinite(res)) and np.abs(res).max() <= 1e-8
+        step = newton_step(spec, x)
+        assert np.all(np.isfinite(step)) and np.all(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(x)))
         assert np.all(np.isfinite(orthopoly._eval_all(recurrence(spec), x)[:3]))
 
 
-class TestOdeResidual:
-    def test_hermite_identity(self):
-        assert abs(ode_residual_relative(PolynomialSpec("hermite", 3), 0.3)) < 1e-10
+class TestNewtonStep:
+    """p/p' of the monic polynomial: the unscaled ratio where that is finite, large away from the zeros."""
 
-    def test_laguerre_identity(self):
-        assert abs(ode_residual_relative(PolynomialSpec("laguerre", 2, alpha=1.0), 1.0)) < 1e-10
+    def test_hermite_closed_form(self):
+        # p = x^3 - 3x/2, p' = 3x^2 - 3/2
+        assert newton_step(PolynomialSpec("hermite", 3), 0.3) == pytest.approx((0.027 - 0.45) / (0.27 - 1.5), rel=1e-15)
+
+    def test_laguerre_closed_form(self):
+        # alpha = 1: p = x^2 - 6x + 6, p' = 2x - 6; at x = 1 the step is 1/(-4)
+        assert newton_step(PolynomialSpec("laguerre", 2, alpha=1.0), 1.0) == -0.25
 
     @pytest.mark.parametrize("x", [-1.0, 1.0])
     def test_jacobi_endpoints(self, x):
-        assert abs(ode_residual_relative(PolynomialSpec("jacobi", 2), x)) < 1e-12
+        # Legendre: p = x^2 - 1/3, p' = 2x; the step at +-1 is +-1/3
+        assert newton_step(PolynomialSpec("jacobi", 2), x) == pytest.approx(x / 3.0, rel=1e-15)
 
     def test_random_points_all_families(self):
         rng = np.random.default_rng(7)
@@ -323,11 +314,32 @@ class TestOdeResidual:
             for x in rng.uniform(-0.9, 0.9, size=10):
                 if spec.family == "laguerre":
                     x = abs(x) * 10 + 0.1
-                assert abs(ode_residual_relative(spec, x)) < 1e-10
+                assert newton_step(spec, x) == step_unscaled(spec, x)
+
+    @pytest.mark.parametrize("spec", [
+        PolynomialSpec("hermite", 20),
+        PolynomialSpec("laguerre", 20, alpha=3.0),
+        PolynomialSpec("jacobi", 20, alpha=0.5, beta=-0.5),
+    ])
+    def test_large_between_zeros(self, spec):
+        # a point halfway between two zeros is half their gap from either, and its step is of that
+        # order; the steps at the zeros themselves are rounding
+        x = zeros(spec)
+        mid = 0.5 * (x[1:] + x[:-1])
+        assert np.all(np.abs(newton_step(spec, mid)) >= 0.1 * np.diff(x))
+        assert np.all(np.abs(newton_step(spec, x)) <= 1e-13 * np.maximum(1.0, np.abs(x)))
+
+
+# n = 157 and n = 126 with alpha and beta within 1e-8 of -1: the weight's factors nearly cancel the
+# ODE's f' term, and these correct zeros once failed the ODE residual that stood before the step
+JACOBI_NEAR_MINUS_ONE = {
+    157: PolynomialSpec("jacobi", 157, alpha=-0.99999999999219402, beta=-0.99999999998952838),
+    126: PolynomialSpec("jacobi", 126, alpha=-0.99999999952568286, beta=-0.99999999957165897),
+}
 
 
 class TestCertify:
-    """The rule: the sorted points within 1e-10 of the zeros, and a relative ODE residual of at most 1e-8."""
+    """The rule: the sorted points within 1e-10 of the zeros."""
 
     def test_zero_deviation_bound(self):
         spec = PolynomialSpec("hermite", 3)
@@ -337,14 +349,37 @@ class TestCertify:
         certified, deviation = certify(ref + 1.1e-10, spec)
         assert not certified and deviation == pytest.approx(1.1e-10, rel=1e-5)
 
-    @pytest.mark.parametrize("residual, certified", [(1e-8, True), (-1e-8, True), (1.01e-8, False), (np.nan, False)])
-    def test_ode_residual_bound(self, monkeypatch, residual, certified):
-        spec = PolynomialSpec("laguerre", 4, alpha=3.0)
-        monkeypatch.setattr(orthopoly, "ode_residual_relative", lambda spec, x: np.full(x.size, residual))
-        assert certify(zeros(spec), spec) == (certified, 0.0)
+    @pytest.mark.parametrize("n", [126, 157])
+    def test_jacobi_near_minus_one(self, n):
+        spec = JACOBI_NEAR_MINUS_ONE[n]
+        assert certify(zeros(spec), spec) == (True, 0.0)
+        assert certify(zeros(spec) + 1.1e-10, spec)[0] is False
 
     def test_no_tolerance_parameter(self):
         assert list(inspect.signature(certify).parameters) == ["x", "spec"]
+
+
+@pytest.mark.parametrize("spec", [
+    PolynomialSpec("hermite", 100),
+    PolynomialSpec("laguerre", 60, alpha=3.0),
+    PolynomialSpec("jacobi", 60, alpha=0.5, beta=-0.5),
+    JACOBI_NEAR_MINUS_ONE[157],
+], ids=["hermite100", "laguerre3_60", "jacobi_half_60", "jacobi_near_minus_one_157"])
+def test_zeros_match_mpmath(spec):
+    # an oracle independent of the recurrence: mpmath's own polynomials at 40 digits, a root
+    # found from each returned zero; the step's size is what `zeros` certifies
+    mpmath = pytest.importorskip("mpmath")
+    n, a, b = spec.n, spec.alpha, spec.beta
+    poly = {"hermite": lambda t: mpmath.hermite(n, t), "laguerre": lambda t: mpmath.laguerre(n, a, t),
+            "jacobi": lambda t: mpmath.jacobi(n, a, b, t)}[spec.family]
+    x = zeros(spec)
+    scale = np.maximum(1.0, np.abs(x))
+    with mpmath.workdps(40):
+        # a secant from two starting points 2^-40 apart, so that each search stays at its own zero
+        truth = np.array([float(mpmath.findroot(poly, (xi, xi * (1 + 2.0**-40) + 2.0**-60), verify=False))
+                          for xi in x])
+    assert np.all(np.abs(x - truth) <= 1e-14 * scale)
+    assert np.all(np.abs(newton_step(spec, x)) <= 1e-13 * scale)
 
 
 def test_zeros_calls_the_module_eigensolver_once(monkeypatch):

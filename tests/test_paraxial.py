@@ -10,6 +10,7 @@ exp(-2 pi i k n / N), inverse scaled by 1/N.  TestNumpyFFT pins that convention
 reversibility, energy and linearity of the propagation itself.
 """
 
+import inspect
 import warnings
 from dataclasses import replace
 
@@ -280,6 +281,11 @@ class TestLgMode:
         # a zero spacing used to raise ZeroDivisionError, and a negative one read as an under-resolved waist
         with pytest.raises(ValueError, match="need dx > 0 and dy > 0"):
             lg_mode(0, 0, 1.0, 64, 64, dx, dy, 1.0)
+
+    def test_waist_field_only(self):
+        # the mode is the field at z = 0; a field further along z comes from propagate
+        assert list(inspect.signature(lg_mode).parameters) == ["p", "ell", "w0", "nx", "ny", "dx", "dy", "k"]
+        assert lg_mode(0, 1, 1.0, 64, 64, 8.0 / 64, 8.0 / 64, 100.0).z == 0.0
 
 
 class TestPropagate:

@@ -355,6 +355,20 @@ class TestCertify:
         assert certify(zeros(spec), spec) == (True, 0.0)
         assert certify(zeros(spec) + 1.1e-10, spec)[0] is False
 
+    @pytest.mark.parametrize("residual, certified", [(1e-8, True), (-1e-8, True), (1.01e-8, False), (np.nan, False)])
+    def test_ode_residual_bound(self, monkeypatch, tmp_path, residual, certified):
+        # the per-point bound of 1e-8 that certify once put on the ODE residual is now the bound
+        # `zeros` puts on each Newton step, relative to max(1, |x|); certify reads no such residual
+        from vortexkit import cli
+
+        spec = PolynomialSpec("laguerre", 4, alpha=3.0)
+        x = zeros(spec)
+        monkeypatch.setattr(orthopoly, "zeros", lambda spec: x.copy())
+        monkeypatch.setattr(orthopoly, "newton_step", lambda spec, x: residual * np.maximum(1.0, np.abs(x)))
+        assert certify(x, spec) == (True, 0.0)
+        argv = ["--quiet", "--out", str(tmp_path), "zeros", "--family", "laguerre", "--n", "4", "--alpha", "3"]
+        assert cli.main(argv) == (cli.EXIT_OK if certified else cli.EXIT_NONCONVERGENCE)
+
     def test_no_tolerance_parameter(self):
         assert list(inspect.signature(certify).parameters) == ["x", "spec"]
 

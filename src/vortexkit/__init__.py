@@ -15,7 +15,7 @@ from .backgrounds import (
 )
 from .vortex import (
     VortexConfiguration,
-    rhs,
+    velocity,
     conserved,
     integrate,
 )

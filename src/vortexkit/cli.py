@@ -24,7 +24,7 @@ from .backgrounds import (
     ring_guess, stationary,
 )
 from .paraxial import AliasingWarning, _slices, find_vortices, lg_mode, save_field
-from .vortex import StepLimitError, VortexConfiguration, integrate
+from .vortex import StepLimitError, VortexConfiguration, conserved, integrate, velocity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -219,6 +219,9 @@ def cmd_simulate(args):
     params = _load_params("simulate", args)
     if params["drift_bound"] < 0:
         raise ConfigError(f"simulate drift_bound must be >= 0, got {params['drift_bound']}")
+    eps = params["collision_eps"]
+    if eps < 0:  # a negative eps would turn off the collision check
+        raise ConfigError(f"simulate collision_eps must be >= 0, got {eps}")
     z = np.array([complex(x, y) for x, y in params["positions"]])
     kappa = np.array(params["strengths"], dtype=float)
     cfg = VortexConfiguration(z, kappa)
@@ -226,10 +229,13 @@ def cmd_simulate(args):
     bg = _background_from(doc.pop("kind", "none"), doc)
     _refuse_unknown("background", doc, [f.name for f in fields(bg) if f.init])
     times = np.linspace(0.0, params["t_end"], params["samples"])
-    traj = integrate(cfg, bg, params["t_end"], rtol=params["rtol"], atol=params["atol"],
-                     max_steps=params["max_steps"], sample_times=times, eps=params["collision_eps"])
+    traj = integrate(lambda z: velocity(z, cfg.kappa, bg, eps), lambda z: conserved(z, cfg.kappa), cfg.z,
+                     params["t_end"], rtol=params["rtol"], atol=params["atol"], max_steps=params["max_steps"],
+                     sample_times=times)
     header = ["t", *(f"{c}_{i}" for i in range(1, cfg.n + 1) for c in "xy"), "Q", "P", "I", "H"]
-    _write_table(args, params, header, np.column_stack([traj.times, traj.positions.view(float), traj.invariants]))
+    # the rows [Q+iP, I, H] as the columns Q, P, I, H: I and H are real
+    invariants = traj.invariants.view(float)[:, [0, 1, 2, 4]]
+    _write_table(args, params, header, np.column_stack([traj.times, traj.positions.view(float), invariants]))
     dq, di, dh = traj.drift
     _say(args, f"drift |dQ| {dq:.3e}  |dI| {di:.3e}  |dH| {dh:.3e}  "
                f"evaluations {traj.evaluations}  accepted {traj.accepted}  rejected {traj.rejected}")

@@ -101,7 +101,7 @@ def recurrence(spec: PolynomialSpec) -> RecurrenceCoefficients:
     return RecurrenceCoefficients(a=a, b=b)
 
 
-def _eval_all(rec: RecurrenceCoefficients, x, rows=3):
+def _eval_all(rec: RecurrenceCoefficients, x, rows):
     """Value and first rows - 1 derivatives of the monic polynomial of rec, degree rec.a.size,
     at x (scalar or array).
 

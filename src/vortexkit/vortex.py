@@ -1,24 +1,27 @@
 """Time-dependent point-vortex dynamics in the plane.
 
 Vortex i moves with dz_i/dt = conj(i F_i), F the Kirchhoff field of strengths
-kappa in the background flow w (`backgrounds.kirchhoff_field`, which raises
-CollisionError within eps of another vortex or a pole of w).  Integration is
-adaptive embedded Runge-Kutta with step rejection, driven by one Dormand-Prince
-8(5,3) tableau (_A, whose row 12 is the 8th-order weights and whose rows 13-15
-are the extra stages of its 7th-order dense output _D, and the error rows _E5
-and _E3); samples come from step ends and from the dense output, so steps are
-never cut at sample times.  Linear impulse Q+iP, angular impulse I and the
-interaction energy H (the Kirchhoff energy with NoFlow), the rows of `conserved`,
-are monitored as integration-quality diagnostics, and velocity evaluations,
-accepted and rejected steps are counted.  Samples are rows of arrays; the one
-VortexConfiguration of a run is its validated input.
+kappa in the background flow w (`velocity`, from `backgrounds.kirchhoff_field`,
+which raises CollisionError within eps of another vortex or a pole of w).
+`integrate` knows no field: it takes a right-hand side `velocity(z)` and the
+monitored quantities `observe(z)`, and `cli` binds the Kirchhoff problem to it.
+Integration is adaptive embedded Runge-Kutta with step rejection, driven by one
+Dormand-Prince 8(5,3) tableau (_A, whose row 12 is the 8th-order weights and
+whose rows 13-15 are the extra stages of its 7th-order dense output _D, and the
+error rows _E5 and _E3); samples come from step ends and from the dense output,
+so steps are never cut at sample times.  The monitored quantities of the
+Kirchhoff problem, the rows [Q+iP, I, H] of `conserved` (linear impulse, angular
+impulse and the interaction energy H, the Kirchhoff energy with NoFlow), are
+integration-quality diagnostics, and velocity evaluations, accepted and rejected
+steps are counted.  Samples are rows of arrays; the one VortexConfiguration of a
+run is its validated input.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-# CollisionError is what integrate raises at a collision; its callers import it from here
+# CollisionError is what velocity raises at a collision; its callers import it from here
 from .backgrounds import CollisionError, NoFlow, kirchhoff_energy, kirchhoff_field
 
 
@@ -31,11 +34,10 @@ class StepLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class VortexConfiguration:
-    """n complex vortex positions with circulation strengths at time t."""
+    """n complex vortex positions with circulation strengths."""
 
     z: np.ndarray
     kappa: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         z = np.atleast_1d(np.asarray(self.z, dtype=complex))
@@ -56,21 +58,18 @@ class VortexConfiguration:
         return self.z.size
 
 
-def _velocity(z, kappa, bg, eps):
+def velocity(z, kappa, bg, eps) -> np.ndarray:
+    """Velocities dz_i/dt = conj(i F_i) of the vortices at z; O(n^2) pairwise sum.  CollisionError
+    where a vortex lies within eps of another or of a pole of bg."""
     return np.conj(1j * kirchhoff_field(z, kappa, bg, eps))
 
 
-def rhs(cfg: VortexConfiguration, bg=_NO_FLOW, eps: float = 1e-12) -> np.ndarray:
-    """Velocities dz_i/dt; O(n^2) pairwise sum."""
-    return _velocity(cfg.z, cfg.kappa, bg, eps)
-
-
 def conserved(z, kappa) -> np.ndarray:
-    """The invariants [Q, P, I, H] of positions z: Q+iP = sum kappa z, I = sum kappa |z|^2 and H,
-    the Kirchhoff energy with NoFlow.  An overflow gives inf or NaN, not a warning."""
+    """The invariants of positions z as complex rows [Q+iP, I, H]: Q+iP = sum kappa z,
+    I = sum kappa |z|^2 and H, the Kirchhoff energy with NoFlow (I and H have zero imaginary
+    parts).  An overflow gives inf or NaN, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        q = (kappa * z).sum()
-        return np.array([q.real, q.imag, (kappa * np.abs(z) ** 2).sum(), kirchhoff_energy(z, kappa, _NO_FLOW)])
+        return np.array([(kappa * z).sum(), (kappa * np.abs(z) ** 2).sum(), kirchhoff_energy(z, kappa, _NO_FLOW)])
 
 
 # Dormand-Prince 8(5,3) (Hairer-Norsett-Wanner I, Sec. II.5 and II.6; the digits of scipy's
@@ -154,10 +153,10 @@ _D[:, [0, *range(5, 16)]] = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Samples as rows: their times (m,), positions (m, n) and invariants (m, 4), the rows
-    [Q, P, I, H] of `conserved`; drift, the max over accepted steps of |d(Q+iP)|, |dI| and |dH|
-    from the start; and the integrator's work counters: velocity evaluations, accepted steps and
-    rejected steps.  A record of arrays: `cli` writes it as a table."""
+    """Samples as rows: their times (m,), states (m, n) and observed quantities (m, k), the rows
+    of `observe`; drift (k,), the max over accepted steps of hypot(d.real, d.imag), d the observed
+    row less the one at the start; and the integrator's work counters: velocity evaluations,
+    accepted steps and rejected steps.  A record of arrays: `cli` writes it as a table."""
 
     times: np.ndarray
     positions: np.ndarray
@@ -177,61 +176,53 @@ def _interpolate(f, x):
     return y
 
 
-def integrate(
-    cfg: VortexConfiguration,
-    bg=_NO_FLOW,
-    t_end: float = 1.0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    max_steps: int = 100000,
-    sample_times=None,
-    eps: float = 1e-12,
-) -> Trajectory:
-    """Adaptive Dormand-Prince 8(5,3) integration of the vortex equations, with dense output.
+def integrate(velocity, observe, z0, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
+              max_steps: int = 100000, sample_times=None) -> Trajectory:
+    """Adaptive Dormand-Prince 8(5,3) integration of dz/dt = velocity(z) from z0 at t = 0, with dense output.
 
-    One step evaluates stages 2-13 of the tableau _A: twelve velocity evaluations per attempted
-    step, since the 13th stage is evaluated at the accepted point and is the next step's 1st (FSAL).
-    Per component, the error estimates e5 = h (_E5 @ k) and e3 = h (_E3 @ k), each over the scale
-    atol + rtol * max(|z|, |z_new|), combine to |e5|^2 / hypot(|e5|, 0.1 |e3|), whose maximum err
-    must not exceed 1; the next step is the attempted one times 0.9 err^(-1/8), clamped to
-    [0.2, 10].  max_steps bounds the attempted steps (StepLimitError).  rtol >= 0, atol > 0,
-    eps >= 0, max_steps >= 1 are required: any other value turns off the error control, the
-    collision check or every step (ValueError).
+    z0 is a 1-d complex array and velocity(z) returns dz/dt of its shape; observe(z) returns the
+    1-d array of quantities monitored along the run.  One step evaluates stages 2-13 of the
+    tableau _A: twelve velocity evaluations per attempted step, since the 13th stage is evaluated
+    at the accepted point and is the next step's 1st (FSAL).  Per component, the error estimates
+    e5 = h (_E5 @ k) and e3 = h (_E3 @ k), each over the scale atol + rtol * max(|z|, |z_new|),
+    combine to |e5|^2 / hypot(|e5|, 0.1 |e3|), whose maximum err must not exceed 1; the next step
+    is the attempted one times 0.9 err^(-1/8), clamped to [0.2, 10].  max_steps bounds the
+    attempted steps (StepLimitError).  rtol >= 0, atol > 0, max_steps >= 1 are required: any other
+    value turns off the error control or every step (ValueError).
 
-    Trajectory is sampled exactly at sample_times (default: start and end), finite and in [t, t_end].
-    Steps are not cut at sample times: a sample at the start is the input positions, one at a step's
-    end is that step's result, and the samples strictly inside an accepted step come from its
-    7th-order interpolant, which costs three more velocity evaluations (rows 13-15 of _A) once per
-    such step.  The last step ends on t_end exactly.  `conserved` is evaluated once per accepted step,
-    whose samples at its end share the result, and once per interpolated sample.  A non-finite
-    invariant makes the drift NaN.
+    Trajectory is sampled exactly at sample_times (default: start and end), finite and in [0, t_end].
+    Steps are not cut at sample times: a sample at the start is z0, one at a step's end is that
+    step's result, and the samples strictly inside an accepted step come from its 7th-order
+    interpolant, which costs three more velocity evaluations (rows 13-15 of _A) once per such step.
+    The last step ends on t_end exactly.  `observe` is evaluated once at the start, once per
+    accepted step, whose samples at its end share the result, and once per interpolated sample.
+    The drift is the max over accepted steps of hypot(d.real, d.imag), d = observe(z) - observe(z0)
+    entry by entry; a non-finite entry makes it inf or NaN, which no bound passes.
     """
-    t0 = cfg.t
-    if not (np.isfinite(t_end) and t_end > t0):
-        raise ValueError(f"t_end {t_end} must be finite and exceed initial time {t0}")
-    if not (rtol >= 0.0 and atol > 0.0 and eps >= 0.0 and max_steps >= 1):
-        raise ValueError(f"need rtol >= 0, atol > 0, eps >= 0, max_steps >= 1; got {rtol}, {atol}, {eps}, {max_steps}")
+    if not (np.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end {t_end} must be finite and exceed initial time 0.0")
+    if not (rtol >= 0.0 and atol > 0.0 and max_steps >= 1):
+        raise ValueError(f"need rtol >= 0, atol > 0, max_steps >= 1; got {rtol}, {atol}, {max_steps}")
     if sample_times is None:
-        sample_times = np.array([t0, t_end])
+        sample_times = np.array([0.0, t_end])
     sample_times = np.sort(np.asarray(sample_times, dtype=float))
     # a NaN sorts last and fails the comparison
-    if sample_times.size == 0 or not (t0 <= sample_times[0] and sample_times[-1] <= t_end):
-        raise ValueError("sample times must be given and lie in [t, t_end]")
+    if sample_times.size == 0 or not (0.0 <= sample_times[0] and sample_times[-1] <= t_end):
+        raise ValueError("sample times must be given and lie in [0, t_end]")
 
-    kappa = cfg.kappa
-    c0 = conserved(cfg.z, kappa)
-    drift = np.zeros(3)
-    positions = np.empty((sample_times.size, cfg.n), dtype=complex)
-    invariants = np.empty((sample_times.size, 4))
-    si = np.searchsorted(sample_times, t0, side="right")
-    positions[:si], invariants[:si] = cfg.z, c0
-    t, z = t0, cfg.z
+    c0 = observe(z0)
+    drift = np.zeros(c0.size)
+    positions = np.empty((sample_times.size, z0.size), dtype=complex)
+    invariants = np.empty((sample_times.size, c0.size), dtype=c0.dtype)
+    si = np.searchsorted(sample_times, 0.0, side="right")
+    positions[:si], invariants[:si] = z0, c0
+    t, z = 0.0, z0
     a = _A.astype(complex)  # the stages' products then cast no row
     k = np.empty((16, z.size), dtype=complex)
-    k[0] = _velocity(z, kappa, bg, eps)
+    k[0] = velocity(z)
     evaluations, accepted, rejected = 1, 0, 0
     speed = np.abs(k[0]).max()
-    dt = min(t_end - t0, 0.01 * (1.0 + np.abs(z).max()) / max(speed, 1e-8))
+    dt = min(t_end, 0.01 * (1.0 + np.abs(z).max()) / max(speed, 1e-8))
     while t < t_end:
         if accepted + rejected >= max_steps:
             raise StepLimitError(f"step budget {max_steps} exhausted at t={t:.6g}")
@@ -239,7 +230,7 @@ def integrate(
         t_new = t_end if h == t_end - t else min(t + h, t_end)
         for s in range(1, 13):  # the last stage point z_new is the 8th-order step
             z_new = z + h * (a[s, :s] @ k[:s])
-            k[s] = _velocity(z_new, kappa, bg, eps)
+            k[s] = velocity(z_new)
         evaluations += 12
         scale = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
         e5 = np.abs(h * (_E5 @ k[:12])) / scale
@@ -254,20 +245,20 @@ def integrate(
         inside = np.searchsorted(sample_times, t_new, side="left")
         if inside > si:  # samples strictly inside the step, from the one interpolant
             for s in range(13, 16):
-                k[s] = _velocity(z + h * (a[s, :s] @ k[:s]), kappa, bg, eps)
+                k[s] = velocity(z + h * (a[s, :s] @ k[:s]))
             evaluations += 3
             dz = z_new - z
             f = [dz, h * k[0] - dz, 2.0 * dz - h * (k[12] + k[0]), *(h * (_D @ k))]
             for i in range(si, inside):
                 positions[i] = z + _interpolate(f, (sample_times[i] - t) / h)
-                invariants[i] = conserved(positions[i], kappa)
+                invariants[i] = observe(positions[i])
         t, z = t_new, z_new
         k[0] = k[12]
         si = np.searchsorted(sample_times, t, side="right")
-        c = conserved(z, kappa)
+        c = observe(z)
         positions[inside:si], invariants[inside:si] = z, c
         with np.errstate(invalid="ignore"):  # inf - inf is a NaN drift, which no bound passes
-            d = np.abs(c - c0)
-        drift = np.maximum(drift, [np.hypot(d[0], d[1]), d[2], d[3]])
+            d = c - c0
+            drift = np.maximum(drift, np.hypot(d.real, d.imag))
         dt = h * min(10.0, max(0.2, 0.9 * err ** -0.125)) if err > 0 else 10.0 * h
     return Trajectory(sample_times, positions, invariants, drift, evaluations, accepted, rejected)

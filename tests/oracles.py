@@ -8,7 +8,7 @@ pairwise distance, is what that check and the distinctness rule of
 `VortexConfiguration` are compared against; `topological_charge` counts the
 winding on a sampled loop, the count `find_vortices` takes per plaquette.
 None of them imports `_row_blocks`, `pair_sum`, `kirchhoff_field`,
-`vortex._velocity`, `find_vortices` or `_circulation`: `min_separation` runs
+`vortex.velocity`, `find_vortices` or `_circulation`: `min_separation` runs
 a pair loop of its own.
 """
 

@@ -17,7 +17,7 @@ from vortexkit.backgrounds import (
     ring_guess, stationary,
 )
 from vortexkit.paraxial import BeamField, find_vortices, ladder_apply, lg_mode, propagate
-from vortexkit.vortex import VortexConfiguration, integrate, rhs
+from vortexkit.vortex import VortexConfiguration, conserved, integrate, velocity
 from oracles import hamiltonian_rhs, topological_charge
 
 
@@ -64,7 +64,8 @@ def test_01_stieltjes_zeros_equivalence():
 
 def test_02_two_vortex_period():
     cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-    traj = integrate(cfg, NoFlow(), 4.0 * np.pi, rtol=1e-11, atol=1e-13)
+    traj = integrate(lambda z: velocity(z, cfg.kappa, NoFlow(), 1e-12), lambda z: conserved(z, cfg.kappa), cfg.z,
+                     4.0 * np.pi, rtol=1e-11, atol=1e-13)
     ret = np.abs(traj.positions[-1] - cfg.z).max()
     dq, di, dh = traj.drift
     report(
@@ -90,9 +91,9 @@ def test_03_hamiltonian_consistency():
         kappa = rng.choice([1.0, -1.0, 2.0], size=n)
         cfg = VortexConfiguration(z, kappa)
         bg = backgrounds[i % len(backgrounds)]
-        worst = max(worst, np.abs(rhs(cfg, bg) - hamiltonian_rhs(cfg, bg)).max())
+        worst = max(worst, np.abs(velocity(z, cfg.kappa, bg, 1e-12) - hamiltonian_rhs(cfg, bg)).max())
     report(
-        "3 hamiltonian_rhs agrees with rhs on 100 random configurations (1e-12)",
+        "3 hamiltonian_rhs agrees with the velocity on 100 random configurations (1e-12)",
         worst < 1e-12,
         f"max deviation {worst:.2e}",
     )
@@ -245,10 +246,11 @@ def test_10_stieltjes_equilibria_are_stationary_vortices():
         d = np.abs(z[:, None] - z[None, :])
         np.fill_diagonal(d, np.inf)
         terms = np.sum(1.0 / d, axis=1) + np.abs(bg.w(z))
-        rel = {k: np.max(np.abs(rhs(VortexConfiguration(z, np.full(n, k)), bg)) / terms) for k in (-1.0, 1.0)}
+        rel = {k: np.max(np.abs(velocity(z, np.full(n, k), bg, 1e-12)) / terms) for k in (-1.0, 1.0)}
         still, moving = max(still, rel[-1.0]), min(moving, rel[1.0])
         if run:
-            traj = integrate(VortexConfiguration(z, -np.ones(n)), bg, 1.0)
+            kappa = -np.ones(n)
+            traj = integrate(lambda z: velocity(z, kappa, bg, 1e-12), lambda z: conserved(z, kappa), z, 1.0)
             moved = max(moved, np.abs(traj.positions[-1] - z).max())
     report(
         "10 certified equilibria stand still as kappa = -1 vortices (1e-12 of the terms; moved < 1e-10 by t = 1)",
@@ -260,17 +262,17 @@ def test_10_stieltjes_equilibria_are_stationary_vortices():
 def test_11_laughlin_equilibria_are_rotating_vortex_crystals():
     # m sum_{j != i} 1/(z_i - z_j) = omega conj(z_i) at a Laughlin equilibrium makes unit vortices
     # with no background flow move with conj(i (omega/m) conj(z_i)) = -i (omega/m) z_i: a rigid
-    # rotation at -omega/m.  rhs is computed apart from the solve, an independent oracle of it.
+    # rotation at -omega/m.  The velocity is computed apart from the solve, an independent oracle of it.
     worst = 0.0
     for m, l_b, n in itertools.product((1, 3, 5), (0.5, 1.0, 2.0), (10, 30, 100)):
         bg = ConjugateLinear(1.0 / (4.0 * l_b**2))
         # the `laughlin` command's guess and solve, at magnetic length l_b in place of 1
         sol = stationary(l_b * ring_guess(n, m, 0), m, bg, 1e-10, 200)
         assert sol.converged
-        v = rhs(VortexConfiguration(sol.positions, np.ones(n)), NoFlow())
+        v = velocity(sol.positions, np.ones(n), NoFlow(), 1e-12)
         worst = max(worst, np.abs(v + 1j * bg.omega / m * sol.positions).max() / np.abs(v).max())
     report(
-        "11 Laughlin equilibria rotate rigidly as unit vortices, at -omega/m (1e-10 of max|rhs|)",
+        "11 Laughlin equilibria rotate rigidly as unit vortices, at -omega/m (1e-10 of max|velocity|)",
         worst <= 1e-10,
         f"max deviation {worst:.2e}",
     )

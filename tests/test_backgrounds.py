@@ -19,7 +19,8 @@ from vortexkit.backgrounds import (
     default_guess, kirchhoff_energy, kirchhoff_field, kirchhoff_jacobian, newton,
     pair_jacobian, pair_sum, ring_guess, stationary,
 )
-from vortexkit.vortex import VortexConfiguration, conserved, rhs
+from vortexkit.orthopoly import PolynomialSpec, certify
+from vortexkit.vortex import VortexConfiguration, conserved, velocity
 from oracles import min_separation
 
 SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
@@ -563,6 +564,74 @@ class TestPlanarEquilibrium:
         assert sol.residual_inf == np.abs(kirchhoff_field(sol.positions, 1, bg)).max()
 
 
+def solve_line(n, bg):
+    """The line solve of the `equilibrium` command: strengths -1, from the default guess."""
+    return stationary(default_guess(n, bg), -1.0, bg, 1e-12, 200)
+
+
+def chebyshev(n):
+    return np.sort(np.cos((2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)))
+
+
+class TestSemicircleGuess:
+    """A linear field w = b + a x starts from the quantiles of its equilibrium measure, the
+    semicircle on -b/a +- sqrt(2n/a); every other field keeps the Chebyshev (arcsine) guess."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
+    def test_quantiles_of_the_semicircle(self, n):
+        s = backgrounds._semicircle(n)
+        cdf = 0.5 + (s * np.sqrt(1.0 - s * s) + np.arcsin(s)) / np.pi
+        assert cdf == pytest.approx((np.arange(1, n + 1) - 0.5) / n, rel=0, abs=1e-14)
+        assert s.tolist() == (-s[::-1]).tolist() and np.all(np.diff(s) > 0)
+        if n % 2:
+            assert s[n // 2] == 0.0
+
+    @pytest.mark.parametrize("n", [10, 100, 300])
+    def test_hermite_converges_in_few_steps(self, n):
+        # from the Chebyshev points it took 6, 10 and 12 steps
+        rep = solve_line(n, HermiteLinear())
+        assert rep.converged and rep.iterations <= 5
+        assert certify(rep.positions, PolynomialSpec("hermite", n))[0]
+
+    @pytest.mark.parametrize("a, b", [(1.7, -0.3), (0.5, 1.0)])
+    def test_custom_linear_converges_in_few_steps(self, a, b):
+        # x = -b/a + y/sqrt(a) takes b + a x = sum 1/(x_i - x_j) to y_i = sum 1/(y_i - y_j): Hermite zeros y
+        rep = solve_line(60, CustomRational(poly=(b, a)))
+        assert rep.converged and rep.iterations <= 5
+        assert certify(np.sqrt(a) * (rep.positions + b / a), PolynomialSpec("hermite", 60))[0]
+
+    def test_hermite_single_point_is_the_origin(self):
+        rep = solve_line(1, HermiteLinear())
+        assert (rep.positions.tolist(), rep.iterations, rep.converged) == ([0.0], 0, True)
+        assert not np.signbit(rep.positions[0])  # the report writes 0.0, not -0.0
+
+    @pytest.mark.parametrize("n", [1, 5, 60, 61])
+    def test_guess_is_symmetric_about_the_centre(self, n):
+        hermite = default_guess(n, HermiteLinear())
+        assert hermite.tolist() == (-hermite[::-1]).tolist()
+        guess = default_guess(n, CustomRational(poly=(-0.3, 1.7)))
+        assert np.all(np.diff(guess) > 0)
+        if n % 2:
+            assert guess[n // 2] == 0.3 / 1.7
+
+    def test_equilibrium_beyond_the_floats_keeps_the_chebyshev_guess(self):
+        # -b/a = -1e310 overflows: the semicircle guess would be -inf, which the line refuses as
+        # invalid input (exit 2); from the Chebyshev guess the solve is non-convergence (exit 3)
+        bg = CustomRational(poly=(1e10, 1e-300))
+        assert default_guess(3, bg).tolist() == (np.sqrt(6.0) * chebyshev(3)).tolist()
+        assert not solve_line(3, bg).converged
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_other_fields_keep_the_chebyshev_guess(self, n):
+        c = chebyshev(n)
+        assert default_guess(n, Coulomb(1.0)).tolist() == (2.0 * n * (c + 1.0) + 0.5).tolist()
+        assert default_guess(n, JacobiCharges(0.5, 0.5)).tolist() == c.tolist()
+        line = np.sqrt(2.0 * n) * c if n > 1 else np.array([0.5])
+        for bg in (CustomRational(poles=(-9.0, 9.0), residues=(-1.0, -1.0), poly=(0.0, 1.0)),
+                   CustomRational(poly=(0.0, 1.0, 0.0)), CustomRational(poly=(0.0, -1.0))):
+            assert default_guess(n, bg).tolist() == line.tolist()
+
+
 def peak_mib(fn):
     tracemalloc.start()
     try:
@@ -578,10 +647,9 @@ def test_memory_stays_blocked_at_n5000():
     rng = np.random.default_rng(5)
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
     kappa = rng.choice([-1.0, 1.0], size=n)
-    cfg = VortexConfiguration(z, kappa)
     x = np.linspace(-50.0, 50.0, n)
     peaks = {
-        "rhs": peak_mib(lambda: rhs(cfg)),
+        "velocity": peak_mib(lambda: velocity(z, kappa, NoFlow(), 1e-12)),
         "conserved": peak_mib(lambda: conserved(z, kappa)),
         "VortexConfiguration": peak_mib(lambda: VortexConfiguration(z, kappa)),
         "kirchhoff_energy": peak_mib(lambda: kirchhoff_energy(x, -1.0, HermiteLinear())),
@@ -710,7 +778,7 @@ class TestWhereTheFieldIsDefined:
     @staticmethod
     def entry_points():
         return {
-            "velocity": lambda z, bg: vortex._velocity(np.asarray(z, dtype=complex), 1.0, bg, 1e-12),
+            "velocity": lambda z, bg: vortex.velocity(np.asarray(z, dtype=complex), 1.0, bg, 1e-12),
             "stationary_line": lambda z, bg: stationary(np.asarray(z, dtype=float), -1.0, bg, 1e-12, 200),
             "stationary_plane": lambda z, bg: stationary(np.asarray(z, dtype=complex), 3.0, ConjugateLinear(),
                                                          1e-10, 200),
@@ -755,7 +823,7 @@ class TestWhereTheFieldIsDefined:
         # a non-finite Runge-Kutta stage is rejected by the step control, not taken for a collision
         for z in (np.array([0.5, np.nan, 1.5]), np.full(3, np.nan)):
             with np.errstate(invalid="ignore"):
-                assert np.isnan(vortex._velocity(z * (1.0 + 1.0j), 1.0, Coulomb(1.0), 1e-12)).all()
+                assert np.isnan(vortex.velocity(z * (1.0 + 1.0j), 1.0, Coulomb(1.0), 1e-12)).all()
 
     @pytest.mark.parametrize("z, bg, what", [
         (np.array([0.0, np.nan, 1.0]), Coulomb(1.0), "pole"),
@@ -763,15 +831,14 @@ class TestWhereTheFieldIsDefined:
     ], ids=["point_on_pole", "pair"])
     def test_nan_does_not_hide_a_collision(self, z, bg, what):
         with np.errstate(all="raise"), pytest.raises(CollisionError, match=what):
-            vortex._velocity(z * (1.0 + 1.0j), 1.0, bg, 1e-12)
+            vortex.velocity(z * (1.0 + 1.0j), 1.0, bg, 1e-12)
 
     def test_one_pair_pass_per_evaluation(self, monkeypatch):
         passes = []
         blocks = backgrounds._row_blocks
         monkeypatch.setattr(backgrounds, "_row_blocks", lambda *a, **k: passes.append(1) or blocks(*a, **k))
         z = np.exp(2j * np.pi * np.arange(5) / 5)
-        cfg = VortexConfiguration(z, np.ones(5))
-        for call in (lambda: rhs(cfg, Coulomb(1.0)),
+        for call in (lambda: velocity(z, np.ones(5), Coulomb(1.0), 1e-12),
                      lambda: kirchhoff_field(z, 1, ConjugateLinear(0.25)),
                      lambda: kirchhoff_field(np.arange(1.0, 6.0), -1.0, Coulomb(1.0)),
                      lambda: kirchhoff_energy(z, 1, ConjugateLinear(0.25)),

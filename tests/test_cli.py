@@ -65,12 +65,14 @@ class TestParameterTable:
         ("laughlin", "max_iter", -1),
         ("zeros", "tol", -1),
         ("simulate", "drift_bound", -1),
+        # a negative eps would turn off the collision check; refused by the command, before the run
+        ("simulate", "collision_eps", -1),
         # lg_mode divided w0 / dx before any check: a ZeroDivisionError traceback and exit 1
         ("beam", "dx", 0),
     ], ids=["fractional_samples", "fractional_n", "fractional_max_iter", "fractional_grid", "bool_samples",
             "string_alpha", "int_save_fields", "zero_max_steps", "negative_max_steps", "negative_equilibrium_max_iter",
             "negative_equilibrium_tol", "negative_laughlin_max_iter", "negative_zeros_tol", "negative_drift_bound",
-            "zero_beam_dx"])
+            "negative_collision_eps", "zero_beam_dx"])
     def test_ill_typed_or_invalid_value_exit_2(self, tmp_path, capsys, command, key, value):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({command: {key: value}}))

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import roots_genlaguerre, roots_hermite, roots_jacobi
 
 from vortexkit import orthopoly
+from vortexkit.backgrounds import HermiteLinear, JacobiCharges, default_guess, stationary
 from vortexkit.orthopoly import PolynomialSpec, certify, newton_step, recurrence, zeros
 
 
@@ -94,7 +95,7 @@ class TestRecurrence:
 
 def monic_value_and_slope(spec, x):
     """p(x) and p'(x) of the monic polynomial, from `_eval_all`'s scaled values."""
-    p, d, _, e = orthopoly._eval_all(recurrence(spec), x)
+    p, d, _, e = orthopoly._eval_all(recurrence(spec), x, rows=3)
     return np.ldexp(p, e), np.ldexp(d, e)
 
 
@@ -186,7 +187,7 @@ class TestZeros:
     def test_zero_certification(self, spec):
         rec = orthopoly.recurrence(spec)
         for x in zeros(spec):
-            p, d, _, _ = orthopoly._eval_all(rec, x)
+            p, d, _, _ = orthopoly._eval_all(rec, x, rows=3)
             # Newton correction below 1e-12 at the returned zero
             assert abs(p) <= 1e-12 * abs(d) * max(1.0, abs(x))
             assert newton_step(spec, x) == p / d  # the same ratio from two rows as from three
@@ -241,7 +242,7 @@ class TestRescaledRecurrence:
         spec = PolynomialSpec(family, n, **kwargs)
         z = zeros(spec)
         x = np.concatenate([z, np.random.default_rng(n).uniform(z[0] - 1.0, z[-1] + 1.0, 20)])
-        p, d, _, e = orthopoly._eval_all(recurrence(spec), x)
+        p, d, _, e = orthopoly._eval_all(recurrence(spec), x, rows=3)
         step = newton_step(spec, x)
         compared = 0
         with np.errstate(all="ignore"):
@@ -267,7 +268,7 @@ class TestRescaledRecurrence:
         spec = PolynomialSpec(family, n, **kwargs)
         z = zeros(spec)
         x = np.concatenate([z, np.linspace(z[0] - 1.0, z[-1] + 1.0, 41)])
-        *full, e3 = orthopoly._eval_all(recurrence(spec), x)
+        *full, e3 = orthopoly._eval_all(recurrence(spec), x, rows=3)
         for rows in (1, 2):
             *lead, e = orthopoly._eval_all(recurrence(spec), x, rows=rows)
             assert len(lead) == rows
@@ -277,6 +278,10 @@ class TestRescaledRecurrence:
                 if rows == 2:
                     assert (lead[0] / lead[1]).tobytes() == (full[0] / full[1]).tobytes()
 
+    def test_rows_has_no_default(self):
+        # each caller steps only the rows it reads: newton_step 2, paraxial's Laguerre factor 1
+        assert inspect.signature(orthopoly._eval_all).parameters["rows"].default is inspect.Parameter.empty
+
     def test_finite_where_unscaled_overflows(self):
         spec = PolynomialSpec("laguerre", 500, alpha=50.0)
         x = zeros(spec)
@@ -285,7 +290,7 @@ class TestRescaledRecurrence:
         assert not np.all(np.isfinite(ref))
         step = newton_step(spec, x)
         assert np.all(np.isfinite(step)) and np.all(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(x)))
-        assert np.all(np.isfinite(orthopoly._eval_all(recurrence(spec), x)[:3]))
+        assert np.all(np.isfinite(orthopoly._eval_all(recurrence(spec), x, rows=3)[:3]))
 
 
 class TestNewtonStep:
@@ -332,6 +337,11 @@ class TestNewtonStep:
 
 # n = 157 and n = 126 with alpha and beta within 1e-8 of -1: the weight's factors nearly cancel the
 # ODE's f' term, and these correct zeros once failed the ODE residual that stood before the step
+def solve_line(n, bg):
+    """The line solve of the `equilibrium` command: strengths -1, from the default guess."""
+    return stationary(default_guess(n, bg), -1.0, bg, 1e-12, 200)
+
+
 JACOBI_NEAR_MINUS_ONE = {
     157: PolynomialSpec("jacobi", 157, alpha=-0.99999999999219402, beta=-0.99999999998952838),
     126: PolynomialSpec("jacobi", 126, alpha=-0.99999999952568286, beta=-0.99999999957165897),
@@ -339,7 +349,7 @@ JACOBI_NEAR_MINUS_ONE = {
 
 
 class TestCertify:
-    """The rule: the sorted points within 1e-10 of the zeros."""
+    """The rule: the sorted points within 1e-10 of the zeros; and the line solves of `stationary` under it."""
 
     def test_zero_deviation_bound(self):
         spec = PolynomialSpec("hermite", 3)
@@ -371,6 +381,39 @@ class TestCertify:
 
     def test_no_tolerance_parameter(self):
         assert list(inspect.signature(certify).parameters) == ["x", "spec"]
+
+    def test_hermite_pair(self):
+        rep = solve_line(2, HermiteLinear())
+        certified, deviation = certify(rep.positions, PolynomialSpec("hermite", 2))
+        assert certified
+        assert deviation < 1e-10
+
+    def test_perturbed_positions_rejected(self):
+        rep = solve_line(2, HermiteLinear())
+        assert not certify(rep.positions + 0.1, PolynomialSpec("hermite", 2))[0]
+
+    def test_legendre_n3_closed_form(self):
+        rep = solve_line(3, JacobiCharges(0.5, 0.5))
+        assert certify(rep.positions, PolynomialSpec("jacobi", 3))[0]
+        assert rep.positions == pytest.approx(
+            [-np.sqrt(0.6), 0.0, np.sqrt(0.6)], abs=1e-10
+        )
+
+    def test_family_mismatch(self):
+        rep = solve_line(3, HermiteLinear())
+        with pytest.raises(ValueError):
+            certify(rep.positions, PolynomialSpec("hermite", 4))
+
+    def test_non_finite_positions_raise(self):
+        # A NaN must not reach the report as certified=False, max_zero_deviation=NaN.
+        with pytest.raises(ValueError):
+            certify(np.array([np.nan, 0.0, 1.0]), PolynomialSpec("hermite", 3))
+
+    def test_non_finite_reference_zeros_raise(self, monkeypatch):
+        rep = solve_line(3, HermiteLinear())
+        monkeypatch.setattr(orthopoly, "zeros", lambda spec: np.full(spec.n, np.nan))
+        with pytest.raises(ValueError):
+            certify(rep.positions, PolynomialSpec("hermite", 3))
 
 
 @pytest.mark.parametrize("spec", [

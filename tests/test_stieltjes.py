@@ -185,106 +185,6 @@ class TestSolve:
         assert np.abs(rep.positions - ref).max() <= 1e-14
 
 
-def chebyshev(n):
-    return np.sort(np.cos((2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)))
-
-
-class TestSemicircleGuess:
-    """A linear field w = b + a x starts from the quantiles of its equilibrium measure, the
-    semicircle on -b/a +- sqrt(2n/a); every other field keeps the Chebyshev (arcsine) guess."""
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
-    def test_quantiles_of_the_semicircle(self, n):
-        s = backgrounds._semicircle(n)
-        cdf = 0.5 + (s * np.sqrt(1.0 - s * s) + np.arcsin(s)) / np.pi
-        assert cdf == pytest.approx((np.arange(1, n + 1) - 0.5) / n, rel=0, abs=1e-14)
-        assert s.tolist() == (-s[::-1]).tolist() and np.all(np.diff(s) > 0)
-        if n % 2:
-            assert s[n // 2] == 0.0
-
-    @pytest.mark.parametrize("n", [10, 100, 300])
-    def test_hermite_converges_in_few_steps(self, n):
-        # from the Chebyshev points it took 6, 10 and 12 steps
-        rep = solve_line(n, HermiteLinear())
-        assert rep.converged and rep.iterations <= 5
-        assert certify(rep.positions, PolynomialSpec("hermite", n))[0]
-
-    @pytest.mark.parametrize("a, b", [(1.7, -0.3), (0.5, 1.0)])
-    def test_custom_linear_converges_in_few_steps(self, a, b):
-        # x = -b/a + y/sqrt(a) takes b + a x = sum 1/(x_i - x_j) to y_i = sum 1/(y_i - y_j): Hermite zeros y
-        rep = solve_line(60, CustomRational(poly=(b, a)))
-        assert rep.converged and rep.iterations <= 5
-        assert certify(np.sqrt(a) * (rep.positions + b / a), PolynomialSpec("hermite", 60))[0]
-
-    def test_hermite_single_point_is_the_origin(self):
-        rep = solve_line(1, HermiteLinear())
-        assert (rep.positions.tolist(), rep.iterations, rep.converged) == ([0.0], 0, True)
-        assert not np.signbit(rep.positions[0])  # the report writes 0.0, not -0.0
-
-    @pytest.mark.parametrize("n", [1, 5, 60, 61])
-    def test_guess_is_symmetric_about_the_centre(self, n):
-        hermite = default_guess(n, HermiteLinear())
-        assert hermite.tolist() == (-hermite[::-1]).tolist()
-        guess = default_guess(n, CustomRational(poly=(-0.3, 1.7)))
-        assert np.all(np.diff(guess) > 0)
-        if n % 2:
-            assert guess[n // 2] == 0.3 / 1.7
-
-    def test_equilibrium_beyond_the_floats_keeps_the_chebyshev_guess(self):
-        # -b/a = -1e310 overflows: the semicircle guess would be -inf, which the line refuses as
-        # invalid input (exit 2); from the Chebyshev guess the solve is non-convergence (exit 3)
-        bg = CustomRational(poly=(1e10, 1e-300))
-        assert default_guess(3, bg).tolist() == (np.sqrt(6.0) * chebyshev(3)).tolist()
-        assert not solve_line(3, bg).converged
-
-    @pytest.mark.parametrize("n", [1, 4, 9])
-    def test_other_fields_keep_the_chebyshev_guess(self, n):
-        c = chebyshev(n)
-        assert default_guess(n, Coulomb(1.0)).tolist() == (2.0 * n * (c + 1.0) + 0.5).tolist()
-        assert default_guess(n, JacobiCharges(0.5, 0.5)).tolist() == c.tolist()
-        line = np.sqrt(2.0 * n) * c if n > 1 else np.array([0.5])
-        for bg in (CustomRational(poles=(-9.0, 9.0), residues=(-1.0, -1.0), poly=(0.0, 1.0)),
-                   CustomRational(poly=(0.0, 1.0, 0.0)), CustomRational(poly=(0.0, -1.0))):
-            assert default_guess(n, bg).tolist() == line.tolist()
-
-
-class TestCertify:
-    """`orthopoly.certify` on the line solves; its rule alone is tested in test_orthopoly."""
-
-    def test_hermite_pair(self):
-        rep = solve_line(2, HermiteLinear())
-        certified, deviation = certify(rep.positions, PolynomialSpec("hermite", 2))
-        assert certified
-        assert deviation < 1e-10
-
-    def test_perturbed_positions_rejected(self):
-        rep = solve_line(2, HermiteLinear())
-        assert not certify(rep.positions + 0.1, PolynomialSpec("hermite", 2))[0]
-
-    def test_legendre_n3_closed_form(self):
-        rep = solve_line(3, JacobiCharges(0.5, 0.5))
-        assert certify(rep.positions, PolynomialSpec("jacobi", 3))[0]
-        assert rep.positions == pytest.approx(
-            [-np.sqrt(0.6), 0.0, np.sqrt(0.6)], abs=1e-10
-        )
-
-    def test_family_mismatch(self):
-        rep = solve_line(3, HermiteLinear())
-        with pytest.raises(ValueError):
-            certify(rep.positions, PolynomialSpec("hermite", 4))
-
-    def test_non_finite_positions_raise(self):
-        # A NaN must not reach the report as certified=False, max_zero_deviation=NaN.
-        with pytest.raises(ValueError):
-            certify(np.array([np.nan, 0.0, 1.0]), PolynomialSpec("hermite", 3))
-
-    def test_non_finite_reference_zeros_raise(self, monkeypatch):
-        rep = solve_line(3, HermiteLinear())
-        monkeypatch.setattr(orthopoly, "zeros", lambda spec: np.full(spec.n, np.nan))
-        with pytest.raises(ValueError):
-            certify(rep.positions, PolynomialSpec("hermite", 3))
-
-
 class TestExport:
     """The `equilibrium` report: the background's family and parameters, n, and the solve's record."""
 

@@ -1,6 +1,8 @@
-"""Kirchhoff dynamics: right-hand side, conservation, Hamiltonian consistency."""
+"""Kirchhoff dynamics: velocity, conservation, Hamiltonian consistency; the integrator on its own."""
 
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,9 +21,20 @@ from vortexkit.vortex import (
     VortexConfiguration,
     conserved,
     integrate,
-    rhs,
+    velocity,
 )
 from oracles import UnsupportedBackgroundError, hamiltonian_rhs, min_separation, poisson_bracket
+
+
+def config_velocity(cfg, bg=NoFlow()):
+    """The velocities of cfg in bg, at the default collision_eps of `simulate`, 1e-12."""
+    return velocity(cfg.z, cfg.kappa, bg, 1e-12)
+
+
+def integrate_vortices(cfg, bg, t_end, eps=1e-12, **kwargs):
+    """integrate bound to the Kirchhoff problem of cfg in bg, as `simulate` binds it."""
+    return integrate(lambda z: velocity(z, cfg.kappa, bg, eps), lambda z: conserved(z, cfg.kappa), cfg.z, t_end,
+                     **kwargs)
 
 
 def random_admissible(rng, n, min_dist=0.1, kappa_choices=(1.0, 2.0, -1.0)):
@@ -46,49 +59,49 @@ class TestRhs:
         g = 0.7
         x1, x2 = 0.3, 1.9
         cfg = VortexConfiguration(np.array([x1, x2], dtype=complex), np.array([2 * g, 2 * g]))
-        v = rhs(cfg)
+        v = config_velocity(cfg)
         assert np.conj(v[0]) == pytest.approx(2 * g * 1j / (x1 - x2))
         assert np.conj(v[1]) == pytest.approx(2 * g * 1j / (x2 - x1))
 
     def test_unit_pair_velocity(self):
         cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-        v = rhs(cfg)
+        v = config_velocity(cfg)
         assert v[0] == pytest.approx(-0.5j)
         assert v[1] == pytest.approx(0.5j)
 
     def test_single_vortex_at_rest(self):
         cfg = VortexConfiguration(np.array([2.0 + 1.0j]), np.array([3.0]))
-        assert rhs(cfg) == pytest.approx(np.array([0.0j]))
+        assert config_velocity(cfg) == pytest.approx(np.array([0.0j]))
 
     def test_collision_detected(self):
         cfg = VortexConfiguration(np.array([0.0j, 1e-13 + 0j]), np.array([1.0, 1.0]))
         with pytest.raises(CollisionError):
-            rhs(cfg)
+            config_velocity(cfg)
 
     def test_background_pole_collision(self):
         cfg = VortexConfiguration(np.array([1e-14 + 0j]), np.array([1.0]))
         with pytest.raises(CollisionError):
-            rhs(cfg, Coulomb(0.0))
+            config_velocity(cfg, Coulomb(0.0))
 
     def test_translation_equivariance_free(self):
         rng = np.random.default_rng(3)
         cfg = random_admissible(rng, 5)
         shifted = VortexConfiguration(cfg.z + (0.37 - 1.1j), cfg.kappa)
-        assert np.abs(rhs(cfg) - rhs(shifted)).max() < 1e-12
+        assert np.abs(config_velocity(cfg) - config_velocity(shifted)).max() < 1e-12
 
 
 class TestConserved:
     def test_symmetric_pair(self):
-        q, p, i, h = conserved(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-        assert q == p == 0
-        assert i == pytest.approx(2.0)
-        assert h == pytest.approx(np.log(2.0))
+        qp, i, h = conserved(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
+        assert qp.real == qp.imag == 0 and i.imag == h.imag == 0
+        assert i.real == pytest.approx(2.0)
+        assert h.real == pytest.approx(np.log(2.0))
 
     def test_single_vortex_empty_energy(self):
-        assert conserved(np.array([1.0 + 2.0j]), np.array([1.5]))[3] == 0.0
+        assert conserved(np.array([1.0 + 2.0j]), np.array([1.5]))[2] == 0.0
 
     def test_counter_pair_angular(self):
-        assert conserved(np.array([1.0, -1.0], dtype=complex), np.array([1.0, -1.0]))[2] == pytest.approx(0.0)
+        assert conserved(np.array([1.0, -1.0], dtype=complex), np.array([1.0, -1.0]))[1] == pytest.approx(0.0)
 
     def test_interaction_energy_is_the_kirchhoff_energy_without_flow(self):
         # H is E with NoFlow, byte for byte, and the hand-written H sum within n rounding errors per
@@ -99,7 +112,9 @@ class TestConserved:
         cases += [(rng.normal(size=n) + 1j * rng.normal(size=n), rng.choice([-2.0, -1.0, 0.5, 3.0], size=n))
                   for n in (1, 2, 3, _BLOCK + 3)]
         for z, kappa in cases:
-            h = conserved(z, kappa)[3]
+            h = conserved(z, kappa)[2]
+            assert h.imag == 0
+            h = h.real
             assert h.tobytes() == np.float64(kirchhoff_energy(z, kappa, NoFlow())).tobytes()
             i, j = np.triu_indices(z.size, 1)
             terms = kappa[i] * kappa[j] * np.log(np.abs(z[i] - z[j]))
@@ -119,13 +134,13 @@ class TestConserved:
 class TestIntegrate:
     def test_corotating_pair_period(self):
         cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-        traj = integrate(cfg, NoFlow(), 4 * np.pi, rtol=1e-11, atol=1e-13)
+        traj = integrate_vortices(cfg, NoFlow(), 4 * np.pi, rtol=1e-11, atol=1e-13)
         assert np.abs(traj.positions[-1] - cfg.z).max() < 1e-6
         assert np.all(traj.drift < 1e-8)
 
     def test_single_vortex_stationary(self):
         cfg = VortexConfiguration(np.array([0.4 + 0.2j]), np.array([2.0]))
-        traj = integrate(cfg, NoFlow(), 5.0, sample_times=np.linspace(0, 5, 6))
+        traj = integrate_vortices(cfg, NoFlow(), 5.0, sample_times=np.linspace(0, 5, 6))
         for z in traj.positions:
             assert z == pytest.approx(cfg.z)
 
@@ -133,8 +148,8 @@ class TestIntegrate:
         z0 = np.exp(2j * np.pi * np.arange(3) / 3)
         cfg = VortexConfiguration(z0, np.ones(3))
         # rigid rotation with angular velocity 3/(2 r^2) for unit strengths: T = 4 pi/3
-        traj = integrate(cfg, NoFlow(), 4 * np.pi / 3, rtol=1e-11, atol=1e-13,
-                         sample_times=np.linspace(0, 4 * np.pi / 3, 9))
+        traj = integrate_vortices(cfg, NoFlow(), 4 * np.pi / 3, rtol=1e-11, atol=1e-13,
+                                  sample_times=np.linspace(0, 4 * np.pi / 3, 9))
         d0 = np.abs(z0[:, None] - z0[None, :])
         for z in traj.positions:
             d = np.abs(z[:, None] - z[None, :])
@@ -143,34 +158,35 @@ class TestIntegrate:
     def test_time_reversal(self):
         rng = np.random.default_rng(5)
         cfg = random_admissible(rng, 4, min_dist=0.5, kappa_choices=(1.0, 2.0))
-        fwd = integrate(cfg, NoFlow(), 1.0, rtol=1e-10, atol=1e-12)
+        fwd = integrate_vortices(cfg, NoFlow(), 1.0, rtol=1e-10, atol=1e-12)
         flipped = VortexConfiguration(fwd.positions[-1], -cfg.kappa)
-        back = integrate(flipped, NoFlow(), 1.0, rtol=1e-10, atol=1e-12)
+        back = integrate_vortices(flipped, NoFlow(), 1.0, rtol=1e-10, atol=1e-12)
         assert np.abs(back.positions[-1] - cfg.z).max() < 1e-7
 
     def test_head_on_collision_raises(self):
         # counter-rotating pair translates head-on into the Coulomb pole at the origin
         cfg = VortexConfiguration(np.array([0.05 + 1.0j, -0.05 + 1.0j]), np.array([-1.0, 1.0]))
         with pytest.raises(CollisionError):
-            integrate(cfg, Coulomb(0.0), 50.0, max_steps=20000, eps=0.06)
+            integrate_vortices(cfg, Coulomb(0.0), 50.0, max_steps=20000, eps=0.06)
 
     def test_velocity_evaluations_per_step(self, monkeypatch):
         # DOP853 is first-same-as-last: after the initial speed estimate, each attempted step
         # evaluates stages 2-13 only, whether accepted or not, and an accepted step with a sample
         # strictly inside it evaluates the interpolant's three extra stages once.
         calls = []
-        velocity = vortex._velocity
-
-        def counted(*args):
-            calls.append(args[0])
-            return velocity(*args)
-
-        monkeypatch.setattr(vortex, "_velocity", counted)
         cfg = VortexConfiguration(np.exp(2j * np.pi * np.arange(5) / 5) * (1.0 + 0.01 * np.arange(5)),
                                   np.ones(5))
+
+        def counted(z):
+            calls.append(z)
+            return velocity(z, cfg.kappa, Coulomb(1.0), 1e-12)
+
+        def observe(z):
+            return conserved(z, cfg.kappa)
+
         steps = 12
         with pytest.raises(StepLimitError):
-            integrate(cfg, Coulomb(1.0), 1e3, max_steps=steps)
+            integrate(counted, observe, cfg.z, 1e3, max_steps=steps)
         assert len(calls) == 1 + 12 * steps
 
         calls.clear()
@@ -183,7 +199,7 @@ class TestIntegrate:
 
         monkeypatch.setattr(vortex, "_interpolate", recorded)
         times = np.linspace(0.0, 3.0, 31)
-        traj = integrate(cfg, Coulomb(1.0), 3.0, sample_times=times)
+        traj = integrate(counted, observe, cfg.z, 3.0, sample_times=times)
         assert len(interpolants) == 29  # every sample but the first and the last lies inside a step
         interior = len({id(f) for f in interpolants})  # one list per step, each kept alive in interpolants
         assert 0 < interior < traj.accepted
@@ -192,12 +208,12 @@ class TestIntegrate:
     def test_empty_sample_times_rejected(self):
         cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="sample times"):
-            integrate(cfg, NoFlow(), 1.0, sample_times=[])
+            integrate_vortices(cfg, NoFlow(), 1.0, sample_times=[])
 
     def test_coincident_vortices_collide_at_eps_zero(self):
         # the velocity is not defined there: eps = 0 refuses it instead of returning infinities
         with np.errstate(all="raise"), pytest.raises(CollisionError):
-            vortex._velocity(np.array([0.5j, 1.0, 0.5j]), np.ones(3), NoFlow(), 0.0)
+            vortex.velocity(np.array([0.5j, 1.0, 0.5j]), np.ones(3), NoFlow(), 0.0)
 
     def test_csv_export(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -237,8 +253,8 @@ class TestStepper:
         # w(z) = z: one vortex moves with xdot = -y, ydot = -x
         x0, y0 = 0.3, 0.7
         times = np.linspace(0.0, 2.0, 9)
-        traj = integrate(VortexConfiguration(np.array([x0 + 1j * y0]), np.ones(1)), HermiteLinear(), 2.0,
-                         sample_times=times)
+        traj = integrate_vortices(VortexConfiguration(np.array([x0 + 1j * y0]), np.ones(1)), HermiteLinear(), 2.0,
+                                  sample_times=times)
         exact = (x0 * np.cosh(times) - y0 * np.sinh(times)) + 1j * (y0 * np.cosh(times) - x0 * np.sinh(times))
         got = traj.positions[:, 0]
         assert list(traj.times) == list(times)
@@ -256,8 +272,8 @@ class TestDenseOutput:
         z0 = r * np.exp(2j * np.pi * np.arange(n) / n)
         omega = -(n - 1) / (2 * r**2)
         period = 2 * np.pi / abs(omega)
-        traj = integrate(VortexConfiguration(z0, np.ones(n)), NoFlow(), period,
-                         sample_times=np.linspace(0.0, period, 11))
+        traj = integrate_vortices(VortexConfiguration(z0, np.ones(n)), NoFlow(), period,
+                                  sample_times=np.linspace(0.0, period, 11))
         assert np.array_equal(traj.positions[0], z0)
         assert np.abs(traj.positions - z0 * np.exp(1j * omega * traj.times[:, None])).max() <= 1e-8
         # the nine inner samples lie inside nine steps, each interpolated once
@@ -267,41 +283,39 @@ class TestDenseOutput:
     def test_dense_sample_matches_a_run_that_ends_there(self):
         rng = np.random.default_rng(3)
         cfg = VortexConfiguration(rng.normal(size=5) + 1j * rng.normal(size=5), np.array([1.0, 2.0, -1.0, 1.0, -0.5]))
-        traj = integrate(cfg, NoFlow(), 1.0, sample_times=np.linspace(0.0, 1.0, 7))
+        traj = integrate_vortices(cfg, NoFlow(), 1.0, sample_times=np.linspace(0.0, 1.0, 7))
         assert traj.evaluations > 1 + 12 * (traj.accepted + traj.rejected)  # some samples were interpolated
         for t, z in zip(traj.times[1:-1], traj.positions[1:-1]):
-            end = integrate(cfg, NoFlow(), t)
+            end = integrate_vortices(cfg, NoFlow(), t)
             assert end.times[-1] == t
             assert np.abs(z - end.positions[-1]).max() <= 1e-9 * np.abs(end.positions[-1]).max()
 
     def test_last_step_ends_on_t_end(self):
-        # 0.1 + (0.45 - 0.1) is 0.44999999999999996: a step of t_end - t would stop an ulp short
-        cfg = VortexConfiguration(np.array([0.4 + 0.2j]), np.array([2.0]), t=0.1)
-        traj = integrate(cfg, NoFlow(), 0.45)
+        # a vortex at rest: its one step spans [0, t_end] and ends on t_end
+        cfg = VortexConfiguration(np.array([0.4 + 0.2j]), np.array([2.0]))
+        traj = integrate_vortices(cfg, NoFlow(), 0.45)
         assert (traj.evaluations, traj.accepted, traj.rejected) == (13, 1, 0)
-        assert list(traj.times) == [0.1, 0.45]
+        assert list(traj.times) == [0.0, 0.45]
 
-    def test_collision_in_an_interpolation_stage_propagates(self, monkeypatch):
+    def test_collision_in_an_interpolation_stage_propagates(self):
         calls = []
-        velocity = vortex._velocity
+        cfg = VortexConfiguration(np.array([0.4 + 0.2j]), np.array([2.0]))
 
-        def colliding(*args):
-            calls.append(args[0])
+        def colliding(z):
+            calls.append(z)
             if len(calls) == 14:  # the first extra stage of the first step, after 1 + 12 evaluations
                 raise CollisionError("collision in an interpolation stage")
-            return velocity(*args)
+            return velocity(z, cfg.kappa, NoFlow(), 1e-12)
 
-        monkeypatch.setattr(vortex, "_velocity", colliding)
-        cfg = VortexConfiguration(np.array([0.4 + 0.2j]), np.array([2.0]))
         with pytest.raises(CollisionError, match="interpolation stage"):
-            integrate(cfg, NoFlow(), 1.0, sample_times=[0.0, 0.5, 1.0])
+            integrate(colliding, lambda z: conserved(z, cfg.kappa), cfg.z, 1.0, sample_times=[0.0, 0.5, 1.0])
 
     def test_kirchhoff_energy_is_kept_in_a_background(self):
         # In Coulomb(1) the pair energy H is not conserved, but E = H + sum kappa_k U(z_k) is.
         kappa = np.array([1.0, -1.0, 2.0, 0.5, 1.0])
         z = np.array([1.0 + 1.0j, -1.0 + 0.5j, 2.0 - 1.0j, -0.5 - 2.0j, 3.0 + 0.2j])
         bg = Coulomb(1.0)
-        traj = integrate(VortexConfiguration(z, kappa), bg, 2.0, sample_times=np.linspace(0.0, 2.0, 21))
+        traj = integrate_vortices(VortexConfiguration(z, kappa), bg, 2.0, sample_times=np.linspace(0.0, 2.0, 21))
         d = np.abs(z[:, None] - z[None, :])
         np.fill_diagonal(d, 1.0)
         scale = 0.5 * np.abs(np.outer(kappa, kappa) * np.log(d)).sum() + np.abs(kappa * bg.u(z)).sum()
@@ -312,12 +326,12 @@ class TestDenseOutput:
     def test_readme_coulomb_example_evaluations(self):
         # the README's simulate example: +-1 in the Coulomb field l = 1, t_end 12, 101 samples
         cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.ones(2))
-        traj = integrate(cfg, Coulomb(1.0), 12.0, sample_times=np.linspace(0.0, 12.0, 101))
+        traj = integrate_vortices(cfg, Coulomb(1.0), 12.0, sample_times=np.linspace(0.0, 12.0, 101))
         assert traj.evaluations <= 3500
 
 
 class TestTrajectoryArrays:
-    """Samples are rows of arrays; one `conserved` per accepted step, and none in the CSV writer."""
+    """Samples are rows of arrays; one `observe` per accepted step, and no `conserved` in the CSV writer."""
 
     def test_csv_rows_are_the_arrays_bit_for_bit(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)
@@ -326,7 +340,8 @@ class TestTrajectoryArrays:
 
         def recording(*args, **kwargs):
             trajs.append(integrate(*args, **kwargs))
-            monkeypatch.setattr(vortex, "conserved", None)  # the CSV only formats the arrays
+            monkeypatch.setattr(cli, "conserved", None)  # the CSV only formats the arrays
+            monkeypatch.setattr(vortex, "conserved", None)
             return trajs[-1]
 
         monkeypatch.setattr(cli, "integrate", recording)
@@ -337,45 +352,55 @@ class TestTrajectoryArrays:
             "drift_bound": 1e300}}))  # the field moves Q+iP, I and H: no drift gate here
         assert cli.main(["--config", str(config), "--out", str(tmp_path), "--quiet", "simulate"]) == 0
         (traj,) = trajs
-        assert traj.positions.shape == (9, 4) and traj.invariants.shape == (9, 4)
+        assert traj.positions.shape == (9, 4) and traj.invariants.shape == (9, 3)
         for z, c in zip(traj.positions, traj.invariants):
             assert c.tobytes() == conserved(z, cfg.kappa).tobytes()
+        assert np.all(traj.invariants[:, 1:].imag == 0)  # I and H are real
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,x_1,y_1,x_2,y_2,x_3,y_3,x_4,y_4,Q,P,I,H"
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert rows[:, 0].tobytes() == traj.times.tobytes()
         assert rows[:, 1:9:2].tobytes() == traj.positions.real.tobytes()
         assert rows[:, 2:9:2].tobytes() == traj.positions.imag.tobytes()
-        assert rows[:, 9:].tobytes() == traj.invariants.tobytes()
+        q, i, h = traj.invariants.T
+        assert rows[:, 9:].tobytes() == np.column_stack([q.real, q.imag, i.real, h.real]).tobytes()
 
-    def test_drift_is_the_max_over_accepted_steps(self, monkeypatch):
+    def test_drift_is_the_max_over_accepted_steps(self):
         calls = []
-
-        def recording(z, kappa):
-            calls.append(conserved(z, kappa))
-            return calls[-1]
-
-        monkeypatch.setattr(vortex, "conserved", recording)
         rng = np.random.default_rng(9)
         cfg = random_admissible(rng, 5, min_dist=0.5)
-        traj = integrate(cfg, Coulomb(1.0), 0.5)  # samples at the start and the end: none interpolated
+
+        def recording(z):
+            calls.append(conserved(z, cfg.kappa))
+            return calls[-1]
+
+        bg = Coulomb(1.0)
+        # samples at the start and the end: none interpolated
+        traj = integrate(lambda z: velocity(z, cfg.kappa, bg, 1e-12), recording, cfg.z, 0.5)
         assert len(calls) == 1 + traj.accepted
-        d = np.abs(np.array(calls[1:]) - calls[0])
+        # [hypot(|dQ|, |dP|), |dI|, |dH|], from the rows as the real columns Q, P, I, H
+        c = np.array(calls)
+        rows = np.column_stack([c[:, 0].real, c[:, 0].imag, c[:, 1].real, c[:, 2].real])
+        d = np.abs(rows[1:] - rows[0])
         expected = np.array([np.hypot(d[:, 0], d[:, 1]).max(), d[:, 2].max(), d[:, 3].max()])
         assert traj.drift.tobytes() == expected.tobytes() and np.all(expected > 0)
         assert traj.invariants.tobytes() == np.array([calls[0], calls[-1]]).tobytes()
 
-    def test_one_configuration_per_run(self, monkeypatch):
-        made = []
+    def test_one_configuration_per_run(self, tmp_path, monkeypatch):
+        made, trajs = [], []
         check = VortexConfiguration.__post_init__
         monkeypatch.setattr(VortexConfiguration, "__post_init__", lambda cfg: made.append(check(cfg)))
-        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.ones(2))
-        traj = integrate(cfg, NoFlow(), 1.0, sample_times=np.linspace(0.0, 1.0, 11))
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: trajs.append(integrate(*a, **k)) or trajs[-1])
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"simulate": {"positions": [[1.0, 0.0], [-1.0, 0.0]], "strengths": [1.0, 1.0],
+                                                   "t_end": 1.0, "samples": 11}}))
+        assert cli.main(["--config", str(config), "--out", str(tmp_path), "--quiet", "simulate"]) == 0
+        (traj,) = trajs
         assert len(made) == 1 and traj.positions.shape == (11, 2)
 
 
 class TestIntegrateRefusesDisabledChecks:
-    """Inputs that would turn off the error control, the collision check or the sampling are ValueErrors."""
+    """Inputs that would turn off the error control, the steps or the sampling are ValueErrors."""
 
     pair = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
     triple = VortexConfiguration(np.array([1.0, -0.5 + 0.5j, 0.2 - 0.8j]), np.array([1.0, 2.0, -1.0]))
@@ -389,16 +414,51 @@ class TestIntegrateRefusesDisabledChecks:
         (at_rest, dict(atol=0.0, max_steps=50), "atol"),
         (pair, dict(t_end=np.nan), "t_end"),
         (pair, dict(sample_times=[0.0, np.nan, 1.0]), "sample times"),
-        (pair, dict(eps=-1.0), "eps"),
         # no step would be taken, and that used to read as an exhausted step budget
         (pair, dict(max_steps=0), "max_steps"),
         (pair, dict(max_steps=-5), "max_steps"),
     ], ids=["negative_rtol", "zero_tolerances", "zero_atol_at_rest", "nan_t_end", "nan_sample_time",
-            "negative_eps", "zero_max_steps", "negative_max_steps"])
+            "zero_max_steps", "negative_max_steps"])
     def test_refused(self, cfg, kwargs, match):
+        # a negative collision eps is refused by `simulate`, which binds the field
         with pytest.raises(ValueError, match=match):
-            integrate(cfg, NoFlow(), **kwargs)
+            integrate_vortices(cfg, NoFlow(), **{"t_end": 1.0, **kwargs})
 
+
+
+class TestIntegrateKnowsNoField:
+    """The loop on right-hand sides that are no vortex field: it takes velocity and observe as given."""
+
+    def test_linear_batch_matches_the_exponential(self):
+        lam = np.array([-1.0, -0.5 + 2.0j, 1.0j, 0.3 - 1.0j, -3.0 + 0.5j])
+        times = np.linspace(0.0, 2.0, 21)
+        traj = integrate(lambda y: lam * y, lambda y: y, np.ones(5, dtype=complex), 2.0, sample_times=times)
+        exact = np.exp(lam * times[:, None])
+        assert list(traj.times) == list(times)
+        assert np.all(np.abs(traj.positions - exact) <= 1e-9 * np.abs(exact))
+
+    def test_rotation_keeps_its_modulus_for_100_periods(self):
+        traj = integrate(lambda y: 1j * y, np.abs, np.array([1.0 + 0.0j]), 200.0 * np.pi)
+        assert traj.invariants.dtype == float and traj.drift.shape == (1,)
+        assert traj.drift[0] <= 1e-8
+
+    def test_last_step_ends_on_t_end_after_a_step(self):
+        # speed 1 at |y| = 9 takes a first step of 0.01 (1 + 9) / 1 = 0.1; 0.1 + (0.45 - 0.1) is
+        # 0.44999999999999996, so a step of t_end - t would stop an ulp short and take a third step
+        traj = integrate(lambda y: np.ones_like(y), np.abs, np.full(1, 9.0 + 0.0j), 0.45)
+        assert (traj.evaluations, traj.accepted, traj.rejected) == (25, 2, 0)
+        assert list(traj.times) == [0.0, 0.45]
+
+    def test_signature(self):
+        assert list(inspect.signature(integrate).parameters) == [
+            "velocity", "observe", "z0", "t_end", "rtol", "atol", "max_steps", "sample_times"]
+
+    def test_names_no_field(self):
+        # neither in its text nor among the globals it reads: the caller binds the field
+        source = inspect.getsource(integrate)
+        assert not re.findall(r"kirchhoff\w*|\bkappa\b|\bbg\b", source)
+        read = {name for name in integrate.__code__.co_names if name in vars(vortex)}
+        assert not {name for name in read if any(vars(vortex)[name] is f for f in FAST_PATH.values())}
 
 class TestPoissonBracket:
     def test_canonical_pair(self):
@@ -446,11 +506,11 @@ class TestHamiltonianRhs:
         rng = np.random.default_rng(17)
         for _ in range(25):
             cfg = random_admissible(rng, int(rng.integers(2, 7)))
-            assert np.abs(rhs(cfg, bg) - hamiltonian_rhs(cfg, bg)).max() < 1e-12
+            assert np.abs(config_velocity(cfg, bg) - hamiltonian_rhs(cfg, bg)).max() < 1e-12
 
     def test_pair_free(self):
         cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-        assert np.abs(rhs(cfg) - hamiltonian_rhs(cfg)).max() < 1e-12
+        assert np.abs(config_velocity(cfg) - hamiltonian_rhs(cfg)).max() < 1e-12
 
     def test_single_free_zero(self):
         cfg = VortexConfiguration(np.array([0.3 + 0.1j]), np.array([1.0]))
@@ -459,7 +519,7 @@ class TestHamiltonianRhs:
     def test_triangle_free(self):
         z0 = np.exp(2j * np.pi * np.arange(3) / 3)
         cfg = VortexConfiguration(z0, np.ones(3))
-        assert np.abs(rhs(cfg) - hamiltonian_rhs(cfg)).max() < 1e-12
+        assert np.abs(config_velocity(cfg) - hamiltonian_rhs(cfg)).max() < 1e-12
 
     def test_conjugate_linear_unsupported(self):
         cfg = VortexConfiguration(np.array([1.0 + 0j]), np.array([1.0]))
@@ -495,27 +555,27 @@ def pair_term_sizes(cfg):
 
 
 class TestRhsProperties:
-    """rhs across the row-block boundary: against the independent oracle, and rigid-motion equivariance."""
+    """The velocity across the row-block boundary: against the independent oracle, and rigid-motion equivariance."""
 
     @PROPERTY
     @given(cfg=mixed_configurations(), bg=st.sampled_from(RATIONAL_FAMILIES))
     def test_matches_hamiltonian_rhs(self, cfg, bg):
         terms, _ = pair_term_sizes(cfg)
         scale = terms.sum(axis=1) + np.abs(bg.w(cfg.z))
-        assert np.all(np.abs(rhs(cfg, bg) - hamiltonian_rhs(cfg, bg)) <= cfg.n * EPS * scale)
+        assert np.all(np.abs(config_velocity(cfg, bg) - hamiltonian_rhs(cfg, bg)) <= cfg.n * EPS * scale)
 
     @PROPERTY
     @given(cfg=mixed_configurations(), theta=st.floats(0.0, 2.0 * np.pi),
            shift=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
     def test_rigid_motion_equivariance(self, cfg, theta, shift):
         rot = np.exp(1j * theta)
-        moved = rhs(VortexConfiguration(rot * cfg.z + shift, cfg.kappa))
+        moved = config_velocity(VortexConfiguration(rot * cfg.z + shift, cfg.kappa))
         # Each moved position is rounded by a few eps of |z_i| + |shift|, which moves the
         # term kappa_j/d_ij by that much relative to |d_ij|: its size grows by that factor.
         terms, d = pair_term_sizes(cfg)
         reach = np.abs(cfg.z)[:, None] + np.abs(cfg.z)[None, :] + 2.0 * abs(shift)
         scale = (terms * (1.0 + reach / d)).sum(axis=1)
-        assert np.all(np.abs(moved - rot * rhs(cfg)) <= cfg.n * EPS * scale)
+        assert np.all(np.abs(moved - rot * config_velocity(cfg)) <= cfg.n * EPS * scale)
 
 
 class TestEnergyProperties:
@@ -562,7 +622,7 @@ class TestOraclesIndependentOfField:
         cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
         assert hamiltonian_rhs(cfg) == pytest.approx([-0.5j, 0.5j])
         with pytest.raises(AssertionError):
-            rhs(cfg)
+            config_velocity(cfg)
 
     def test_poisson_bracket(self):
         cfg = VortexConfiguration(np.array([1.0 + 0.5j]), np.array([2.0]))
@@ -586,7 +646,7 @@ def test_oracles_live_only_in_the_tests(name):
 
 
 FAST_PATH = {"_row_blocks": backgrounds._row_blocks, "pair_sum": backgrounds.pair_sum,
-             "kirchhoff_field": backgrounds.kirchhoff_field, "_velocity": vortex._velocity,
+             "kirchhoff_field": backgrounds.kirchhoff_field, "velocity": vortex.velocity,
              "find_vortices": paraxial.find_vortices, "_circulation": paraxial._circulation}
 
 

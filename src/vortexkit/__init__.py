@@ -14,7 +14,6 @@ from .backgrounds import (
     stationary,
 )
 from .vortex import (
-    VortexConfiguration,
     velocity,
     conserved,
     integrate,

@@ -7,7 +7,8 @@ poles, residues and polynomial.
 
 `_row_blocks` is the one generator of the differences z_i - z_j: full rows, in
 blocks of _BLOCK (memory O(n * _BLOCK)), for F's Cauchy sum `pair_sum`, the one
-pair pass that decides a collision, and for E's sum of ln|z_i - z_j|.
+pair pass that decides a collision, for E's sum of ln|z_i - z_j|, and for F's
+Jacobian `pair_jacobian`, which writes each block into the n x n matrix it returns.
 `kirchhoff_field` is F, written once: vortices move with conj(i F), and the
 stationary problems (kappa = -1 on a line, kappa = m in ConjugateLinear for
 Laughlin) are F = 0, solved by `stationary` alone, from `default_guess` on the
@@ -80,12 +81,13 @@ def pair_sum(z, c=1.0, eps=0.0):
 def pair_jacobian(z, c=1.0):
     """J[i, k] = d pair_sum(z, c)[i] / dz_k: c_k/(z_i - z_k)^2 off the diagonal, minus the row sum on it.
 
-    c is a scalar or one weight per point.
+    c is a scalar or one weight per point.  Each block of rows is written straight into the result.
     """
     z = _inexact(z)
-    d = z[:, None] - z[None, :]
-    np.fill_diagonal(d, 1.0)  # complex inf would square to nan
-    jac = c / d**2
+    jac = np.empty((z.size, z.size), np.result_type(c, z))
+    for i0, d, diag in _row_blocks(z):
+        diag[:] = 1.0  # complex inf would square to nan
+        np.divide(c, d**2, out=jac[i0:i0 + _BLOCK])
     np.fill_diagonal(jac, 0.0)
     np.fill_diagonal(jac, -jac.sum(axis=1))
     return jac

@@ -24,7 +24,7 @@ from .backgrounds import (
     ring_guess, stationary,
 )
 from .paraxial import AliasingWarning, _slices, find_vortices, lg_mode, save_field
-from .vortex import StepLimitError, VortexConfiguration, conserved, integrate, velocity
+from .vortex import StepLimitError, conserved, integrate, velocity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -215,6 +215,21 @@ def cmd_equilibrium(args):
     return EXIT_NONCONVERGENCE if certified is False else EXIT_OK
 
 
+def _vortices(positions, strengths):
+    """simulate's [x, y] positions as complex numbers, and its strengths, both finite (_load_params
+    refuses what is not).  Refused: unequal counts or none, a zero strength, and two equal positions
+    (np.unique: 0.0 and -0.0 coincide; points 5e-324 apart are distinct here and collide in the run)."""
+    z = np.array([complex(x, y) for x, y in positions])
+    kappa = np.array(strengths, dtype=float)
+    if z.shape != kappa.shape or z.size < 1:
+        raise ConfigError("positions and strengths must be 1-d arrays of equal length >= 1")
+    if np.any(kappa == 0.0):
+        raise ConfigError("strengths must be finite and nonzero")
+    if np.unique(z).size < z.size:
+        raise ConfigError("positions must be pairwise distinct")
+    return z, kappa
+
+
 def cmd_simulate(args):
     params = _load_params("simulate", args)
     if params["drift_bound"] < 0:
@@ -222,17 +237,14 @@ def cmd_simulate(args):
     eps = params["collision_eps"]
     if eps < 0:  # a negative eps would turn off the collision check
         raise ConfigError(f"simulate collision_eps must be >= 0, got {eps}")
-    z = np.array([complex(x, y) for x, y in params["positions"]])
-    kappa = np.array(params["strengths"], dtype=float)
-    cfg = VortexConfiguration(z, kappa)
+    z, kappa = _vortices(params["positions"], params["strengths"])
     doc = dict(params["background"])
     bg = _background_from(doc.pop("kind", "none"), doc)
     _refuse_unknown("background", doc, [f.name for f in fields(bg) if f.init])
     times = np.linspace(0.0, params["t_end"], params["samples"])
-    traj = integrate(lambda z: velocity(z, cfg.kappa, bg, eps), lambda z: conserved(z, cfg.kappa), cfg.z,
-                     params["t_end"], rtol=params["rtol"], atol=params["atol"], max_steps=params["max_steps"],
-                     sample_times=times)
-    header = ["t", *(f"{c}_{i}" for i in range(1, cfg.n + 1) for c in "xy"), "Q", "P", "I", "H"]
+    traj = integrate(lambda z: velocity(z, kappa, bg, eps), lambda z: conserved(z, kappa), z, params["t_end"],
+                     rtol=params["rtol"], atol=params["atol"], max_steps=params["max_steps"], sample_times=times)
+    header = ["t", *(f"{c}_{i}" for i in range(1, z.size + 1) for c in "xy"), "Q", "P", "I", "H"]
     # the rows [Q+iP, I, H] as the columns Q, P, I, H: I and H are real
     invariants = traj.invariants.view(float)[:, [0, 1, 2, 4]]
     _write_table(args, params, header, np.column_stack([traj.times, traj.positions.view(float), invariants]))

@@ -13,8 +13,7 @@ so steps are never cut at sample times.  The monitored quantities of the
 Kirchhoff problem, the rows [Q+iP, I, H] of `conserved` (linear impulse, angular
 impulse and the interaction energy H, the Kirchhoff energy with NoFlow), are
 integration-quality diagnostics, and velocity evaluations, accepted and rejected
-steps are counted.  Samples are rows of arrays; the one VortexConfiguration of a
-run is its validated input.
+steps are counted.  Samples are rows of arrays.
 """
 
 from dataclasses import dataclass
@@ -30,32 +29,6 @@ _NO_FLOW = NoFlow()  # one instance, so conserved builds no background and no po
 
 class StepLimitError(RuntimeError):
     """Adaptive integrator exhausted its step budget (near-collision stiffness)."""
-
-
-@dataclass(frozen=True)
-class VortexConfiguration:
-    """n complex vortex positions with circulation strengths."""
-
-    z: np.ndarray
-    kappa: np.ndarray
-
-    def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.z, dtype=complex))
-        kappa = np.atleast_1d(np.asarray(self.kappa, dtype=float))
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "kappa", kappa)
-        if z.shape != kappa.shape or z.ndim != 1 or z.size < 1:
-            raise ValueError("positions and strengths must be 1-d arrays of equal length >= 1")
-        if not np.all(np.isfinite(kappa)) or np.any(kappa == 0.0):
-            raise ValueError("strengths must be finite and nonzero")
-        if not np.all(np.isfinite(z.view(float))):
-            raise ValueError("positions must be finite")
-        if np.unique(z).size < z.size:
-            raise ValueError("positions must be pairwise distinct")
-
-    @property
-    def n(self):
-        return self.z.size
 
 
 def velocity(z, kappa, bg, eps) -> np.ndarray:

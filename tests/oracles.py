@@ -2,11 +2,12 @@
 
 Each cross-checks a fast path of `vortexkit` without running it:
 `hamiltonian_rhs` and the finite-difference `poisson_bracket` check the
-velocity conj(i F) of `kirchhoff_field` and never evaluate it, and keep their
-own collision check, `_check_separation`; `min_separation`, the smallest
-pairwise distance, is what that check and the distinctness rule of
-`VortexConfiguration` are compared against; `topological_charge` counts the
-winding on a sampled loop, the count `find_vortices` takes per plaquette.
+velocity conj(i F) of `kirchhoff_field` and never evaluate it, take the same
+positions z and strengths kappa as `vortex.velocity`, and keep their own
+collision check, `_check_separation`; `min_separation`, the smallest pairwise
+distance, is what that check and the distinctness rule of `simulate`'s input
+are compared against; `topological_charge` counts the winding on a sampled
+loop, the count `find_vortices` takes per plaquette.
 None of them imports `_row_blocks`, `pair_sum`, `kirchhoff_field`,
 `vortex.velocity`, `find_vortices` or `_circulation`: `min_separation` runs
 a pair loop of its own.
@@ -16,7 +17,6 @@ import numpy as np
 
 from vortexkit.backgrounds import CollisionError, CustomRational, NoFlow
 from vortexkit.paraxial import BeamField
-from vortexkit.vortex import VortexConfiguration
 
 
 class UnsupportedBackgroundError(ValueError):
@@ -39,7 +39,7 @@ def _check_separation(z, bg, eps):
             raise CollisionError(f"distance {d:.3e} not above epsilon {eps:.1e}")
 
 
-def hamiltonian_rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -> np.ndarray:
+def hamiltonian_rhs(z, kappa, bg=NoFlow(), eps: float = 1e-12) -> np.ndarray:
     """Velocities from Hamilton's equations with analytic gradients.
 
     H_tot = sum_{i<j} kappa_i kappa_j ln|z_i - z_j| + sum_k kappa_k Re Phi(z_k), Phi' = w,
@@ -51,7 +51,6 @@ def hamiltonian_rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -
         raise UnsupportedBackgroundError(
             f"{type(bg).__name__} background has no real line potential in this form"
         )
-    z, kappa = cfg.z, cfg.kappa
     _check_separation(z, bg, eps)
     n = z.size
     v = np.zeros(n, dtype=complex)
@@ -74,12 +73,11 @@ def hamiltonian_rhs(cfg: VortexConfiguration, bg=NoFlow(), eps: float = 1e-12) -
     return v
 
 
-def poisson_bracket(f, g, cfg: VortexConfiguration, step: float = 1e-5, eps: float = 1e-12):
+def poisson_bracket(f, g, z, kappa, step: float = 1e-5, eps: float = 1e-12):
     """{f, g} = sum_k (1/kappa_k)(df/dx_k dg/dy_k - df/dy_k dg/dx_k) by central differences.
 
-    f and g take the complex position vector and return a real number.
+    f and g take the complex position vector and return a real number; z is complex.
     """
-    z, kappa = cfg.z, cfg.kappa
     n = z.size
 
     def partials(func):

@@ -17,7 +17,7 @@ from vortexkit.backgrounds import (
     ring_guess, stationary,
 )
 from vortexkit.paraxial import BeamField, find_vortices, ladder_apply, lg_mode, propagate
-from vortexkit.vortex import VortexConfiguration, conserved, integrate, velocity
+from vortexkit.vortex import conserved, integrate, velocity
 from oracles import hamiltonian_rhs, topological_charge
 
 
@@ -63,10 +63,10 @@ def test_01_stieltjes_zeros_equivalence():
 
 
 def test_02_two_vortex_period():
-    cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-    traj = integrate(lambda z: velocity(z, cfg.kappa, NoFlow(), 1e-12), lambda z: conserved(z, cfg.kappa), cfg.z,
+    z0, kappa = np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0])
+    traj = integrate(lambda z: velocity(z, kappa, NoFlow(), 1e-12), lambda z: conserved(z, kappa), z0,
                      4.0 * np.pi, rtol=1e-11, atol=1e-13)
-    ret = np.abs(traj.positions[-1] - cfg.z).max()
+    ret = np.abs(traj.positions[-1] - z0).max()
     dq, di, dh = traj.drift
     report(
         "2 identical pair returns after T = 4 pi (1e-6; drifts 1e-8)",
@@ -89,9 +89,8 @@ def test_03_hamiltonian_consistency():
             if d.min() > 0.2 and clear > 0.2:
                 break
         kappa = rng.choice([1.0, -1.0, 2.0], size=n)
-        cfg = VortexConfiguration(z, kappa)
         bg = backgrounds[i % len(backgrounds)]
-        worst = max(worst, np.abs(velocity(z, cfg.kappa, bg, 1e-12) - hamiltonian_rhs(cfg, bg)).max())
+        worst = max(worst, np.abs(velocity(z, kappa, bg, 1e-12) - hamiltonian_rhs(z, kappa, bg)).max())
     report(
         "3 hamiltonian_rhs agrees with the velocity on 100 random configurations (1e-12)",
         worst < 1e-12,

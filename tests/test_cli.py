@@ -400,12 +400,29 @@ class TestSimulate:
         }))
         assert run(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 4
 
-    def test_coincident_positions_exit_2(self, tmp_path):
+    def test_coincident_positions_exit_2(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             "simulate": {"positions": [[1.0, 0.0], [1.0, 0.0]], "strengths": [1.0, 1.0]}
         }))
         assert run(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 2
+        assert capsys.readouterr().err == "invalid input: positions must be pairwise distinct\n"
+
+    @pytest.mark.parametrize("section, message", [
+        ('"strengths": [1.0]', "positions and strengths must be 1-d arrays of equal length >= 1"),
+        ('"positions": []', "positions and strengths must be 1-d arrays of equal length >= 1"),
+        ('"positions": [], "strengths": []', "positions and strengths must be 1-d arrays of equal length >= 1"),
+        # JSON reads 1e400 as inf, which no parameter may be
+        ('"positions": [[1e400, 0.0], [-1.0, 0.0]]', "simulate parameters must be finite numbers"),
+        ('"strengths": [1e400, 1.0]', "simulate parameters must be finite numbers"),
+        ('"strengths": [1.0, 0.0]', "strengths must be finite and nonzero"),
+    ], ids=["one_strength_for_two", "no_positions", "empty", "position_1e400", "strength_1e400", "zero_strength"])
+    def test_refused_vortices_exit_2(self, tmp_path, capsys, section, message):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"simulate": {%s}}' % section)
+        assert run(["--config", str(config), "--out", str(tmp_path), "simulate"]) == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_step_limit_exit_3(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -15,29 +15,22 @@ from vortexkit.backgrounds import (
     _BLOCK, Coulomb, ConjugateLinear, CustomRational, HermiteLinear, JacobiCharges, NoFlow, kirchhoff_energy,
     kirchhoff_field,
 )
-from vortexkit.vortex import (
-    CollisionError,
-    StepLimitError,
-    VortexConfiguration,
-    conserved,
-    integrate,
-    velocity,
-)
+from vortexkit.vortex import CollisionError, StepLimitError, conserved, integrate, velocity
 from oracles import UnsupportedBackgroundError, hamiltonian_rhs, min_separation, poisson_bracket
 
 
-def config_velocity(cfg, bg=NoFlow()):
-    """The velocities of cfg in bg, at the default collision_eps of `simulate`, 1e-12."""
-    return velocity(cfg.z, cfg.kappa, bg, 1e-12)
+def velocity_at(z, kappa, bg=NoFlow()):
+    """The velocities of the vortices at z in bg, at the default collision_eps of `simulate`, 1e-12."""
+    return velocity(z, kappa, bg, 1e-12)
 
 
-def integrate_vortices(cfg, bg, t_end, eps=1e-12, **kwargs):
-    """integrate bound to the Kirchhoff problem of cfg in bg, as `simulate` binds it."""
-    return integrate(lambda z: velocity(z, cfg.kappa, bg, eps), lambda z: conserved(z, cfg.kappa), cfg.z, t_end,
-                     **kwargs)
+def integrate_vortices(z0, kappa, bg, t_end, eps=1e-12, **kwargs):
+    """integrate bound to the Kirchhoff problem of (z0, kappa) in bg, as `simulate` binds it."""
+    return integrate(lambda z: velocity(z, kappa, bg, eps), lambda z: conserved(z, kappa), z0, t_end, **kwargs)
 
 
 def random_admissible(rng, n, min_dist=0.1, kappa_choices=(1.0, 2.0, -1.0)):
+    """Positions z at least min_dist apart and clear of 0 and +-1, and strengths kappa."""
     while True:
         z = rng.normal(size=n) + 1j * rng.normal(size=n)
         d = np.abs(z[:, None] - z[None, :])
@@ -49,8 +42,7 @@ def random_admissible(rng, n, min_dist=0.1, kappa_choices=(1.0, 2.0, -1.0)):
             and np.abs(z + 1).min() > 0.15
         ):
             break
-    kappa = rng.choice(kappa_choices, size=n)
-    return VortexConfiguration(z, kappa)
+    return z, rng.choice(kappa_choices, size=n)
 
 
 class TestRhs:
@@ -58,36 +50,30 @@ class TestRhs:
         # velocities 2Gi/(x1-x2) and 2Gi/(x2-x1) in the conjugate variable
         g = 0.7
         x1, x2 = 0.3, 1.9
-        cfg = VortexConfiguration(np.array([x1, x2], dtype=complex), np.array([2 * g, 2 * g]))
-        v = config_velocity(cfg)
+        v = velocity_at(np.array([x1, x2], dtype=complex), np.array([2 * g, 2 * g]))
         assert np.conj(v[0]) == pytest.approx(2 * g * 1j / (x1 - x2))
         assert np.conj(v[1]) == pytest.approx(2 * g * 1j / (x2 - x1))
 
     def test_unit_pair_velocity(self):
-        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-        v = config_velocity(cfg)
+        v = velocity_at(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
         assert v[0] == pytest.approx(-0.5j)
         assert v[1] == pytest.approx(0.5j)
 
     def test_single_vortex_at_rest(self):
-        cfg = VortexConfiguration(np.array([2.0 + 1.0j]), np.array([3.0]))
-        assert config_velocity(cfg) == pytest.approx(np.array([0.0j]))
+        assert velocity_at(np.array([2.0 + 1.0j]), np.array([3.0])) == pytest.approx(np.array([0.0j]))
 
     def test_collision_detected(self):
-        cfg = VortexConfiguration(np.array([0.0j, 1e-13 + 0j]), np.array([1.0, 1.0]))
         with pytest.raises(CollisionError):
-            config_velocity(cfg)
+            velocity_at(np.array([0.0j, 1e-13 + 0j]), np.array([1.0, 1.0]))
 
     def test_background_pole_collision(self):
-        cfg = VortexConfiguration(np.array([1e-14 + 0j]), np.array([1.0]))
         with pytest.raises(CollisionError):
-            config_velocity(cfg, Coulomb(0.0))
+            velocity_at(np.array([1e-14 + 0j]), np.array([1.0]), Coulomb(0.0))
 
     def test_translation_equivariance_free(self):
         rng = np.random.default_rng(3)
-        cfg = random_admissible(rng, 5)
-        shifted = VortexConfiguration(cfg.z + (0.37 - 1.1j), cfg.kappa)
-        assert np.abs(config_velocity(cfg) - config_velocity(shifted)).max() < 1e-12
+        z, kappa = random_admissible(rng, 5)
+        assert np.abs(velocity_at(z, kappa) - velocity_at(z + (0.37 - 1.1j), kappa)).max() < 1e-12
 
 
 class TestConserved:
@@ -133,22 +119,21 @@ class TestConserved:
 
 class TestIntegrate:
     def test_corotating_pair_period(self):
-        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-        traj = integrate_vortices(cfg, NoFlow(), 4 * np.pi, rtol=1e-11, atol=1e-13)
-        assert np.abs(traj.positions[-1] - cfg.z).max() < 1e-6
+        z0 = np.array([1.0, -1.0], dtype=complex)
+        traj = integrate_vortices(z0, np.array([1.0, 1.0]), NoFlow(), 4 * np.pi, rtol=1e-11, atol=1e-13)
+        assert np.abs(traj.positions[-1] - z0).max() < 1e-6
         assert np.all(traj.drift < 1e-8)
 
     def test_single_vortex_stationary(self):
-        cfg = VortexConfiguration(np.array([0.4 + 0.2j]), np.array([2.0]))
-        traj = integrate_vortices(cfg, NoFlow(), 5.0, sample_times=np.linspace(0, 5, 6))
+        z0 = np.array([0.4 + 0.2j])
+        traj = integrate_vortices(z0, np.array([2.0]), NoFlow(), 5.0, sample_times=np.linspace(0, 5, 6))
         for z in traj.positions:
-            assert z == pytest.approx(cfg.z)
+            assert z == pytest.approx(z0)
 
     def test_equilateral_triangle_rigid(self):
         z0 = np.exp(2j * np.pi * np.arange(3) / 3)
-        cfg = VortexConfiguration(z0, np.ones(3))
         # rigid rotation with angular velocity 3/(2 r^2) for unit strengths: T = 4 pi/3
-        traj = integrate_vortices(cfg, NoFlow(), 4 * np.pi / 3, rtol=1e-11, atol=1e-13,
+        traj = integrate_vortices(z0, np.ones(3), NoFlow(), 4 * np.pi / 3, rtol=1e-11, atol=1e-13,
                                   sample_times=np.linspace(0, 4 * np.pi / 3, 9))
         d0 = np.abs(z0[:, None] - z0[None, :])
         for z in traj.positions:
@@ -157,36 +142,34 @@ class TestIntegrate:
 
     def test_time_reversal(self):
         rng = np.random.default_rng(5)
-        cfg = random_admissible(rng, 4, min_dist=0.5, kappa_choices=(1.0, 2.0))
-        fwd = integrate_vortices(cfg, NoFlow(), 1.0, rtol=1e-10, atol=1e-12)
-        flipped = VortexConfiguration(fwd.positions[-1], -cfg.kappa)
-        back = integrate_vortices(flipped, NoFlow(), 1.0, rtol=1e-10, atol=1e-12)
-        assert np.abs(back.positions[-1] - cfg.z).max() < 1e-7
+        z0, kappa = random_admissible(rng, 4, min_dist=0.5, kappa_choices=(1.0, 2.0))
+        fwd = integrate_vortices(z0, kappa, NoFlow(), 1.0, rtol=1e-10, atol=1e-12)
+        back = integrate_vortices(fwd.positions[-1], -kappa, NoFlow(), 1.0, rtol=1e-10, atol=1e-12)
+        assert np.abs(back.positions[-1] - z0).max() < 1e-7
 
     def test_head_on_collision_raises(self):
         # counter-rotating pair translates head-on into the Coulomb pole at the origin
-        cfg = VortexConfiguration(np.array([0.05 + 1.0j, -0.05 + 1.0j]), np.array([-1.0, 1.0]))
         with pytest.raises(CollisionError):
-            integrate_vortices(cfg, Coulomb(0.0), 50.0, max_steps=20000, eps=0.06)
+            integrate_vortices(np.array([0.05 + 1.0j, -0.05 + 1.0j]), np.array([-1.0, 1.0]), Coulomb(0.0), 50.0,
+                               max_steps=20000, eps=0.06)
 
     def test_velocity_evaluations_per_step(self, monkeypatch):
         # DOP853 is first-same-as-last: after the initial speed estimate, each attempted step
         # evaluates stages 2-13 only, whether accepted or not, and an accepted step with a sample
         # strictly inside it evaluates the interpolant's three extra stages once.
         calls = []
-        cfg = VortexConfiguration(np.exp(2j * np.pi * np.arange(5) / 5) * (1.0 + 0.01 * np.arange(5)),
-                                  np.ones(5))
+        z0, kappa = np.exp(2j * np.pi * np.arange(5) / 5) * (1.0 + 0.01 * np.arange(5)), np.ones(5)
 
         def counted(z):
             calls.append(z)
-            return velocity(z, cfg.kappa, Coulomb(1.0), 1e-12)
+            return velocity(z, kappa, Coulomb(1.0), 1e-12)
 
         def observe(z):
-            return conserved(z, cfg.kappa)
+            return conserved(z, kappa)
 
         steps = 12
         with pytest.raises(StepLimitError):
-            integrate(counted, observe, cfg.z, 1e3, max_steps=steps)
+            integrate(counted, observe, z0, 1e3, max_steps=steps)
         assert len(calls) == 1 + 12 * steps
 
         calls.clear()
@@ -199,16 +182,16 @@ class TestIntegrate:
 
         monkeypatch.setattr(vortex, "_interpolate", recorded)
         times = np.linspace(0.0, 3.0, 31)
-        traj = integrate(counted, observe, cfg.z, 3.0, sample_times=times)
+        traj = integrate(counted, observe, z0, 3.0, sample_times=times)
         assert len(interpolants) == 29  # every sample but the first and the last lies inside a step
         interior = len({id(f) for f in interpolants})  # one list per step, each kept alive in interpolants
         assert 0 < interior < traj.accepted
         assert traj.evaluations == len(calls) == 1 + 12 * (traj.accepted + traj.rejected) + 3 * interior
 
     def test_empty_sample_times_rejected(self):
-        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="sample times"):
-            integrate_vortices(cfg, NoFlow(), 1.0, sample_times=[])
+            integrate_vortices(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]), NoFlow(), 1.0,
+                               sample_times=[])
 
     def test_coincident_vortices_collide_at_eps_zero(self):
         # the velocity is not defined there: eps = 0 refuses it instead of returning infinities
@@ -253,8 +236,7 @@ class TestStepper:
         # w(z) = z: one vortex moves with xdot = -y, ydot = -x
         x0, y0 = 0.3, 0.7
         times = np.linspace(0.0, 2.0, 9)
-        traj = integrate_vortices(VortexConfiguration(np.array([x0 + 1j * y0]), np.ones(1)), HermiteLinear(), 2.0,
-                                  sample_times=times)
+        traj = integrate_vortices(np.array([x0 + 1j * y0]), np.ones(1), HermiteLinear(), 2.0, sample_times=times)
         exact = (x0 * np.cosh(times) - y0 * np.sinh(times)) + 1j * (y0 * np.cosh(times) - x0 * np.sinh(times))
         got = traj.positions[:, 0]
         assert list(traj.times) == list(times)
@@ -272,8 +254,7 @@ class TestDenseOutput:
         z0 = r * np.exp(2j * np.pi * np.arange(n) / n)
         omega = -(n - 1) / (2 * r**2)
         period = 2 * np.pi / abs(omega)
-        traj = integrate_vortices(VortexConfiguration(z0, np.ones(n)), NoFlow(), period,
-                                  sample_times=np.linspace(0.0, period, 11))
+        traj = integrate_vortices(z0, np.ones(n), NoFlow(), period, sample_times=np.linspace(0.0, period, 11))
         assert np.array_equal(traj.positions[0], z0)
         assert np.abs(traj.positions - z0 * np.exp(1j * omega * traj.times[:, None])).max() <= 1e-8
         # the nine inner samples lie inside nine steps, each interpolated once
@@ -282,40 +263,39 @@ class TestDenseOutput:
 
     def test_dense_sample_matches_a_run_that_ends_there(self):
         rng = np.random.default_rng(3)
-        cfg = VortexConfiguration(rng.normal(size=5) + 1j * rng.normal(size=5), np.array([1.0, 2.0, -1.0, 1.0, -0.5]))
-        traj = integrate_vortices(cfg, NoFlow(), 1.0, sample_times=np.linspace(0.0, 1.0, 7))
+        z0, kappa = rng.normal(size=5) + 1j * rng.normal(size=5), np.array([1.0, 2.0, -1.0, 1.0, -0.5])
+        traj = integrate_vortices(z0, kappa, NoFlow(), 1.0, sample_times=np.linspace(0.0, 1.0, 7))
         assert traj.evaluations > 1 + 12 * (traj.accepted + traj.rejected)  # some samples were interpolated
         for t, z in zip(traj.times[1:-1], traj.positions[1:-1]):
-            end = integrate_vortices(cfg, NoFlow(), t)
+            end = integrate_vortices(z0, kappa, NoFlow(), t)
             assert end.times[-1] == t
             assert np.abs(z - end.positions[-1]).max() <= 1e-9 * np.abs(end.positions[-1]).max()
 
     def test_last_step_ends_on_t_end(self):
         # a vortex at rest: its one step spans [0, t_end] and ends on t_end
-        cfg = VortexConfiguration(np.array([0.4 + 0.2j]), np.array([2.0]))
-        traj = integrate_vortices(cfg, NoFlow(), 0.45)
+        traj = integrate_vortices(np.array([0.4 + 0.2j]), np.array([2.0]), NoFlow(), 0.45)
         assert (traj.evaluations, traj.accepted, traj.rejected) == (13, 1, 0)
         assert list(traj.times) == [0.0, 0.45]
 
     def test_collision_in_an_interpolation_stage_propagates(self):
         calls = []
-        cfg = VortexConfiguration(np.array([0.4 + 0.2j]), np.array([2.0]))
+        z0, kappa = np.array([0.4 + 0.2j]), np.array([2.0])
 
         def colliding(z):
             calls.append(z)
             if len(calls) == 14:  # the first extra stage of the first step, after 1 + 12 evaluations
                 raise CollisionError("collision in an interpolation stage")
-            return velocity(z, cfg.kappa, NoFlow(), 1e-12)
+            return velocity(z, kappa, NoFlow(), 1e-12)
 
         with pytest.raises(CollisionError, match="interpolation stage"):
-            integrate(colliding, lambda z: conserved(z, cfg.kappa), cfg.z, 1.0, sample_times=[0.0, 0.5, 1.0])
+            integrate(colliding, lambda z: conserved(z, kappa), z0, 1.0, sample_times=[0.0, 0.5, 1.0])
 
     def test_kirchhoff_energy_is_kept_in_a_background(self):
         # In Coulomb(1) the pair energy H is not conserved, but E = H + sum kappa_k U(z_k) is.
         kappa = np.array([1.0, -1.0, 2.0, 0.5, 1.0])
         z = np.array([1.0 + 1.0j, -1.0 + 0.5j, 2.0 - 1.0j, -0.5 - 2.0j, 3.0 + 0.2j])
         bg = Coulomb(1.0)
-        traj = integrate_vortices(VortexConfiguration(z, kappa), bg, 2.0, sample_times=np.linspace(0.0, 2.0, 21))
+        traj = integrate_vortices(z, kappa, bg, 2.0, sample_times=np.linspace(0.0, 2.0, 21))
         d = np.abs(z[:, None] - z[None, :])
         np.fill_diagonal(d, 1.0)
         scale = 0.5 * np.abs(np.outer(kappa, kappa) * np.log(d)).sum() + np.abs(kappa * bg.u(z)).sum()
@@ -325,8 +305,8 @@ class TestDenseOutput:
 
     def test_readme_coulomb_example_evaluations(self):
         # the README's simulate example: +-1 in the Coulomb field l = 1, t_end 12, 101 samples
-        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.ones(2))
-        traj = integrate_vortices(cfg, Coulomb(1.0), 12.0, sample_times=np.linspace(0.0, 12.0, 101))
+        traj = integrate_vortices(np.array([1.0, -1.0], dtype=complex), np.ones(2), Coulomb(1.0), 12.0,
+                                  sample_times=np.linspace(0.0, 12.0, 101))
         assert traj.evaluations <= 3500
 
 
@@ -335,7 +315,7 @@ class TestTrajectoryArrays:
 
     def test_csv_rows_are_the_arrays_bit_for_bit(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)
-        cfg = random_admissible(rng, 4, min_dist=0.5)
+        z0, kappa = random_admissible(rng, 4, min_dist=0.5)
         trajs = []
 
         def recording(*args, **kwargs):
@@ -347,14 +327,14 @@ class TestTrajectoryArrays:
         monkeypatch.setattr(cli, "integrate", recording)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"simulate": {
-            "positions": np.stack([cfg.z.real, cfg.z.imag], -1).tolist(), "strengths": cfg.kappa.tolist(),
+            "positions": np.stack([z0.real, z0.imag], -1).tolist(), "strengths": kappa.tolist(),
             "background": {"kind": "coulomb", "l": 1.0}, "t_end": 0.5, "samples": 9,
             "drift_bound": 1e300}}))  # the field moves Q+iP, I and H: no drift gate here
         assert cli.main(["--config", str(config), "--out", str(tmp_path), "--quiet", "simulate"]) == 0
         (traj,) = trajs
         assert traj.positions.shape == (9, 4) and traj.invariants.shape == (9, 3)
         for z, c in zip(traj.positions, traj.invariants):
-            assert c.tobytes() == conserved(z, cfg.kappa).tobytes()
+            assert c.tobytes() == conserved(z, kappa).tobytes()
         assert np.all(traj.invariants[:, 1:].imag == 0)  # I and H are real
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,x_1,y_1,x_2,y_2,x_3,y_3,x_4,y_4,Q,P,I,H"
@@ -368,15 +348,15 @@ class TestTrajectoryArrays:
     def test_drift_is_the_max_over_accepted_steps(self):
         calls = []
         rng = np.random.default_rng(9)
-        cfg = random_admissible(rng, 5, min_dist=0.5)
+        z0, kappa = random_admissible(rng, 5, min_dist=0.5)
 
         def recording(z):
-            calls.append(conserved(z, cfg.kappa))
+            calls.append(conserved(z, kappa))
             return calls[-1]
 
         bg = Coulomb(1.0)
         # samples at the start and the end: none interpolated
-        traj = integrate(lambda z: velocity(z, cfg.kappa, bg, 1e-12), recording, cfg.z, 0.5)
+        traj = integrate(lambda z: velocity(z, kappa, bg, 1e-12), recording, z0, 0.5)
         assert len(calls) == 1 + traj.accepted
         # [hypot(|dQ|, |dP|), |dI|, |dH|], from the rows as the real columns Q, P, I, H
         c = np.array(calls)
@@ -386,27 +366,15 @@ class TestTrajectoryArrays:
         assert traj.drift.tobytes() == expected.tobytes() and np.all(expected > 0)
         assert traj.invariants.tobytes() == np.array([calls[0], calls[-1]]).tobytes()
 
-    def test_one_configuration_per_run(self, tmp_path, monkeypatch):
-        made, trajs = [], []
-        check = VortexConfiguration.__post_init__
-        monkeypatch.setattr(VortexConfiguration, "__post_init__", lambda cfg: made.append(check(cfg)))
-        monkeypatch.setattr(cli, "integrate", lambda *a, **k: trajs.append(integrate(*a, **k)) or trajs[-1])
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"simulate": {"positions": [[1.0, 0.0], [-1.0, 0.0]], "strengths": [1.0, 1.0],
-                                                   "t_end": 1.0, "samples": 11}}))
-        assert cli.main(["--config", str(config), "--out", str(tmp_path), "--quiet", "simulate"]) == 0
-        (traj,) = trajs
-        assert len(made) == 1 and traj.positions.shape == (11, 2)
-
 
 class TestIntegrateRefusesDisabledChecks:
     """Inputs that would turn off the error control, the steps or the sampling are ValueErrors."""
 
-    pair = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-    triple = VortexConfiguration(np.array([1.0, -0.5 + 0.5j, 0.2 - 0.8j]), np.array([1.0, 2.0, -1.0]))
-    at_rest = VortexConfiguration(np.array([0.0j]), np.ones(1))
+    pair = np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0])
+    triple = np.array([1.0, -0.5 + 0.5j, 0.2 - 0.8j]), np.array([1.0, 2.0, -1.0])
+    at_rest = np.array([0.0j]), np.ones(1)
 
-    @pytest.mark.parametrize("cfg, kwargs, match", [
+    @pytest.mark.parametrize("vortices, kwargs, match", [
         # every error estimate would be negative, so every step would be accepted
         (triple, dict(t_end=5.0, rtol=-1e-10), "rtol"),
         (pair, dict(rtol=0.0, atol=0.0, max_steps=50), "atol"),
@@ -419,10 +387,10 @@ class TestIntegrateRefusesDisabledChecks:
         (pair, dict(max_steps=-5), "max_steps"),
     ], ids=["negative_rtol", "zero_tolerances", "zero_atol_at_rest", "nan_t_end", "nan_sample_time",
             "zero_max_steps", "negative_max_steps"])
-    def test_refused(self, cfg, kwargs, match):
+    def test_refused(self, vortices, kwargs, match):
         # a negative collision eps is refused by `simulate`, which binds the field
         with pytest.raises(ValueError, match=match):
-            integrate_vortices(cfg, NoFlow(), **{"t_end": 1.0, **kwargs})
+            integrate_vortices(*vortices, NoFlow(), **{"t_end": 1.0, **kwargs})
 
 
 
@@ -462,29 +430,27 @@ class TestIntegrateKnowsNoField:
 
 class TestPoissonBracket:
     def test_canonical_pair(self):
-        cfg = VortexConfiguration(np.array([1.0 + 0.5j]), np.array([2.0]))
-        pb = poisson_bracket(lambda z: z[0].real, lambda z: z[0].imag, cfg)
+        pb = poisson_bracket(lambda z: z[0].real, lambda z: z[0].imag, np.array([1.0 + 0.5j]), np.array([2.0]))
         assert pb == pytest.approx(0.5, abs=1e-9)
 
     def test_disjoint_coordinates(self):
-        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-        pb = poisson_bracket(lambda z: z[0].real, lambda z: z[1].imag, cfg)
+        pb = poisson_bracket(lambda z: z[0].real, lambda z: z[1].imag, np.array([1.0, -1.0], dtype=complex),
+                             np.array([1.0, 1.0]))
         assert pb == pytest.approx(0.0, abs=1e-10)
 
     def test_against_angular_impulse_gradient(self):
         kappa = np.array([2.0, 3.0])
-        cfg = VortexConfiguration(np.array([1.0 + 0.5j, -0.7 + 0.2j]), kappa)
 
         def angular(z):
             return float(np.sum(kappa * np.abs(z) ** 2))
 
-        pb = poisson_bracket(lambda z: z[0].real, angular, cfg)
+        pb = poisson_bracket(lambda z: z[0].real, angular, np.array([1.0 + 0.5j, -0.7 + 0.2j]), kappa)
         # {x_1, I} = (1/kappa_1) * dI/dy_1 = 2 y_1
         assert pb == pytest.approx(2 * 0.5, abs=1e-8)
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(9)
-        cfg = random_admissible(rng, 3)
+        z0, kappa = random_admissible(rng, 3)
 
         def f(z):
             return float(np.sum(z.real**2 - z.imag))
@@ -492,7 +458,7 @@ class TestPoissonBracket:
         def g(z):
             return float(np.prod(np.abs(z)))
 
-        assert poisson_bracket(f, g, cfg) == pytest.approx(-poisson_bracket(g, f, cfg), abs=1e-8)
+        assert poisson_bracket(f, g, z0, kappa) == pytest.approx(-poisson_bracket(g, f, z0, kappa), abs=1e-8)
 
 
 class TestHamiltonianRhs:
@@ -505,26 +471,23 @@ class TestHamiltonianRhs:
     def test_matches_rhs_random(self, bg):
         rng = np.random.default_rng(17)
         for _ in range(25):
-            cfg = random_admissible(rng, int(rng.integers(2, 7)))
-            assert np.abs(config_velocity(cfg, bg) - hamiltonian_rhs(cfg, bg)).max() < 1e-12
+            z, kappa = random_admissible(rng, int(rng.integers(2, 7)))
+            assert np.abs(velocity_at(z, kappa, bg) - hamiltonian_rhs(z, kappa, bg)).max() < 1e-12
 
     def test_pair_free(self):
-        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-        assert np.abs(config_velocity(cfg) - hamiltonian_rhs(cfg)).max() < 1e-12
+        z, kappa = np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0])
+        assert np.abs(velocity_at(z, kappa) - hamiltonian_rhs(z, kappa)).max() < 1e-12
 
     def test_single_free_zero(self):
-        cfg = VortexConfiguration(np.array([0.3 + 0.1j]), np.array([1.0]))
-        assert hamiltonian_rhs(cfg) == pytest.approx(np.array([0.0j]))
+        assert hamiltonian_rhs(np.array([0.3 + 0.1j]), np.array([1.0])) == pytest.approx(np.array([0.0j]))
 
     def test_triangle_free(self):
         z0 = np.exp(2j * np.pi * np.arange(3) / 3)
-        cfg = VortexConfiguration(z0, np.ones(3))
-        assert np.abs(config_velocity(cfg) - hamiltonian_rhs(cfg)).max() < 1e-12
+        assert np.abs(velocity_at(z0, np.ones(3)) - hamiltonian_rhs(z0, np.ones(3))).max() < 1e-12
 
     def test_conjugate_linear_unsupported(self):
-        cfg = VortexConfiguration(np.array([1.0 + 0j]), np.array([1.0]))
         with pytest.raises(UnsupportedBackgroundError):
-            hamiltonian_rhs(cfg, ConjugateLinear(0.25))
+            hamiltonian_rhs(np.array([1.0 + 0j]), np.array([1.0]), ConjugateLinear(0.25))
 
 
 EPS = np.finfo(float).eps
@@ -538,56 +501,57 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=N
 
 @st.composite
 def mixed_configurations(draw):
-    """n = 1 .. _BLOCK + 3 points spread over a disc of radius ~sqrt(n), strengths of both signs;
-    about half of the sizes straddle the end of the first row block."""
+    """(z, kappa): n = 1 .. _BLOCK + 3 points spread over a disc of radius ~sqrt(n), strengths of both
+    signs; about half of the sizes straddle the end of the first row block."""
     n = draw(st.integers(1, _BLOCK + 3) | st.integers(_BLOCK - 2, _BLOCK + 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     z = np.sqrt(n) * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    kappa = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 3.0], size=n) * rng.uniform(0.5, 1.5, n)
-    return VortexConfiguration(z, kappa)
+    return z, rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 3.0], size=n) * rng.uniform(0.5, 1.5, n)
 
 
-def pair_term_sizes(cfg):
+def pair_term_sizes(z, kappa):
     """|kappa_j / (z_i - z_j)| for j != i (0 on the diagonal), and |z_i - z_j| (inf on it)."""
-    d = np.abs(cfg.z[:, None] - cfg.z[None, :])
+    d = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(d, np.inf)
-    return np.abs(cfg.kappa) / d, d
+    return np.abs(kappa) / d, d
 
 
 class TestRhsProperties:
     """The velocity across the row-block boundary: against the independent oracle, and rigid-motion equivariance."""
 
     @PROPERTY
-    @given(cfg=mixed_configurations(), bg=st.sampled_from(RATIONAL_FAMILIES))
-    def test_matches_hamiltonian_rhs(self, cfg, bg):
-        terms, _ = pair_term_sizes(cfg)
-        scale = terms.sum(axis=1) + np.abs(bg.w(cfg.z))
-        assert np.all(np.abs(config_velocity(cfg, bg) - hamiltonian_rhs(cfg, bg)) <= cfg.n * EPS * scale)
+    @given(vortices=mixed_configurations(), bg=st.sampled_from(RATIONAL_FAMILIES))
+    def test_matches_hamiltonian_rhs(self, vortices, bg):
+        z, kappa = vortices
+        terms, _ = pair_term_sizes(z, kappa)
+        scale = terms.sum(axis=1) + np.abs(bg.w(z))
+        assert np.all(np.abs(velocity_at(z, kappa, bg) - hamiltonian_rhs(z, kappa, bg)) <= z.size * EPS * scale)
 
     @PROPERTY
-    @given(cfg=mixed_configurations(), theta=st.floats(0.0, 2.0 * np.pi),
+    @given(vortices=mixed_configurations(), theta=st.floats(0.0, 2.0 * np.pi),
            shift=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
-    def test_rigid_motion_equivariance(self, cfg, theta, shift):
+    def test_rigid_motion_equivariance(self, vortices, theta, shift):
+        z, kappa = vortices
         rot = np.exp(1j * theta)
-        moved = config_velocity(VortexConfiguration(rot * cfg.z + shift, cfg.kappa))
+        moved = velocity_at(rot * z + shift, kappa)
         # Each moved position is rounded by a few eps of |z_i| + |shift|, which moves the
         # term kappa_j/d_ij by that much relative to |d_ij|: its size grows by that factor.
-        terms, d = pair_term_sizes(cfg)
-        reach = np.abs(cfg.z)[:, None] + np.abs(cfg.z)[None, :] + 2.0 * abs(shift)
+        terms, d = pair_term_sizes(z, kappa)
+        reach = np.abs(z)[:, None] + np.abs(z)[None, :] + 2.0 * abs(shift)
         scale = (terms * (1.0 + reach / d)).sum(axis=1)
-        assert np.all(np.abs(moved - rot * config_velocity(cfg)) <= cfg.n * EPS * scale)
+        assert np.all(np.abs(moved - rot * velocity_at(z, kappa)) <= z.size * EPS * scale)
 
 
 class TestEnergyProperties:
     """The Kirchhoff energy E across the row-block boundary: its gradient is the field."""
 
     @PROPERTY
-    @given(cfg=mixed_configurations(), bg=st.sampled_from(RATIONAL_FAMILIES + [ConjugateLinear(0.3)]))
-    def test_gradient_is_the_field(self, cfg, bg):
+    @given(vortices=mixed_configurations(), bg=st.sampled_from(RATIONAL_FAMILIES + [ConjugateLinear(0.3)]))
+    def test_gradient_is_the_field(self, vortices, bg):
         # 2 dE/dz_i = dE/dx_i - i dE/dy_i = kappa_i F_i, by central differences with a step
         # of 1e-4 of the distance rho_i to the nearest point or pole, at the first and last rows
         # and at both sides of the block boundary.
-        z, kappa, n = cfg.z, cfg.kappa, cfg.n
+        (z, kappa), n = vortices, vortices[0].size
         d = np.abs(z[:, None] - z[None, :])
         np.fill_diagonal(d, np.inf)
         rho = np.minimum.reduce([d.min(axis=1), 1.0 + np.abs(z)] + [np.abs(z - p) for p in bg.poles])
@@ -619,19 +583,18 @@ class TestOraclesIndependentOfField:
         monkeypatch.setattr(backgrounds, "kirchhoff_field", refuse)
 
     def test_hamiltonian_rhs(self):
-        cfg = VortexConfiguration(np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0]))
-        assert hamiltonian_rhs(cfg) == pytest.approx([-0.5j, 0.5j])
+        z, kappa = np.array([1.0, -1.0], dtype=complex), np.array([1.0, 1.0])
+        assert hamiltonian_rhs(z, kappa) == pytest.approx([-0.5j, 0.5j])
         with pytest.raises(AssertionError):
-            config_velocity(cfg)
+            velocity_at(z, kappa)
 
     def test_poisson_bracket(self):
-        cfg = VortexConfiguration(np.array([1.0 + 0.5j]), np.array([2.0]))
-        assert poisson_bracket(lambda z: z[0].real, lambda z: z[0].imag, cfg) == pytest.approx(0.5, abs=1e-9)
+        pb = poisson_bracket(lambda z: z[0].real, lambda z: z[0].imag, np.array([1.0 + 0.5j]), np.array([2.0]))
+        assert pb == pytest.approx(0.5, abs=1e-9)
 
     def test_oracles_keep_their_collision_check(self):
-        cfg = VortexConfiguration(np.array([1e-14 + 0j, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(CollisionError):
-            hamiltonian_rhs(cfg, Coulomb(0.0))
+            hamiltonian_rhs(np.array([1e-14 + 0j, 1.0]), np.array([1.0, 1.0]), Coulomb(0.0))
 
 
 MOVED_TO_ORACLES = ("hamiltonian_rhs", "poisson_bracket", "_check_separation", "UnsupportedBackgroundError",
@@ -656,11 +619,17 @@ def test_oracles_bind_no_fast_path():
     assert not bound and not set(FAST_PATH) & set(vars(oracles))
 
 
+def simulate_input(z, kappa=None):
+    """`simulate`'s check of the positions z, as [x, y] pairs, and the strengths kappa (all 1 by default)."""
+    z = np.asarray(z, dtype=complex)
+    return cli._vortices(np.stack([z.real, z.imag], -1).tolist(), np.ones(z.size) if kappa is None else kappa)
+
+
 def accepted(z):
-    """Whether VortexConfiguration takes the positions z, asserted to be the oracle's answer."""
+    """Whether `simulate` takes the positions z, asserted to be the oracle's answer."""
     z = np.asarray(z, dtype=complex)
     try:
-        VortexConfiguration(z, np.ones(z.size))
+        simulate_input(z)
     except ValueError as exc:
         assert str(exc) == "positions must be pairwise distinct"
         taken = False
@@ -671,6 +640,8 @@ def accepted(z):
 
 
 class TestValidation:
+    """The input check of `simulate`, `cli._vortices`: distinct positions by np.unique, against `min_separation`."""
+
     def test_coincident_pair_in_different_row_blocks_rejected(self):
         n = 2 * _BLOCK + 3
         rng = np.random.default_rng(31)
@@ -696,8 +667,9 @@ class TestValidation:
 
     def test_coincident_positions_rejected(self):
         with pytest.raises(ValueError):
-            VortexConfiguration(np.array([1.0 + 0j, 1.0 + 0j]), np.array([1.0, 1.0]))
+            simulate_input(np.array([1.0 + 0j, 1.0 + 0j]), np.array([1.0, 1.0]))
+        assert not accepted([1.0 + 0j, 1.0 + 0j])
 
     def test_zero_strength_rejected(self):
-        with pytest.raises(ValueError):
-            VortexConfiguration(np.array([1.0 + 0j]), np.array([0.0]))
+        with pytest.raises(ValueError, match="^strengths must be finite and nonzero$"):
+            simulate_input(np.array([1.0 + 0j]), np.array([0.0]))

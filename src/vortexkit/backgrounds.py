@@ -247,15 +247,43 @@ def _semicircle(n) -> np.ndarray:
     return np.concatenate([low, np.zeros(n % 2), -low[::-1]])
 
 
+def _marchenko_pastur(n, alpha) -> np.ndarray:
+    """The n quantiles x_k, k = 1..n, at q = (k - 1/2)/n of the Marchenko-Pastur law
+    sqrt((x - a)(b - x)) / (pi d x) on [a, b] = m -+ r, d = 2n + 1, m = d + alpha and
+    r = sqrt(d (m + alpha)), so ab = alpha^2: the equilibrium measure of the Laguerre(alpha) zeros.
+
+    x = m - r cos th, where pi d CDF = m th + r sin th - 2 alpha arctan(((m + r)/alpha) tan(th/2)),
+    and pi d dCDF/dth = r^2 sin^2 th / x: 12 Newton steps in th from th = arccos(1 - 2q), the
+    uniform law's quantile on [a, b], clipped to (0, pi]; they reach rounding up to n = 10^4.
+    No terms of size m cancel: x is taken as a + 2r sin^2(th/2), a = alpha^2/(m + r), and the
+    CDF with arctan u - arctan v = arctan((u - v)/(1 + uv)).  Not finite where alpha or n is
+    beyond the floats.
+    """
+    q = (np.arange(1, n + 1) - 0.5) / n
+    d = 2.0 * n + 1.0
+    m = d + alpha
+    r = np.sqrt(d * (m + alpha))
+    a = alpha * alpha / (m + r)
+    th = np.arccos(1.0 - 2.0 * q)
+    for _ in range(12):
+        x = a + 2.0 * r * np.sin(0.5 * th) ** 2
+        t = np.tan(0.5 * th)
+        cdf = d * th + r * np.sin(th) - 2.0 * alpha * np.arctan((d + r) * t / (alpha + (m + r) * t * t))
+        th = np.clip(th - (cdf - np.pi * d * q) * x / (r * np.sin(th)) ** 2, np.finfo(float).tiny, np.pi)
+    return a + 2.0 * r * np.sin(0.5 * th) ** 2
+
+
 def default_guess(n, bg) -> np.ndarray:
     """The line guess: n points at the quantiles of the field's equilibrium measure, or of a law near it.
 
     A linear field w = b + a x with a > 0 and no poles (HermiteLinear, and such custom fields)
     puts its stationary points at scaled Hermite zeros, whose counting measure tends to the
     semicircle on -b/a +- sqrt(2n/a): the guess is -b/a + sqrt(2n/a) s_k, s_k its quantiles
-    (`_semicircle`), with offsets from -b/a exactly odd, when all of them are finite.  Every
-    other field takes n Chebyshev points, the quantiles of the arcsine law, affinely mapped
-    into bg's domain.  Then a point
+    (`_semicircle`), with offsets from -b/a exactly odd, when all of them are finite.  Coulomb(l)
+    puts them at Laguerre(2l + 1) zeros, whose counting measure tends to the Marchenko-Pastur law:
+    the guess is its quantiles (`_marchenko_pastur`), when they are finite, positive and strictly
+    increasing.  Every other field, and these two where their quantiles are not, takes n Chebyshev
+    points, the quantiles of the arcsine law, affinely mapped into bg's domain.  Then a point
     within half the smallest spacing (0.5 for n = 1) of a real pole of a custom field moves
     out to that distance, on its own side: Coulomb's and Jacobi's poles end their domains,
     so every pole that reaches the rule lies inside the open domain.
@@ -274,6 +302,11 @@ def default_guess(n, bg) -> np.ndarray:
             return x
     c = np.sort(np.cos((2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)))
     if isinstance(bg, Coulomb):
+        with np.errstate(all="ignore"):
+            x = _marchenko_pastur(n, 2.0 * bg.l + 1.0)
+        if np.all(np.isfinite(x)) and x[0] > 0 and np.all(np.diff(x) > 0):
+            return x
+        # l so large that alpha^2 overflows or the quantiles round to one float: the Chebyshev guess
         return 2.0 * n * (c + 1.0) + 0.5
     if isinstance(bg, JacobiCharges):
         return c
@@ -392,7 +425,10 @@ class HermiteLinear(_Family):
 
 @dataclass(frozen=True)
 class Coulomb(_Family):
-    """w(r) = 1/2 - (l+1)/r on (0, inf); stationary points at Laguerre(2l+1) zeros."""
+    """w(r) = 1/2 - (l+1)/r on (0, inf); stationary points at Laguerre(2l+1) zeros.
+
+    Its line solves start at the quantiles of their Marchenko-Pastur law (`default_guess`).
+    """
 
     l: float = 0.0
     poles = (0.0,)

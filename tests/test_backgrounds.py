@@ -791,7 +791,8 @@ def chebyshev(n):
 
 class TestSemicircleGuess:
     """A linear field w = b + a x starts from the quantiles of its equilibrium measure, the
-    semicircle on -b/a +- sqrt(2n/a); every other field keeps the Chebyshev (arcsine) guess."""
+    semicircle on -b/a +- sqrt(2n/a); Coulomb from those of the Marchenko-Pastur law
+    (TestMarchenkoPasturGuess); Jacobi and every other field keep the Chebyshev (arcsine) guess."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
     def test_quantiles_of_the_semicircle(self, n):
@@ -840,12 +841,62 @@ class TestSemicircleGuess:
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_other_fields_keep_the_chebyshev_guess(self, n):
         c = chebyshev(n)
-        assert default_guess(n, Coulomb(1.0)).tolist() == (2.0 * n * (c + 1.0) + 0.5).tolist()
         assert default_guess(n, JacobiCharges(0.5, 0.5)).tolist() == c.tolist()
         line = np.sqrt(2.0 * n) * c if n > 1 else np.array([0.5])
         for bg in (CustomRational(poles=(-9.0, 9.0), residues=(-1.0, -1.0), poly=(0.0, 1.0)),
                    CustomRational(poly=(0.0, 1.0, 0.0)), CustomRational(poly=(0.0, -1.0))):
             assert default_guess(n, bg).tolist() == line.tolist()
+
+
+def marchenko_pastur_cdf(x, n, alpha):
+    """The law's CDF at each x, in mpmath at 30 digits: its closed form in th, x = m - r cos th."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        m = mpmath.mpf(2 * n + 1) + alpha
+        r = mpmath.sqrt((m - alpha) * (m + alpha))
+        cdf = []
+        for xk in x:
+            th = mpmath.acos((m - mpmath.mpf(xk)) / r)
+            top = m * th + r * mpmath.sin(th) - 2 * alpha * mpmath.atan((m + r) / alpha * mpmath.tan(th / 2))
+            cdf.append(float(top / (mpmath.pi * (m - alpha))))
+        return np.array(cdf), float(m - r), float(m + r)
+
+
+class TestMarchenkoPasturGuess:
+    """Coulomb(l), whose stationary points are the Laguerre(2l + 1) zeros, starts from the quantiles of
+    the Marchenko-Pastur law, their equilibrium measure; from the Chebyshev points on [0.5, 4n + 0.5]
+    it took up to 17 steps at these n."""
+
+    @pytest.mark.parametrize("l", [0.0, 1.0, 100.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
+    def test_quantiles_of_the_marchenko_pastur_law(self, n, l):
+        pytest.importorskip("mpmath")
+        x = default_guess(n, Coulomb(l))
+        cdf, a, b = marchenko_pastur_cdf(x, n, 2.0 * l + 1.0)
+        assert cdf == pytest.approx((np.arange(1, n + 1) - 0.5) / n, rel=0, abs=1e-14)
+        assert 0 < a < x[0] and x[-1] < b and np.all(np.diff(x) > 0)
+
+    @pytest.mark.parametrize("l", [0.0, 1.0, 100.0])
+    @pytest.mark.parametrize("n", [10, 100, 300])
+    def test_coulomb_converges_in_few_steps(self, n, l):
+        bg = Coulomb(l)
+        rep = solve_line(n, bg)
+        assert rep.converged and rep.iterations <= 6
+        assert certify(rep.positions, bg.polynomial_spec(n))[0]
+
+    @pytest.mark.parametrize("l", [1e40, 1e300, 1e308])
+    def test_coulomb_beyond_the_floats_keeps_the_chebyshev_guess(self, l):
+        # the quantiles round to one float (1e40), alpha^2 overflows (inf) or m + alpha does (NaN)
+        c = chebyshev(3)
+        assert default_guess(3, Coulomb(l)).tolist() == (6.0 * (c + 1.0) + 0.5).tolist()
+
+    def test_coulomb_beyond_the_floats_exits_3_at_a_finite_residual(self, tmp_path):
+        # the unguarded quantiles started the solve from NaN: 0 steps and "residual_inf": null
+        argv = ["--quiet", "--out", str(tmp_path), "equilibrium", "--family", "coulomb", "--l", "1e300", "--n", "3"]
+        assert cli.main(argv) == cli.EXIT_NONCONVERGENCE
+        doc = json.loads((tmp_path / "equilibrium.json").read_text())
+        assert doc["converged"] is False and doc["iterations"] == 200 and np.isfinite(doc["residual_inf"])
 
 
 def peak_mib(fn):

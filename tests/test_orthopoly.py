@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import roots_genlaguerre, roots_hermite, roots_jacobi
 
 from vortexkit import orthopoly
-from vortexkit.backgrounds import HermiteLinear, JacobiCharges, default_guess, stationary
+from vortexkit.backgrounds import Coulomb, HermiteLinear, JacobiCharges, default_guess, stationary
 from vortexkit.orthopoly import PolynomialSpec, certify, newton_step, recurrence, zeros
 
 
@@ -414,6 +414,17 @@ class TestCertify:
         monkeypatch.setattr(orthopoly, "zeros", lambda spec: np.full(spec.n, np.nan))
         with pytest.raises(ValueError):
             certify(rep.positions, PolynomialSpec("hermite", 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(n=st.integers(1, 300), l=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)))
+def test_coulomb_line_solve_matches_zeros(n, l):
+    # `stationary` from the Marchenko-Pastur quantiles lands on the Laguerre(2l + 1) zeros in a few
+    # steps; Jacobi is left out, as its solves stall above the absolute tol
+    bg = Coulomb(l)
+    rep = solve_line(n, bg)
+    assert rep.converged and rep.iterations <= 7
+    assert certify(rep.positions, bg.polynomial_spec(n))[0]
 
 
 @pytest.mark.parametrize("spec", [

@@ -23,7 +23,7 @@ from .backgrounds import (
     NoFlow, HermiteLinear, Coulomb, JacobiCharges, ConjugateLinear, CustomRational, CollisionError, default_guess,
     ring_guess, stationary,
 )
-from .paraxial import AliasingWarning, _slices, find_vortices, lg_mode, save_field
+from .paraxial import AliasingWarning, _lg_factors, _slices, find_vortices, save_field
 from .vortex import StepLimitError, conserved, integrate, velocity
 
 EXIT_OK = 0
@@ -290,8 +290,9 @@ def cmd_beam(args):
     if slices < 1:
         raise ConfigError(f"slices must be >= 1, got {slices}")
     dz = z_total / slices
-    # no name here holds the waist field: each slice is freed once the loop moves past it
-    beam = _slices(lg_mode(params["p"], params["ell"], w0, n, n, dx, dx, k), dz, slices)
+    # the mode's Hermite-Gauss factors are all this holds: each slice is freed once the loop moves past it
+    fy, fx = _lg_factors(params["p"], params["ell"], w0, n, n, dx, dx)
+    beam = _slices(fy, fx, dx, dx, k, dz, slices)
     rows = []
     charges = []
     for s, current in enumerate(beam):

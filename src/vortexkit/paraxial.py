@@ -3,14 +3,17 @@
 Fields live on uniform power-of-two grids; free-space propagation applies the
 exact spectral phase exp(-i (kx^2+ky^2) dz / 2k) to the numpy.fft spectrum, so
 the split-step structure carries no splitting error and conserves energy to
-rounding.  The phase has unit modulus, so |spectrum| never changes along z: a
-run of slices takes the forward transform, the aliasing check and the phase
-factor once, and then costs one multiply and one inverse transform per slice.
-Both 2-d factors that are not transforms are built from 1-d factors: the
-Fresnel factor is exp(-i ky^2 dz/2k) exp(-i kx^2 dz/2k) (Goodman, Introduction
-to Fourier Optics, sec. 4.2) and the Gaussian of an LG mode is
-exp(-y^2/w0^2) exp(-x^2/w0^2), each an outer product of two grid axes, so no
-2-d exp runs outside the FFT.
+rounding.  The Fresnel factor is the outer product exp(-i ky^2 dz/2k)
+exp(-i kx^2 dz/2k) of 1-d factors (Goodman, Introduction to Fourier Optics,
+sec. 4.2).  An LG mode of radial index p and charge ell is a sum of
+r = 2p + |ell| + 1 Hermite-Gauss products h_{N-k}(x) h_k(y) (Beijersbergen et
+al. 1993), so `_lg_factors` returns it as two factors, an ny x r and an nx x r
+matrix, and `_slices` propagates it without a 2-d transform: the 1-d spectra
+of the factors' columns are taken once, and each slice costs a multiply of
+each by its 1-d Fresnel factor, r 1-d inverse transforms per axis, and one
+matrix product.  The aliasing check is taken from the factor spectra too.
+`propagate` moves any other field, such as a `ladder_apply` output or a loaded
+one, by one 2-d transform pair.
 `ladder_apply` applies the Landau-level lowering and raising operators to a
 field by centered differences.
 """
@@ -21,8 +24,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .orthopoly import LAGUERRE, PolynomialSpec, _eval_all, recurrence
 
 _MAGIC = b"VKFIELD1"
 
@@ -74,21 +75,30 @@ class BeamField:
         return float(np.vdot(self.amplitude, self.amplitude).real * self.dx * self.dy)
 
 
-def _laguerre(p, alpha, x):
-    """The generalized Laguerre polynomial L_p^alpha(x) = (-1)^p/p! times the monic one of orthopoly."""
-    if p == 0:
-        return 1.0
-    value, e = _eval_all(recurrence(PolynomialSpec(LAGUERRE, p, alpha=alpha)), x, rows=1)
-    return np.ldexp(value, e) * ((-1) ** p / math.factorial(p))
+def _hermite_functions(t, count):
+    """Columns h_0(t) .. h_{count-1}(t) of the orthonormal Hermite functions
+    h_n = H_n exp(-t^2/2) / sqrt(2^n n! sqrt(pi)), by their three-term recurrence
+    h_{n+1} = sqrt(2/(n+1)) t h_n - sqrt(n/(n+1)) h_{n-1}, which stays bounded by
+    pi^(-1/4) where the polynomials H_n overflow."""
+    h = np.empty((count, t.size))
+    h[0] = math.pi**-0.25 * np.exp(-0.5 * t**2)
+    if count > 1:
+        h[1] = math.sqrt(2.0) * t * h[0]
+    for n in range(1, count - 1):
+        h[n + 1] = math.sqrt(2.0 / (n + 1)) * t * h[n] - math.sqrt(n / (n + 1)) * h[n - 1]
+    return h.T
 
 
-def lg_mode(p, ell, w0, nx, ny, dx, dy, k) -> BeamField:
-    """Laguerre-Gaussian LG_{p,ell} at the waist plane z = 0, unit grid norm.
+def _lg_factors(p, ell, w0, nx, ny, dx, dy):
+    """Laguerre-Gaussian LG_{p,ell} at the waist plane as factors (fy, fx), u = fy @ fx.T.
 
-    It is the polynomial-Gaussian beam w^|ell| L_p^|ell|(|w|^2) exp(-|w|^2/2)
-    with w = sqrt(2) (x + i sign(ell) y) / w0 and sign(0) = +1 (Indebetouw,
-    J. Mod. Opt. 40 (1993) 73): its core of charge ell is the zero of w^|ell| on
-    the axis.
+    With N = 2p + |ell|, u = sum_k c_k h_{N-k}(X) h_k(Y) over k = 0..N, X = sqrt(2) x / w0
+    and Y = sqrt(2) sign(ell) y / w0 (Beijersbergen, Allen, van der Veen & Woerdman,
+    Opt. Commun. 96 (1993) 123): c_k = (-1)^p (-i)^k b(p + |ell|, p, k), where
+    b(n, m, k) is sqrt((N-k)! k! / (2^N n! m!)) times the coefficient of t^k in
+    (1 - t)^n (1 + t)^m.  Column k of fy (ny x (N+1), complex) is c_k h_k(Y) and column k
+    of fx (nx x (N+1), real) is h_{N-k}(X).  The sum is scaled to unit grid power, which
+    is sum(G_y * G_x) dx dy over the Gram matrices of the two factors.
     """
     if p < 0 or w0 <= 0:
         raise ValueError("need p >= 0 and w0 > 0")
@@ -98,18 +108,37 @@ def lg_mode(p, ell, w0, nx, ny, dx, dy, k) -> BeamField:
         raise ValueError(f"waist under-resolved: need >= 8 samples across w0={w0}")
     if nx * dx < 6 * w0 or ny * dy < 6 * w0:
         raise ValueError(f"grid extent must cover >= 6 waists, got {nx * dx} x {ny * dy}")
+    a = abs(ell)
+    rank = 2 * p + a + 1
     x = (np.arange(nx) - nx // 2) * (math.sqrt(2.0) * dx / w0)
     y = (np.arange(ny) - ny // 2) * (math.copysign(math.sqrt(2.0), ell) * dy / w0)
-    u = np.exp(-0.5 * y**2)[:, None] * np.exp(-0.5 * x**2)  # exp(-|w|^2/2), separable
-    if p > 0:
-        u *= _laguerre(p, abs(ell), x**2 + y[:, None] ** 2)
-    u = u.astype(complex)
-    if ell:
-        w = x + 1j * y[:, None]
-        for _ in range(abs(ell)):
-            u *= w
-    u *= 1.0 / math.sqrt(np.vdot(u, u).real * dx * dy)  # a real scale, not a complex division
-    return BeamField(u, dx, dy, k)
+    # b(n, m, k) up to the factor sqrt(N! / (2^N n! m!)) common to all k, which the scaling absorbs;
+    # (-i)^k from a table, since complex powers above 100 are not exact
+    c = np.array([(-1) ** p * (1, -1j, -1, 1j)[i % 4]
+                  * sum((-1) ** j * math.comb(p + a, j) * math.comb(p, i - j) for j in range(i + 1))
+                  / math.sqrt(math.comb(rank - 1, i)) for i in range(rank)])
+    fy = _hermite_functions(y, rank) * c
+    fx = _hermite_functions(x, rank)[:, ::-1]
+    fy *= 1.0 / math.sqrt(np.sum((fy.conj().T @ fy) * (fx.T @ fx)).real * dx * dy)
+    return fy, fx
+
+
+def lg_mode(p, ell, w0, nx, ny, dx, dy, k) -> BeamField:
+    """Laguerre-Gaussian LG_{p,ell} at the waist plane z = 0, unit grid norm.
+
+    It is the polynomial-Gaussian beam w^|ell| L_p^|ell|(|w|^2) exp(-|w|^2/2)
+    with w = sqrt(2) (x + i sign(ell) y) / w0 and sign(0) = +1 (Indebetouw,
+    J. Mod. Opt. 40 (1993) 73): its core of charge ell is the zero of w^|ell| on
+    the axis.  It is assembled from its Hermite-Gauss factors, `_lg_factors`.
+    """
+    fy, fx = _lg_factors(p, ell, w0, nx, ny, dx, dy)
+    return BeamField(fy @ fx.T, dx, dy, k)
+
+
+def _inner(n):
+    """Frequencies of an n-point numpy.fft axis up to 3/4 of the largest in modulus."""
+    f = np.abs(np.fft.fftfreq(n))
+    return f <= 0.75 * f.max()
 
 
 def _spectral_energy_fraction_outer(spec):
@@ -120,42 +149,63 @@ def _spectral_energy_fraction_outer(spec):
     total = power.sum()
     if total == 0.0:
         return 0.0
-    fy, fx = (np.abs(np.fft.fftfreq(n)) for n in spec.shape)
-    inner = (fy <= 0.75 * fy.max()).astype(float) @ power @ (fx <= 0.75 * fx.max()).astype(float)
+    inner = _inner(spec.shape[0]).astype(float) @ power @ _inner(spec.shape[1]).astype(float)
     return float((total - inner) / total)
 
 
-def _slices(field: BeamField, dz, count):
-    """Yield `field` itself, then `count` fields each dz further along z.
+def _factor_energy_fraction_outer(sy, sx):
+    """`_spectral_energy_fraction_outer` of the spectrum sy @ sx.T, from its factors: the
+    energy of its rows a and columns b is sum(G_y * G_x), with the r x r Gram matrices
+    G_y = sy[a].T @ conj(sy[a]) and G_x = sx[b].T @ conj(sx[b])."""
+    def energy(a, b):
+        return np.sum((sy[a].T @ sy[a].conj()) * (sx[b].T @ sx[b].conj())).real
 
-    One forward transform serves every slice: slice s is ifft2(spec * phase**s),
-    with the running product kept in place.  The phase is the outer product of
-    its 1-d ky and kx factors.  The transform and the aliasing check run only
-    when the first propagated slice is asked for.
-    """
-    yield field
-    spec = np.fft.fft2(field.amplitude)
-    frac = _spectral_energy_fraction_outer(spec)
+    total = energy(slice(None), slice(None))
+    return float((total - energy(_inner(len(sy)), _inner(len(sx)))) / total)
+
+
+def _warn_if_aliased(frac):
     if frac > 0.01:
         warnings.warn(
             f"{100 * frac:.2f}% of energy in outer quarter of spectrum", AliasingWarning
         )
-    c = -dz / (2.0 * field.k)
-    kx = 2.0 * np.pi * np.fft.fftfreq(field.nx, field.dx)
-    ky = 2.0 * np.pi * np.fft.fftfreq(field.ny, field.dy)
-    phase = np.exp(1j * c * ky**2)[:, None] * np.exp(1j * c * kx**2)
-    z0 = field.z
+
+
+def _fresnel(n, d, dz, k):
+    """exp(-i kappa^2 dz / 2k) on the numpy.fft wavenumbers kappa of an n-point axis of spacing d."""
+    kappa = 2.0 * np.pi * np.fft.fftfreq(n, d)
+    return np.exp(1j * (-dz / (2.0 * k)) * kappa**2)
+
+
+def _slices(fy, fx, dx, dy, k, dz, count):
+    """Yield the field fy @ fx.T at z = 0, then `count` fields each dz further along z.
+
+    The Fresnel factor is the outer product of its 1-d y and x factors, so the
+    spectrum of fy @ fx.T stays the product of the 1-d spectra of its factors:
+    slice s is ifft(fft(fy) py**s) @ ifft(fft(fx) px**s).T, with the running
+    products kept in place.  The 1-d transforms of the factors' r columns and
+    the aliasing check run only when the first propagated slice is asked for.
+    """
+    field = BeamField(fy @ fx.T, dx, dy, k)
+    yield field
+    sy, sx = np.fft.fft(fy, axis=0), np.fft.fft(fx, axis=0)
+    _warn_if_aliased(_factor_energy_fraction_outer(sy, sx))
+    py, px = _fresnel(len(sy), dy, dz, k)[:, None], _fresnel(len(sx), dx, dz, k)[:, None]
     for s in range(1, count + 1):
-        spec *= phase
+        sy *= py
+        sx *= px
         # rebinding field keeps no earlier slice alive here: the caller decides which it holds
-        field = replace(field, amplitude=np.fft.ifft2(spec), z=z0 + s * dz)
+        field = replace(field, amplitude=np.fft.ifft(sy, axis=0) @ np.fft.ifft(sx, axis=0).T, z=s * dz)
         yield field
 
 
 def propagate(field: BeamField, dz) -> BeamField:
-    """Free-space propagation by dz using the exact spectral factor."""
-    _, out = _slices(field, dz, 1)
-    return out
+    """Free-space propagation of any field by dz using the exact spectral factor: one 2-d
+    transform, the aliasing check on its spectrum, and one inverse transform."""
+    spec = np.fft.fft2(field.amplitude)
+    _warn_if_aliased(_spectral_energy_fraction_outer(spec))
+    spec *= _fresnel(field.ny, field.dy, dz, field.k)[:, None] * _fresnel(field.nx, field.dx, dz, field.k)
+    return replace(field, amplitude=np.fft.ifft2(spec), z=field.z + dz)
 
 
 def _circulation(u, idx, nx):

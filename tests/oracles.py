@@ -7,15 +7,20 @@ positions z and strengths kappa as `vortex.velocity`, and keep their own
 collision check, `_check_separation`; `min_separation`, the smallest pairwise
 distance, is what that check and the distinctness rule of `simulate`'s input
 are compared against; `topological_charge` counts the winding on a sampled
-loop, the count `find_vortices` takes per plaquette.
+loop, the count `find_vortices` takes per plaquette; `lg_mode_polar` builds
+an LG mode in its polar form from the generalized Laguerre polynomial
+`laguerre`, the form `lg_mode` assembles from Hermite-Gauss factors.
 None of them imports `_row_blocks`, `pair_sum`, `kirchhoff_field`,
 `vortex.velocity`, `find_vortices` or `_circulation`: `min_separation` runs
 a pair loop of its own.
 """
 
+import math
+
 import numpy as np
 
 from vortexkit.backgrounds import CollisionError, CustomRational, NoFlow
+from vortexkit.orthopoly import LAGUERRE, PolynomialSpec, _eval_all, recurrence
 from vortexkit.paraxial import BeamField
 
 
@@ -134,3 +139,21 @@ def topological_charge(field: BeamField, center, radius) -> int:
     if np.abs(dphi).max() >= np.pi:
         raise ValueError("phase step >= pi on loop; increase sampling")
     return int(round(dphi.sum() / (2.0 * np.pi)))
+
+
+def laguerre(p, alpha, x):
+    """The generalized Laguerre polynomial L_p^alpha(x) = (-1)^p/p! times the monic one of orthopoly."""
+    if p == 0:
+        return 1.0
+    value, e = _eval_all(recurrence(PolynomialSpec(LAGUERRE, p, alpha=alpha)), x, rows=1)
+    return np.ldexp(value, e) * ((-1) ** p / math.factorial(p))
+
+
+def lg_mode_polar(p, ell, w0, nx, ny, dx, dy):
+    """The polar form of lg_mode: sqrt(rho)^|ell| L_p^|ell|(rho) exp(-r^2/w0^2) exp(i ell phi)."""
+    xg, yg = np.meshgrid((np.arange(nx) - nx // 2) * dx, (np.arange(ny) - ny // 2) * dy)
+    r2 = xg**2 + yg**2
+    rho = 2.0 * r2 / w0**2
+    u = (np.sqrt(rho) ** abs(ell)) * laguerre(p, abs(ell), rho) * np.exp(-r2 / w0**2)
+    u = u * np.exp(1j * ell * np.arctan2(yg, xg))
+    return u / np.sqrt(np.sum(np.abs(u) ** 2) * dx * dy)

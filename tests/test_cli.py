@@ -597,8 +597,16 @@ class TestBeam:
         assert run(["--config", str(config), "--out", str(tmp_path), "beam"]) == 5
         # main's exit-code table reports it on stderr, as it does codes 2-4
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("aliasing: ")
+        assert out == "" and err.startswith("aliasing: ") and "15.54%" in err
         assert not (tmp_path / "vortex_track.csv").exists()
+
+    def test_no_2d_transform(self, tmp_path, monkeypatch):
+        # the mode is propagated as Hermite-Gauss factors: 1-d transforms and one matrix product per slice
+        calls = []
+        for name in ("fft2", "ifft2"):
+            monkeypatch.setattr(np.fft, name, lambda *args, name=name, **kwargs: calls.append(name))
+        assert run(["--quiet", "--out", str(tmp_path), "beam", "--p", "1", "--ell", "2", "--slices", "3"]) == 0
+        assert calls == []
 
     def test_save_fields(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -622,7 +630,7 @@ class TestImports:
     def test_cli_does_not_load_scipy_integrate(self):
         # the integrator's tableau is copied as constants: scipy.integrate would also load
         # scipy.optimize and scipy.fft, which a fresh process shows in sys.modules; the
-        # Laguerre modes use orthopoly's recurrence, so scipy.special is not loaded either
+        # LG modes are sums of Hermite functions from their recurrence, so scipy.special is not loaded either
         env = dict(os.environ, PYTHONPATH=str(Path(vortexkit.__file__).parents[1]))
         code = "import sys, vortexkit.cli; print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)

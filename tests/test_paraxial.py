@@ -7,7 +7,10 @@ by exp(-i k^2 dz / 2k) and transforms back, so its sign of propagation and its
 energy conservation rest on numpy.fft's convention: forward kernel
 exp(-2 pi i k n / N), inverse scaled by 1/N.  TestNumpyFFT pins that convention
 (DFT oracle, round trip, Parseval, linearity); TestPropagate checks the
-reversibility, energy and linearity of the propagation itself.
+reversibility, energy and linearity of the propagation itself, and the
+factored path of `beam` (`_lg_factors`, then `_slices`) against `propagate`
+and the closed-form LG(0, ell) beams; TestLgFactors pins the factors' rank
+and their aliasing fraction against the 2-d spectrum's.
 """
 
 import inspect
@@ -22,7 +25,7 @@ from scipy.special import eval_genlaguerre
 import vortexkit.paraxial as paraxial
 from vortexkit.paraxial import (
     AliasingWarning,
-    _laguerre,
+    _lg_factors,
     _slices,
     BeamField,
     find_vortices,
@@ -32,7 +35,7 @@ from vortexkit.paraxial import (
     propagate,
     save_field,
 )
-from oracles import topological_charge
+from oracles import laguerre, lg_mode_polar, topological_charge
 
 
 def measured_width(field):
@@ -52,6 +55,11 @@ def dft_oracle(x):
     n = x.size
     k = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
+
+
+def lg_slices(p, ell, w0, nx, ny, dx, dy, k, dz, count):
+    """The beam path: LG(p, ell) as Hermite-Gauss factors, then `_slices` on them."""
+    return _slices(*_lg_factors(p, ell, w0, nx, ny, dx, dy), dx, dy, k, dz, count)
 
 
 def propagate_quietly(field, dz):
@@ -219,16 +227,6 @@ class TestBeamField:
                 BeamField(amp, **kwargs)
 
 
-def lg_mode_polar(p, ell, w0, nx, ny, dx, dy):
-    """The former polar form of lg_mode: sqrt(rho)^|ell| L_p^|ell|(rho) exp(-r^2/w0^2) exp(i ell phi)."""
-    xg, yg = np.meshgrid((np.arange(nx) - nx // 2) * dx, (np.arange(ny) - ny // 2) * dy)
-    r2 = xg**2 + yg**2
-    rho = 2.0 * r2 / w0**2
-    u = (np.sqrt(rho) ** abs(ell)) * _laguerre(p, abs(ell), rho) * np.exp(-r2 / w0**2)
-    u = u * np.exp(1j * ell * np.arctan2(yg, xg))
-    return u / np.sqrt(np.sum(np.abs(u) ** 2) * dx * dy)
-
-
 class TestLgMode:
     @pytest.mark.parametrize("p", range(4))
     def test_matches_polar_form(self, p):
@@ -267,7 +265,7 @@ class TestLgMode:
         # L_p^a(-rho) has the coefficients of L_p^a(rho) in absolute value: it is the size of the terms
         rho = np.linspace(0.0, 60.0, 6001)
         for a in range(6):
-            err = np.abs(_laguerre(p, a, rho) - eval_genlaguerre(p, a, rho))
+            err = np.abs(laguerre(p, a, rho) - eval_genlaguerre(p, a, rho))
             assert np.all(err <= 3 * p * np.finfo(float).eps * eval_genlaguerre(p, a, -rho))
 
     def test_resolution_guards(self):
@@ -288,6 +286,22 @@ class TestLgMode:
         assert lg_mode(0, 1, 1.0, 64, 64, 8.0 / 64, 8.0 / 64, 100.0).z == 0.0
 
 
+class TestLgFactors:
+    @pytest.mark.parametrize("p, ell", [(0, 0), (0, 1), (0, -3), (2, 3), (1, -2), (3, 1), (20, 80)])
+    def test_rank(self, p, ell):
+        fy, fx = _lg_factors(p, ell, 0.5, 128, 256, 0.0625, 0.0625)
+        assert fy.shape == (256, 2 * p + abs(ell) + 1) and fx.shape == (128, 2 * p + abs(ell) + 1)
+
+    @pytest.mark.parametrize("p, ell, w0, n", [(0, 1, 1.0, 256), (0, 2, 2.5, 256), (0, 1, 4.0, 512),
+                                               (2, 3, 1.0, 256), (0, 1, 1.0, 128), (20, 80, 0.5, 128)])
+    def test_aliasing_fraction_matches_2d_spectrum(self, p, ell, w0, n):
+        # the beam workload's modes, and the aliased LG(20,80) case of the CLI
+        fy, fx = _lg_factors(p, ell, w0, n, n, 0.0625, 0.0625)
+        frac = paraxial._factor_energy_fraction_outer(np.fft.fft(fy, axis=0), np.fft.fft(fx, axis=0))
+        assert abs(frac - paraxial._spectral_energy_fraction_outer(np.fft.fft2(fy @ fx.T))) <= 1e-12
+        assert (frac > 0.01) == (p == 20)
+
+
 class TestPropagate:
     def test_gaussian_beam_law(self, gauss_beam):
         z_r = 0.5 * gauss_beam.k * 1.0**2
@@ -302,12 +316,37 @@ class TestPropagate:
         r2 = xg**2 + yg**2
         s0, z_r = w0**2 / 4, 0.5 * k * w0**2
         a0 = f.amplitude[n // 2, n // 2]
-        slices = list(_slices(f, z_r / 4, 4))
+        slices = list(lg_slices(0, 0, w0, n, n, dx, dx, k, z_r / 4, 4))
+        assert np.array_equal(slices[0].amplitude, f.amplitude)
         for zeta, g in zip((0.25, 0.5, 0.75, 1.0), slices[1:]):
             s = s0 + 1j * zeta * z_r / (2 * k)
             want = (s0 / s) * a0 * np.exp(-r2 / (4 * s))
             assert g.z == pytest.approx(zeta * z_r, rel=1e-15)
             assert np.abs(g.amplitude - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("p, ell, nx, ny, dy", [
+        (0, 1, 256, 256, 0.0625), (0, 2, 256, 256, 0.0625), (0, -2, 256, 256, 0.0625), (0, 3, 256, 256, 0.0625),
+        (2, 3, 256, 256, 0.0625), (1, -2, 256, 256, 0.0625), (3, 1, 256, 256, 0.0625), (1, 2, 128, 256, 0.125)])
+    def test_factored_slices_match_closed_form_and_propagate(self, p, ell, nx, ny, dy):
+        # LG(0,ell) is A (s0/s)^(|ell|+1) (x + i sign(ell) y)^|ell| exp(-r^2/(4s)), s = w0^2/4 + iz/2k.
+        # zeta = 1 is left out: the periodic box's wrap-around puts both paths up to 5.6e-12 off there.
+        dx, k, w0 = 0.0625, 100.0, 1.0
+        s0, z_r = w0**2 / 4, 0.5 * k * w0**2
+        slices = list(lg_slices(p, ell, w0, nx, ny, dx, dy, k, z_r / 4, 3))
+        seed = slices[0]
+        xg, yg = seed.grid()
+        r2 = xg**2 + yg**2
+        core = (xg + 1j * np.sign(ell) * yg) ** abs(ell)
+        waist = core * np.exp(-r2 / (4 * s0))
+        a = np.vdot(waist, seed.amplitude) / np.vdot(waist, waist)
+        for zeta, g in zip((0.25, 0.5, 0.75), slices[1:]):
+            assert g.z == pytest.approx(zeta * z_r, rel=1e-15)
+            want = propagate(seed, g.z).amplitude
+            assert np.abs(g.amplitude - want).max() <= 1e-13 * np.abs(want).max()
+            if p == 0:
+                s = s0 + 1j * g.z / (2 * k)
+                want = a * (s0 / s) ** (abs(ell) + 1) * core * np.exp(-r2 / (4 * s))
+                assert np.abs(g.amplitude - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_zero_field(self):
         f = BeamField(np.zeros((32, 32), dtype=complex), 0.1, 0.1, 10.0)
@@ -370,8 +409,9 @@ class TestPropagate:
         assert paraxial._spectral_energy_fraction_outer(np.zeros(shape, dtype=complex)) == 0.0
 
     def test_slices_from_one_transform(self, gauss_beam):
-        slices = list(_slices(gauss_beam, 4.0, 3))
-        assert slices[0] is gauss_beam
+        slices = list(lg_slices(0, 0, 1.0, 256, 256, 8.0 / 256, 8.0 / 256, 100.0, 4.0, 3))
+        # the seed is gauss_beam's field bit for bit
+        assert np.array_equal(slices[0].amplitude, gauss_beam.amplitude) and slices[0].z == 0.0
         for s, f in enumerate(slices[1:], 1):
             assert f.z == s * 4.0
             assert np.abs(f.amplitude - propagate(gauss_beam, s * 4.0).amplitude).max() < 1e-12
@@ -668,8 +708,7 @@ class TestHalfPlanePrefilter:
             fields = [_real_field(seed) for seed in range(4)]
         else:
             p, ell, w0, n, count = modes[case]
-            f = lg_mode(p, ell, w0, n, n, 0.0625, 0.0625, 100.0)
-            fields = list(_slices(f, 0.5 * f.k * w0**2 / count, count))
+            fields = list(lg_slices(p, ell, w0, n, n, 0.0625, 0.0625, 100.0, 0.5 * 100.0 * w0**2 / count, count))
             fields += [replace(g, amplitude=scale * g.amplitude) for g in fields for scale in (2.0**600, 2.0**-600)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -686,8 +725,7 @@ class TestHalfPlanePrefilter:
             return circulation(u, idx, nx)
 
         monkeypatch.setattr(paraxial, "_circulation", spy)
-        f = lg_mode(0, 1, 4.0, 512, 512, 0.0625, 0.0625, 100.0)
-        for g in _slices(f, 40.0, 20):
+        for g in lg_slices(0, 1, 4.0, 512, 512, 0.0625, 0.0625, 100.0, 40.0, 20):
             sizes.clear()
             assert sum(c for _, c in find_vortices(g)) == 1
             assert sum(sizes) <= 8

@@ -19,6 +19,7 @@ field by centered differences.
 """
 
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -26,6 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _MAGIC = b"VKFIELD1"
+_HEADER = struct.Struct("<qqdddd")  # nx, ny, dx, dy, k, z after the magic
+_TINY = np.finfo(float).tiny  # the smallest normal float; 1/peak overflows only below it
 
 
 class AliasingWarning(UserWarning):
@@ -45,12 +48,7 @@ class BeamField:
     def __post_init__(self):
         amp = np.asarray(self.amplitude, dtype=complex)
         object.__setattr__(self, "amplitude", amp)
-        ny, nx = amp.shape
-        for n in (nx, ny):
-            if n < 16 or (n & (n - 1)) != 0:
-                raise ValueError(f"grid sides must be powers of two >= 16, got {amp.shape}")
-        if self.dx <= 0 or self.dy <= 0 or self.k <= 0:
-            raise ValueError("dx, dy, k must be positive")
+        _check_grid(amp.shape, self.dx, self.dy, self.k, self.z)
         if not np.all(np.isfinite(amp.view(float))):
             raise ValueError("amplitudes must be finite")
 
@@ -73,6 +71,18 @@ class BeamField:
 
     def power(self):
         return float(np.vdot(self.amplitude, self.amplitude).real * self.dx * self.dy)
+
+
+def _check_grid(shape, dx, dy, k, z):
+    """Refuse a grid `BeamField` cannot hold: sides (ny, nx) that are not powers of two >= 16,
+    a dx, dy or k that is not finite and positive, or a z that is not finite."""
+    for n in shape:
+        if n < 16 or (n & (n - 1)) != 0:
+            raise ValueError(f"grid sides must be powers of two >= 16, got {tuple(shape)}")
+    if not all(math.isfinite(v) and v > 0 for v in (dx, dy, k)):
+        raise ValueError(f"dx, dy, k must be finite and positive, got {dx}, {dy}, {k}")
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
 
 
 def _hermite_functions(t, count):
@@ -210,8 +220,9 @@ def propagate(field: BeamField, dz) -> BeamField:
 
 def _circulation(u, idx, nx):
     """Summed phase steps around the plaquettes whose top-left corners are at the
-    flat indices idx: each edge, along +x or +y, is the angle of conj(u_a) u_b."""
-    u00, u01, u10, u11 = u[idx], u[idx + 1], u[idx + nx], u[idx + nx + 1]
+    flat indices idx: each edge, along +x or +y, is the angle of conj(u_a) u_b.
+    u(i) is the peak-normalised field at the flat indices i, formed only there."""
+    u00, u01, u10, u11 = u(idx), u(idx + 1), u(idx + nx), u(idx + nx + 1)
     # adding 0.0 turns a -0.0 imaginary part into +0.0: an exact pi jump is +pi, whatever
     # the signs of the zeros in u
     top, right = np.angle(u00.conj() * u01 + 0.0), np.angle(u01.conj() * u11 + 0.0)
@@ -246,8 +257,11 @@ def find_vortices(field: BeamField, margin: int = 4):
     Each grid edge carries one phase step, taken along +x or +y: the angle of
     u_b conj(u_a) on the peak-normalised field u = amp / peak, the angle of
     the ratio u_b / u_a without a division.  With |u| <= 1 no product
-    overflows, and none underflows in modulus except next to a dead pixel.  A
-    plaquette's winding is the circulation of its four edges over 2 pi, so the two
+    overflows, and none underflows in modulus except next to a dead pixel.
+    u is formed only at the corners the edge rule reads, never on the whole
+    grid.  A field whose peak is subnormal, where 1/peak overflows, is first
+    scaled by the exact power of two 2**600.
+    A plaquette's winding is the circulation of its four edges over 2 pi, so the two
     plaquettes that share an edge see it with opposite signs and the windings
     of a region add up to the winding of its boundary (the residue scan of
     Goldstein, Zebker & Werner, Radio Sci. 23 (1988) 713).  A core sitting on a
@@ -261,7 +275,9 @@ def find_vortices(field: BeamField, margin: int = 4):
 
     Edge angles are computed only where a core can be.  A plaquette whose four
     corners all have Re u > tiny, or all Re u < -tiny, or all Im u > tiny, or
-    all Im u < -tiny (tiny the smallest normal float) lies in one open
+    all Im u < -tiny (tiny the smallest normal float; the screen reads the
+    parts of amp times 1/peak, which numpy's division by a real scalar also
+    computes, so they are the parts of u) lies in one open
     half-plane through 0 and is skipped: its winding under the edge rule is 0.
     Within such a half-plane a step near +-pi joins two corners on opposite
     sides of the half-plane's axis, so the two terms of Im(conj(u_a) u_b) have
@@ -279,16 +295,21 @@ def find_vortices(field: BeamField, margin: int = 4):
     peak = mag.max()
     if peak == 0.0:
         return []
+    if peak < _TINY:
+        # 1/peak overflows below 2**-1024; the exact power of two moves the field into normal range
+        amp = amp * 2.0**600
+        mag = np.abs(amp)
+        peak = mag.max()
     ny, nx = amp.shape
-    u = amp / peak
     dead_level, faint_level = 1e-10 * peak, 1e-6 * peak
     dead = mag < dead_level
     # plaquettes off the margin: each part of u is 1 above tiny, 2 below -tiny and 0
-    # otherwise, one byte per part, and corners that share a set bit share a half-plane
+    # otherwise, one byte per part, and corners that share a set bit share a half-plane.
+    # numpy divides a complex array by a real scalar as (re + im * 0, im - re * 0) * (1 / peak),
+    # so these products are the parts of amp / peak, up to the sign of a zero, which fails both tests
     m = max(margin, 0)
-    part = u[m:ny - m, m:nx - m].view(float)
-    tiny = np.finfo(float).tiny
-    side = (part > tiny).view(np.uint16) | ((part < -tiny).view(np.uint16) << 1)
+    part = amp[m:ny - m, m:nx - m].view(float) * (1.0 / peak)
+    side = (part > _TINY).view(np.uint16) | ((part < -_TINY).view(np.uint16) << 1)
     side = side[:-1] & side[1:]
     side = side[:, :-1] & side[:, 1:]
     # a core sitting on a sample point leaves its four plaquettes phase-ambiguous
@@ -303,7 +324,11 @@ def find_vortices(field: BeamField, margin: int = 4):
     cx += 1
     inside = (cy >= lo) & (cy < ny - lo) & (cx >= lo) & (cx < nx - lo)
     cores = cy[inside] * nx + cx[inside]
-    mag, dead, u, amp = mag.ravel(), dead.ravel(), u.ravel(), amp.ravel()
+    mag, dead, amp = mag.ravel(), dead.ravel(), amp.ravel()
+
+    def u(i):
+        return amp[i] / peak
+
     # plaquettes whose whole neighbourhood is near the noise floor carry no signal
     level = mag[np.stack([idx, idx + 1, idx + nx, idx + nx + 1])]
     idx = idx[(level >= faint_level).any(axis=0)]
@@ -352,17 +377,26 @@ def ladder_apply(field: BeamField, which: str, l_B: float) -> BeamField:
 def save_field(field: BeamField, path):
     """Binary layout: magic, Nx, Ny (int64), dx, dy, k, z (float64), then
     row-major interleaved re/im float64, all little-endian."""
-    header = _MAGIC + struct.pack("<qqdddd", field.nx, field.ny, field.dx, field.dy, field.k, field.z)
+    header = _MAGIC + _HEADER.pack(field.nx, field.ny, field.dx, field.dy, field.k, field.z)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(field.amplitude, dtype="<c16").tobytes())
 
 
 def load_field(path) -> BeamField:
+    """Read a field written by `save_field`.  The header's sides and scalars, and the file
+    length they imply, are checked before the payload is read; ValueError names the fault."""
+    size = len(_MAGIC) + _HEADER.size
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        nx, ny, dx, dy, k, z = struct.unpack("<qqdddd", fh.read(8 * 6))
-        data = np.frombuffer(fh.read(nx * ny * 16), dtype="<c16").reshape(ny, nx)
+        head = fh.read(size)
+        if head[:len(_MAGIC)] != _MAGIC:
+            raise ValueError(f"bad magic {head[:len(_MAGIC)]!r}")
+        if len(head) < size:
+            raise ValueError(f"truncated header: {len(head)} of {size} bytes")
+        nx, ny, dx, dy, k, z = _HEADER.unpack_from(head, len(_MAGIC))
+        _check_grid((ny, nx), dx, dy, k, z)
+        expected, found = size + 16 * nx * ny, os.fstat(fh.fileno()).st_size
+        if found != expected:
+            raise ValueError(f"a {ny} x {nx} field file is {expected} bytes, found {found}")
+        data = np.frombuffer(fh.read(16 * nx * ny), dtype="<c16").reshape(ny, nx)
     return BeamField(data.astype(complex), dx, dy, k, z)

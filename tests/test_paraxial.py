@@ -14,6 +14,7 @@ and their aliasing fraction against the 2-d spectrum's.
 """
 
 import inspect
+import struct
 import warnings
 from dataclasses import replace
 
@@ -225,6 +226,14 @@ class TestBeamField:
         for kwargs in (dict(dx=0.0, dy=0.1, k=1.0), dict(dx=0.1, dy=0.1, k=-1.0)):
             with pytest.raises(ValueError):
                 BeamField(amp, **kwargs)
+        # NaN fails every comparison, so "dx <= 0" let it through, and inf is positive
+        good = dict(dx=0.1, dy=0.1, k=1.0, z=0.0)
+        for name in good:
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    BeamField(amp, **{**good, name: value})
+        with pytest.raises(ValueError, match="finite"):
+            lg_mode(0, 1, 1.0, 64, 64, 8.0 / 64, 8.0 / 64, np.nan)
 
 
 class TestLgMode:
@@ -715,6 +724,26 @@ class TestHalfPlanePrefilter:
             for g in fields:
                 assert find_vortices(g) == find_vortices_full_scan(g)
 
+    @PROPERTY
+    @given(field=planted_fields(), margin=st.integers(0, 5), e=st.integers(-900, 900))
+    def test_planted_fields_at_exact_scales_match_per_pixel_reference(self, field, margin, e):
+        # the screen reads amp times 1/peak and the edge rule amp / peak at its corners only:
+        # both must agree with the oracle's full-grid u = amp / peak at any peak in normal range
+        field = _AnySide(field.amplitude * 2.0**e, 0.1, 0.1, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert find_vortices(field, margin) == find_vortices_reference(field, margin)
+
+    @pytest.mark.parametrize("ell", range(-3, 4))
+    @pytest.mark.parametrize("p", range(4))
+    def test_lg_slices_match_full_scan(self, p, ell):
+        # every slice `beam` scans for LG(p, ell) at 128 x 128, over one Rayleigh range
+        slices = list(lg_slices(p, ell, 1.0, 128, 128, 0.0625, 0.0625, 100.0, 12.5, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for g in slices:
+                assert find_vortices(g) == find_vortices_full_scan(g)
+
     def test_edge_angles_only_near_cores(self, monkeypatch):
         # LG(0,1) at 512 x 512: one core, so a handful of the 261,121 plaquettes reach the edge rule
         sizes = []
@@ -765,6 +794,17 @@ class TestEdgeRule:
                 warnings.simplefilter("error", RuntimeWarning)
                 assert find_vortices(replace(field, amplitude=scale * field.amplitude)) == want
 
+    @pytest.mark.parametrize("e", [-1000, -1023, -1030, -1060])
+    def test_subnormal_peak(self, e):
+        # below a peak of 2**-1024, 1/peak overflows: u = amp / peak was NaN or inf, and NaN
+        # windings were cast to int.  The field is scaled into normal range by a power of two first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lg01, lg23 = (lg_mode(p, ell, 1.0, 128, 128, 0.0625, 0.0625, 100.0) for p, ell in ((0, 1), (2, 3)))
+            assert find_vortices(replace(lg01, amplitude=2.0**e * lg01.amplitude)) == [((0.0, 0.0), 1)]
+            charges = [c for _, c in find_vortices(replace(lg23, amplitude=2.0**e * lg23.amplitude))]
+        assert set(charges) == {-1, 1, 3} and sum(charges) == 3
+
     def test_dead_pixel_in_faint_neighbourhood_has_no_charge(self):
         # all eight neighbours of the zero at 2 + 2i sit below 2.7e-8 of the peak
         n, dx = 64, 0.1
@@ -793,6 +833,41 @@ class TestFieldIO:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTFIELD" + b"\0" * 64)
         with pytest.raises(ValueError):
+            load_field(path)
+
+    @pytest.mark.parametrize("cut, extra", [(1, b""), (16 * 64 * 64, b""), (0, b"\0"), (0, b"\0" * 16)],
+                             ids=["short_1", "no_payload", "trailing_1", "trailing_16"])
+    def test_wrong_length(self, tmp_path, cut, extra):
+        # a truncated payload used to reach numpy's reshape, and trailing bytes loaded silently
+        path = tmp_path / "field.bin"
+        save_field(lg_mode(0, 1, 1.0, 64, 64, 0.125, 0.125, 100.0), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) - cut] + extra)
+        found = len(raw) - cut + len(extra)
+        with pytest.raises(ValueError, match=f"is {len(raw)} bytes, found {found}"):
+            load_field(path)
+
+    @pytest.mark.parametrize("nx, ny, dx, dy, k, z, match", [
+        (-16, 16, 0.1, 0.1, 1.0, 0.0, "powers of two"),
+        (16, 0, 0.1, 0.1, 1.0, 0.0, "powers of two"),
+        (48, 16, 0.1, 0.1, 1.0, 0.0, "powers of two"),
+        (16, 16, np.nan, 0.1, 1.0, 0.0, "finite"),
+        (16, 16, 0.1, 0.1, np.inf, 0.0, "finite"),
+        (16, 16, 0.1, 0.1, 1.0, np.nan, "finite"),
+        # a payload of 2**84 bytes: refused on the file length, before any read or allocation
+        (2**40, 2**40, 0.1, 0.1, 1.0, 0.0, f"is {56 + 2**84} bytes, found {56 + 16 * 256}"),
+    ], ids=["nx_negative", "ny_zero", "nx_48", "dx_nan", "k_inf", "z_nan", "sides_2_40"])
+    def test_header_checked_before_the_payload(self, tmp_path, monkeypatch, nx, ny, dx, dy, k, z, match):
+        path = tmp_path / "crafted.bin"
+        path.write_bytes(b"VKFIELD1" + struct.pack("<qqdddd", nx, ny, dx, dy, k, z) + b"\0" * (16 * 256))
+        monkeypatch.setattr(paraxial.np, "frombuffer", None)  # the payload is never decoded
+        with pytest.raises(ValueError, match=match):
+            load_field(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"VKFIELD1" + struct.pack("<qq", 16, 16))
+        with pytest.raises(ValueError, match="truncated header: 24 of 56 bytes"):
             load_field(path)
 
 

@@ -180,7 +180,9 @@ def newton(residual, step, z, tol, max_iter) -> NewtonResult:
     accepted trial's f is reused).  Stops at max|f| <= tol, after max_iter steps, when no
     halving decreases max|f|, or at a singular step.  Refuses tol < 0 and max_iter < 0 (ValueError).
     A trial that rounds to z itself ends the halving unevaluated: rounding is monotone, so
-    every shorter step rounds to z as well, and f(z) does not decrease below itself.
+    every shorter step rounds to z as well, and f(z) does not decrease below itself.  A trial
+    that rounds to the one before it is skipped unevaluated, and the halving goes on: that
+    point was refused already.
     """
     if not (tol >= 0 and max_iter >= 0):
         raise ValueError(f"need tol >= 0 and max_iter >= 0; got {tol} and {max_iter}")
@@ -192,12 +194,14 @@ def newton(residual, step, z, tol, max_iter) -> NewtonResult:
             dz = step(z, f)
         except np.linalg.LinAlgError:
             break
-        lam = 1.0
+        lam, zn = 1.0, z
         for _ in range(31):
-            zn = z + lam * dz
+            prev, zn = zn, z + lam * dz
             lam *= 0.5
             if np.array_equal(zn, z):  # every shorter step rounds to z too: f cannot decrease
                 break
+            if np.array_equal(zn, prev):  # the same point as the trial just refused
+                continue
             try:
                 fn = residual(zn)
             except ValueError:
@@ -232,14 +236,19 @@ def stationary(z0, kappa, bg, tol, max_iter) -> NewtonResult:
     return replace(result, positions=np.sort(result.positions)) if line else result
 
 
+def _levels(k, n):
+    """The quantile levels q_k = (k - 1/4)/(n + 1/2) of the line guesses (Tricomi's shift of (k - 1/2)/n)."""
+    return (k - 0.25) / (n + 0.5)
+
+
 def _semicircle(n) -> np.ndarray:
-    """The n quantiles s_k, k = 1..n, of the semicircle law on [-1, 1] at q = (k - 1/2)/n, increasing.
+    """The n quantiles s_k, k = 1..n, of the semicircle law on [-1, 1] at q_k = `_levels`(k, n), increasing.
 
     s = -cos(E/2), where E - sin E = 2 pi q (Kepler's equation with eccentricity 1): 8 Newton
-    steps from E = (12 pi q)^(1/3) on the lower half, which the upper half mirrors, so the
-    quantiles are exactly odd and the middle one of odd n is 0.
+    steps from E = (12 pi q)^(1/3) on the lower half, which the upper half mirrors (q_{n+1-k} =
+    1 - q_k), so the quantiles are exactly odd and the middle one of odd n is 0.
     """
-    m = 2.0 * np.pi * (np.arange(1, n // 2 + 1) - 0.5) / n
+    m = 2.0 * np.pi * _levels(np.arange(1, n // 2 + 1), n)
     e = np.cbrt(6.0 * m)
     for _ in range(8):
         e = e - (e - np.sin(e) - m) / (1.0 - np.cos(e))
@@ -248,7 +257,7 @@ def _semicircle(n) -> np.ndarray:
 
 
 def _marchenko_pastur(n, alpha) -> np.ndarray:
-    """The n quantiles x_k, k = 1..n, at q = (k - 1/2)/n of the Marchenko-Pastur law
+    """The n quantiles x_k, k = 1..n, at q_k = `_levels`(k, n) of the Marchenko-Pastur law
     sqrt((x - a)(b - x)) / (pi d x) on [a, b] = m -+ r, d = 2n + 1, m = d + alpha and
     r = sqrt(d (m + alpha)), so ab = alpha^2: the equilibrium measure of the Laguerre(alpha) zeros.
 
@@ -259,7 +268,7 @@ def _marchenko_pastur(n, alpha) -> np.ndarray:
     CDF with arctan u - arctan v = arctan((u - v)/(1 + uv)).  Not finite where alpha or n is
     beyond the floats.
     """
-    q = (np.arange(1, n + 1) - 0.5) / n
+    q = _levels(np.arange(1, n + 1), n)
     d = 2.0 * n + 1.0
     m = d + alpha
     r = np.sqrt(d * (m + alpha))
@@ -273,20 +282,77 @@ def _marchenko_pastur(n, alpha) -> np.ndarray:
     return a + 2.0 * r * np.sin(0.5 * th) ** 2
 
 
+def _jacobi_angles(n, alpha, beta) -> np.ndarray:
+    """cos th_k, th_k = pi (k + alpha/2 - 1/4)/(n + (alpha + beta + 1)/2) for k = n..1, increasing:
+    x_k = -cos(pi q_k), q_k = (k + beta/2 - 1/4)/(n + (alpha + beta + 1)/2), counted from -1."""
+    k = np.arange(n, 0, -1)
+    return np.cos(np.pi * (k + 0.5 * alpha - 0.25) / (n + 0.5 * (alpha + beta + 1.0)))
+
+
+def _chebyshev(n) -> np.ndarray:
+    """The n Chebyshev points cos((2k - 1) pi / 2n) on (-1, 1), increasing: the arcsine law's quantiles."""
+    return np.sort(np.cos((2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)))
+
+
+def _gap_counts(n, widths) -> np.ndarray:
+    """n split among gaps in proportion to their widths by largest remainder: each gap takes the
+    floor of its share n w_g / sum(w), and the points left over go one each to the largest
+    remainders, the leftmost gap first among equal ones."""
+    w = widths / widths.max()  # so that the sum cannot overflow
+    share = n * (w / w.sum())
+    counts = np.floor(share).astype(int)
+    counts[np.argsort(counts - share, kind="stable")[:n - counts.sum()]] += 1
+    return counts
+
+
+def _asymptotic_guess(n, bg):
+    """The field's own line guess (see `default_guess`), unchecked; None for a field that has none."""
+    if not bg.poles and len(bg.poly) == 2 and bg.poly[1] > 0:
+        b, a = bg.poly
+        return (0.0 - b / a) + np.sqrt((2.0 * n + 1.0) / a) * _semicircle(n)  # 0.0 - 0.0 is 0.0, not -0.0
+    if isinstance(bg, Coulomb):
+        return _marchenko_pastur(n, 2.0 * bg.l + 1.0)
+    if isinstance(bg, JacobiCharges):
+        return _jacobi_angles(n, 2.0 * bg.p - 1.0, 2.0 * bg.q - 1.0)
+    poles = np.array(bg.poles)
+    if (len(poles) > 1 and np.all(poles.imag == 0) and not any(bg.poly)
+            and np.all(np.real(bg.residues) < 0) and np.all(np.imag(bg.residues) == 0)):
+        ends = np.sort(poles.real)
+        widths = np.diff(ends)
+        if not np.all(np.isfinite(widths)):
+            return None
+        x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _chebyshev(k)
+                            for a, b, k in zip(ends[:-1], ends[1:], _gap_counts(n, widths))])
+        # every point strictly inside its gap: x and the poles together strictly increase
+        return x if np.all(np.diff(np.sort(np.concatenate([x, ends]))) > 0) else None
+    return None
+
+
 def default_guess(n, bg) -> np.ndarray:
     """The line guess: n points at the quantiles of the field's equilibrium measure, or of a law near it.
 
-    A linear field w = b + a x with a > 0 and no poles (HermiteLinear, and such custom fields)
-    puts its stationary points at scaled Hermite zeros, whose counting measure tends to the
-    semicircle on -b/a +- sqrt(2n/a): the guess is -b/a + sqrt(2n/a) s_k, s_k its quantiles
-    (`_semicircle`), with offsets from -b/a exactly odd, when all of them are finite.  Coulomb(l)
-    puts them at Laguerre(2l + 1) zeros, whose counting measure tends to the Marchenko-Pastur law:
-    the guess is its quantiles (`_marchenko_pastur`), when they are finite, positive and strictly
-    increasing.  Every other field, and these two where their quantiles are not, takes n Chebyshev
-    points, the quantiles of the arcsine law, affinely mapped into bg's domain.  Then a point
-    within half the smallest spacing (0.5 for n = 1) of a real pole of a custom field moves
-    out to that distance, on its own side: Coulomb's and Jacobi's poles end their domains,
-    so every pole that reaches the rule lies inside the open domain.
+    Each family takes its law's quantiles at the shifted levels q_k = (k - 1/4)/(n + 1/2)
+    (`_levels`), the interior terms of the asymptotic zeros (Hale & Townsend, SIAM J. Sci.
+    Comput. 35 (2013) A652; Townsend, Trogdon & Olver, IMA J. Numer. Anal. 36 (2016) 337):
+    - A linear field w = b + a x with a > 0 and no poles (HermiteLinear, and such custom
+      fields) puts its stationary points at scaled Hermite zeros, whose counting measure tends
+      to the semicircle: the guess is -b/a + sqrt((2n + 1)/a) s_k, s_k its quantiles
+      (`_semicircle`; Tricomi's shift), with offsets from -b/a exactly odd.
+    - Coulomb(l) puts them at Laguerre(2l + 1) zeros, whose counting measure tends to the
+      Marchenko-Pastur law: the guess is its quantiles (`_marchenko_pastur`).
+    - JacobiCharges(p, q) puts them at Jacobi(alpha, beta) zeros, alpha = 2p - 1 and
+      beta = 2q - 1: the guess is Gatteschi and Pittaluga's angles (`_jacobi_angles`), the
+      Chebyshev points again at alpha = beta = -1/2.
+    - A custom field with two or more poles, all real, negative real residues and a zero
+      polynomial holds its points in the gaps between the poles (Stieltjes' problem): n is
+      split among the gaps in proportion to their widths by largest remainder (`_gap_counts`),
+      and each gap takes that many Chebyshev points mapped into it.
+    Each is kept only if it is finite, inside bg's open domain and strictly increasing (the gap
+    guess: strictly between its poles).  Every other field, and these where their guess is not
+    so, takes n Chebyshev points affinely mapped into bg's domain.  Then a point within half the
+    smallest spacing (0.5 for n = 1) of a real pole of a custom field moves out to that distance,
+    on its own side: Coulomb's and Jacobi's poles end their domains, so every pole that reaches
+    the rule lies inside the open domain.
     Refuses n < 1, and a field that is not rational or is zero: with w = 0 the points
     repel without bound.
     """
@@ -294,19 +360,15 @@ def default_guess(n, bg) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     if not isinstance(bg, CustomRational) or not (any(bg.residues) or any(bg.poly)):
         raise ValueError(f"unsupported background {bg!r}: the field must be rational and not zero")
-    if not bg.poles and len(bg.poly) == 2 and bg.poly[1] > 0:
-        b, a = bg.poly
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = (0.0 - b / a) + np.sqrt(2.0 * n / a) * _semicircle(n)  # 0.0 - 0.0 is 0.0, not -0.0
-        if np.all(np.isfinite(x)):  # else the equilibrium lies beyond the floats: the Chebyshev guess, exit 3
-            return x
-    c = np.sort(np.cos((2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)))
+    with np.errstate(all="ignore"):
+        x = _asymptotic_guess(n, bg)
+    lo, hi = bg.domain
+    # isfinite first: inf - inf in the diff would be a RuntimeWarning
+    if x is not None and np.all(np.isfinite(x)) and lo < x[0] and x[-1] < hi and np.all(np.diff(x) > 0):
+        return x
+    # the law's guess lies beyond the floats or rounds to repeated points: the Chebyshev guess
+    c = _chebyshev(n)
     if isinstance(bg, Coulomb):
-        with np.errstate(all="ignore"):
-            x = _marchenko_pastur(n, 2.0 * bg.l + 1.0)
-        if np.all(np.isfinite(x)) and x[0] > 0 and np.all(np.diff(x) > 0):
-            return x
-        # l so large that alpha^2 overflows or the quantiles round to one float: the Chebyshev guess
         return 2.0 * n * (c + 1.0) + 0.5
     if isinstance(bg, JacobiCharges):
         return c

@@ -110,8 +110,8 @@ def _lg_factors(p, ell, w0, nx, ny, dx, dy):
     of fx (nx x (N+1), real) is h_{N-k}(X).  The sum is scaled to unit grid power, which
     is sum(G_y * G_x) dx dy over the Gram matrices of the two factors.
     """
-    if p < 0 or w0 <= 0:
-        raise ValueError("need p >= 0 and w0 > 0")
+    if not (p >= 0 and 0 < w0 < math.inf):  # NaN too: it would build NaN factors
+        raise ValueError(f"need p >= 0 and a finite w0 > 0, got p={p} and w0={w0}")
     if not (dx > 0 and dy > 0):  # before w0 / dx; NaN too
         raise ValueError(f"need dx > 0 and dy > 0, got {dx} and {dy}")
     if w0 / dx < 8 or w0 / dy < 8:

@@ -268,6 +268,19 @@ class TestNewton:
         assert not sol.converged and 0.0 < sol.residual_inf < 1e-9
         assert repeats and not any(repeats)
 
+    def test_a_trial_equal_to_the_last_one_is_not_evaluated(self):
+        # from z = 1 a step of 3e-16 is 1.35 ulp: lambda = 1 and lambda = 1/2 both round to 1 + ulp,
+        # and lambda = 1/4 rounds to 1 itself; f = |z - 1/2| grows, so 1 + ulp is refused once
+        calls = []
+
+        def field(z):
+            calls.append(z[0])
+            return np.abs(z - 0.5)
+
+        sol = newton(field, lambda z, f: np.array([3e-16]), np.array([1.0]), 0.0, 5)
+        assert calls == [1.0, 1.0 + EPS]
+        assert (sol.positions.tolist(), sol.iterations, sol.converged) == ([1.0], 0, False)
+
     def test_max_iter_and_met_tolerance(self):
         sol = newton(cube, kirchhoff_step(1.0, CUBE), np.array([1.5]), 1e-14, 2)
         assert sol.iterations == 2 and sol.residual_inf > 1e-14 and not sol.converged
@@ -789,25 +802,32 @@ def chebyshev(n):
     return np.sort(np.cos((2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)))
 
 
+def levels(n):
+    """The shifted quantile levels of the line guesses, (k - 1/4)/(n + 1/2) for k = 1..n."""
+    return (np.arange(1, n + 1) - 0.25) / (n + 0.5)
+
+
 class TestSemicircleGuess:
     """A linear field w = b + a x starts from the quantiles of its equilibrium measure, the
-    semicircle on -b/a +- sqrt(2n/a); Coulomb from those of the Marchenko-Pastur law
-    (TestMarchenkoPasturGuess); Jacobi and every other field keep the Chebyshev (arcsine) guess."""
+    semicircle on -b/a +- sqrt((2n + 1)/a), at the levels (k - 1/4)/(n + 1/2); Coulomb from those of
+    the Marchenko-Pastur law (TestMarchenkoPasturGuess), Jacobi from Gatteschi and Pittaluga's
+    angles (TestJacobiGuess); every other field keeps the Chebyshev (arcsine) guess."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
     def test_quantiles_of_the_semicircle(self, n):
         s = backgrounds._semicircle(n)
         cdf = 0.5 + (s * np.sqrt(1.0 - s * s) + np.arcsin(s)) / np.pi
-        assert cdf == pytest.approx((np.arange(1, n + 1) - 0.5) / n, rel=0, abs=1e-14)
+        assert cdf == pytest.approx(levels(n), rel=0, abs=1e-14)
         assert s.tolist() == (-s[::-1]).tolist() and np.all(np.diff(s) > 0)
         if n % 2:
             assert s[n // 2] == 0.0
 
     @pytest.mark.parametrize("n", [10, 100, 300])
     def test_hermite_converges_in_few_steps(self, n):
-        # from the Chebyshev points it took 6, 10 and 12 steps
+        # from the Chebyshev points it took 6, 10 and 12 steps, and from the semicircle's
+        # quantiles at (k - 1/2)/n on +-sqrt(2n) 4
         rep = solve_line(n, HermiteLinear())
-        assert rep.converged and rep.iterations <= 5
+        assert rep.converged and rep.iterations <= 3
         assert certify(rep.positions, PolynomialSpec("hermite", n))[0]
 
     @pytest.mark.parametrize("a, b", [(1.7, -0.3), (0.5, 1.0)])
@@ -841,7 +861,7 @@ class TestSemicircleGuess:
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_other_fields_keep_the_chebyshev_guess(self, n):
         c = chebyshev(n)
-        assert default_guess(n, JacobiCharges(0.5, 0.5)).tolist() == c.tolist()
+        assert default_guess(n, JacobiCharges(0.25, 0.25)) == pytest.approx(c, rel=0, abs=1e-15)
         line = np.sqrt(2.0 * n) * c if n > 1 else np.array([0.5])
         for bg in (CustomRational(poles=(-9.0, 9.0), residues=(-1.0, -1.0), poly=(0.0, 1.0)),
                    CustomRational(poly=(0.0, 1.0, 0.0)), CustomRational(poly=(0.0, -1.0))):
@@ -865,8 +885,8 @@ def marchenko_pastur_cdf(x, n, alpha):
 
 class TestMarchenkoPasturGuess:
     """Coulomb(l), whose stationary points are the Laguerre(2l + 1) zeros, starts from the quantiles of
-    the Marchenko-Pastur law, their equilibrium measure; from the Chebyshev points on [0.5, 4n + 0.5]
-    it took up to 17 steps at these n."""
+    the Marchenko-Pastur law, their equilibrium measure, at the levels (k - 1/4)/(n + 1/2); from the
+    Chebyshev points on [0.5, 4n + 0.5] it took up to 17 steps at these n."""
 
     @pytest.mark.parametrize("l", [0.0, 1.0, 100.0])
     @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
@@ -874,15 +894,18 @@ class TestMarchenkoPasturGuess:
         pytest.importorskip("mpmath")
         x = default_guess(n, Coulomb(l))
         cdf, a, b = marchenko_pastur_cdf(x, n, 2.0 * l + 1.0)
-        assert cdf == pytest.approx((np.arange(1, n + 1) - 0.5) / n, rel=0, abs=1e-14)
+        assert cdf == pytest.approx(levels(n), rel=0, abs=1e-14)
         assert 0 < a < x[0] and x[-1] < b and np.all(np.diff(x) > 0)
 
     @pytest.mark.parametrize("l", [0.0, 1.0, 100.0])
     @pytest.mark.parametrize("n", [10, 100, 300])
     def test_coulomb_converges_in_few_steps(self, n, l):
+        # from the law's quantiles at (k - 1/2)/n it took up to 5 steps.  At l = 0, n = 300 the third
+        # step ends 1.1e-13 from the zeros but at max|F| 1.11e-12, above the absolute tol: one more
+        # step, at the rounding floor, a known defect of the absolute tol
         bg = Coulomb(l)
         rep = solve_line(n, bg)
-        assert rep.converged and rep.iterations <= 6
+        assert rep.converged and rep.iterations <= (4 if (n, l) == (300, 0.0) else 3)
         assert certify(rep.positions, bg.polynomial_spec(n))[0]
 
     @pytest.mark.parametrize("l", [1e40, 1e300, 1e308])
@@ -897,6 +920,68 @@ class TestMarchenkoPasturGuess:
         assert cli.main(argv) == cli.EXIT_NONCONVERGENCE
         doc = json.loads((tmp_path / "equilibrium.json").read_text())
         assert doc["converged"] is False and doc["iterations"] == 200 and np.isfinite(doc["residual_inf"])
+
+
+class TestJacobiGuess:
+    """JacobiCharges(p, q), whose stationary points are the Jacobi(alpha, beta) zeros, alpha = 2p - 1
+    and beta = 2q - 1, starts from Gatteschi and Pittaluga's angles; from the Chebyshev points it
+    took 6 to 9 steps."""
+
+    @pytest.mark.parametrize("p, q", [(0.5, 0.5), (1.0, 1.5), (0.75, 0.3)])
+    @pytest.mark.parametrize("n", [50, 200, 400])
+    def test_guess_near_the_zeros_and_few_steps(self, n, p, q):
+        bg = JacobiCharges(p, q)
+        guess = default_guess(n, bg)
+        assert np.abs(guess - orthopoly.zeros(bg.polynomial_spec(n))).max() <= 2.5 / n**2
+        # Jacobi 1/2 stops at the absolute tolerance's rounding floor (a known defect), not converged
+        assert stationary(guess, -1.0, bg, 1e-12, 200).iterations <= 4
+
+    @pytest.mark.parametrize("n", [2, 50, 301])
+    def test_chebyshev_weight_gives_the_chebyshev_points(self, n):
+        # alpha = beta = -1/2: theta_k = pi (k - 1/2)/n (n = 1, 4 and 9 in test_other_fields_keep_the_chebyshev_guess)
+        assert default_guess(n, JacobiCharges(0.25, 0.25)) == pytest.approx(chebyshev(n), rel=0, abs=1e-15)
+
+    def test_charges_beyond_the_floats_keep_the_chebyshev_guess(self):
+        # every angle rounds to pi/2: repeated points, which the field refuses as a collision
+        assert default_guess(3, JacobiCharges(1e300, 1e300)).tolist() == chebyshev(3).tolist()
+
+
+class TestGapGuess:
+    """A custom field with real poles, negative residues and no polynomial (Stieltjes' problem) holds
+    its points in the gaps between the poles: each gap takes Chebyshev points, as many as its share
+    of n by width, by largest remainder."""
+
+    BG = CustomRational(poles=(-1.0, 0.3, 1.0), residues=(-0.5, -0.25, -0.4))
+
+    @pytest.mark.parametrize("n, counts", [(1, [1, 0]), (6, [4, 2]), (20, [13, 7])])
+    def test_each_gap_holds_its_count(self, n, counts):
+        # widths 1.3 and 0.7: shares 3.9 and 2.1 at n = 6
+        guess = default_guess(n, self.BG)
+        assert [np.sum((guess > -1.0) & (guess < 0.3)), np.sum((guess > 0.3) & (guess < 1.0))] == counts
+        assert guess[:counts[0]] == pytest.approx(-0.35 + 0.65 * chebyshev(counts[0]), rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("n, counts", [(6, [4, 2]), (20, [13, 7])])
+    def test_stieltjes_problem_converges(self, tmp_path, n, counts):
+        # from the Chebyshev points on +-sqrt(2n) it exited 3 after 24 steps, at residual 1.5e-7 and 7.7e-7
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"equilibrium": {
+            "family": "custom", "n": n, "poles": [-1.0, 0.3, 1.0], "residues": [-0.5, -0.25, -0.4]}}))
+        assert cli.main(["--quiet", "--config", str(config), "--out", str(tmp_path), "equilibrium"]) == 0
+        x = np.array(json.loads((tmp_path / "equilibrium.json").read_text())["positions"])
+        assert [np.sum((x > -1.0) & (x < 0.3)), np.sum((x > 0.3) & (x < 1.0))] == counts
+
+    def test_largest_remainder(self):
+        assert backgrounds._gap_counts(4, np.array([1.0, 1.0, 1.0])).tolist() == [2, 1, 1]
+        assert backgrounds._gap_counts(7, np.array([0.5, 3.0, 1.0, 2.5])).tolist() == [1, 3, 1, 2]
+
+    @pytest.mark.parametrize("bg", [
+        CustomRational(poles=(-9.0, 9.0), residues=(-1.0, 1.0)),  # a positive residue
+        CustomRational(poles=(-9.0, 9.0), residues=(-1.0, -1.0), poly=(0.0, 1.0)),  # a polynomial
+        CustomRational(poles=(9.0,), residues=(-1.0,)),  # one pole: no gap
+        CustomRational(poles=(-1e308, 1e308), residues=(-1.0, -1.0)),  # a gap wider than the floats
+    ])
+    def test_other_pole_fields_keep_the_chebyshev_guess(self, bg):
+        assert default_guess(4, bg).tolist() == (np.sqrt(8.0) * chebyshev(4)).tolist()
 
 
 def peak_mib(fn):

@@ -289,6 +289,13 @@ class TestLgMode:
         with pytest.raises(ValueError, match="need dx > 0 and dy > 0"):
             lg_mode(0, 0, 1.0, 64, 64, dx, dy, 1.0)
 
+    @pytest.mark.parametrize("w0", [np.nan, np.inf, 0.0, -1.0])
+    def test_refuses_a_waist_that_is_not_finite_and_positive(self, w0):
+        # a NaN w0 passed every guard and built NaN factors, refused only by BeamField as
+        # "amplitudes must be finite"; an infinite one failed the extent guard, naming the grid
+        with pytest.raises(ValueError, match="finite w0 > 0"):
+            lg_mode(0, 1, w0, 64, 64, 0.125, 0.125, 100.0)
+
     def test_waist_field_only(self):
         # the mode is the field at z = 0; a field further along z comes from propagate
         assert list(inspect.signature(lg_mode).parameters) == ["p", "ell", "w0", "nx", "ny", "dx", "dy", "k"]

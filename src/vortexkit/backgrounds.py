@@ -129,9 +129,14 @@ def kirchhoff_jacobian(z, kappa, bg):
 
 
 def _newton_step(z, kappa, bg, f):
-    """The full Newton step at z, where F is f: one LU solve, of the n x n a when w is
+    """The full Newton step at z, where F is f: one factorization, of the n x n a when w is
     analytic (b = 0), else of the 2n real Jacobian in (x_k, y_k).
 
+    A real a with one strength (kappa a scalar: every line solve) is symmetric bit for bit,
+    since (-d)^2 = d^2, and on the line, kappa = -1, it is a graph Laplacian plus diag(w'):
+    positive definite wherever w' > 0.  It is solved by a Cholesky factorization (LAPACK
+    potrf); an LU (getrf) solves the rest: a potrf that meets a pivot <= 0, unequal
+    strengths, a complex a (complex symmetric, not Hermitian) and the 2n Jacobian.
     With w = ConjugateLinear, F is rotation-equivariant, a (iz) + b conj(iz) = -iF, so
     the 2n Jacobian is singular only at F = 0, where no step is taken.  A Jacobian
     whose entries, 2n assembly or 1-norm are not finite, or whose LAPACK rcond is
@@ -150,14 +155,27 @@ def _newton_step(z, kappa, bg, f):
         raise np.linalg.LinAlgError("non-finite Newton Jacobian")
     from scipy.linalg.lapack import get_lapack_funcs  # here, not at import: simulate and beam never solve
 
+    rhs = -f.view(float) if planar else -f
+    if not planar and np.ndim(kappa) == 0 and np.isrealobj(jac):
+        potrf, potrs, pocon = get_lapack_funcs(("potrf", "potrs", "pocon"), (jac,))
+        chol, info = potrf(jac)
+        if not info:  # else a pivot <= 0: not positive definite, and the LU below solves it
+            _refuse_ill_conditioned(pocon(chol, norm)[0])
+            return potrs(chol, rhs)[0]
     getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (jac,))
     lu, piv, info = getrf(jac)
-    # rcond < eps (or NaN): a pivot zero but for rounding, whose step has no correct digit
-    if info or not gecon(lu, norm)[0] >= np.finfo(float).eps:
+    if info:
         raise np.linalg.LinAlgError("singular Newton step")
-    if not planar:
-        return getrs(lu, piv, -f)[0]
-    return getrs(lu, piv, -f.view(float))[0].view(complex)
+    _refuse_ill_conditioned(gecon(lu, norm)[0])
+    step = getrs(lu, piv, rhs)[0]
+    return step.view(complex) if planar else step
+
+
+def _refuse_ill_conditioned(rcond):
+    """Raise LinAlgError at a LAPACK rcond below eps (or NaN): a pivot zero but for rounding,
+    whose step has no correct digit."""
+    if not rcond >= np.finfo(float).eps:
+        raise np.linalg.LinAlgError("singular Newton step")
 
 
 @dataclass(frozen=True)

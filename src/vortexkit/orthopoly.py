@@ -8,7 +8,7 @@ and are not exposed.
 One evaluator, `_eval_all`, gives p and as many derivatives as asked (p', p'')
 divided by 2^e and the exponent e, so nothing overflows at any degree.  Its user
 here, `newton_step` (p/p'), is a ratio, so it uses the scaled values as they are.
-The zeros polish takes that step, and at a returned zero the next step is the
+The zeros polish takes that step once, and at a returned zero the next step is the
 zero's error to first order: that is how a zero is certified.
 `certify` checks points, such as the stationary vortices on a line, against the
 zeros.
@@ -23,7 +23,6 @@ LAGUERRE = "laguerre"
 JACOBI = "jacobi"
 
 _FAMILIES = (HERMITE, LAGUERRE, JACOBI)
-_POLISH_STEPS = 2
 _RESCALE = 16
 
 
@@ -144,16 +143,16 @@ def zeros(spec: PolynomialSpec) -> np.ndarray:
     """All n real zeros, strictly increasing.
 
     Eigenvalues of the symmetric tridiagonal (Jacobi) matrix built from the
-    recurrence, followed by _POLISH_STEPS steps of `newton_step`, which stays
-    finite at every degree.  A step that is still not finite (p' = 0) is skipped
-    and the eigenvalue kept.  A failed eigensolve raises its LinAlgError.
+    recurrence (Golub & Welsch, Math. Comp. 23 (1969) 221), polished by one step of
+    `newton_step`, which stays finite at every degree: from the eigenvalues one step
+    reaches the zeros to rounding, so a second only re-rounds them.  A step that is
+    not finite (p' = 0) is skipped and the eigenvalue kept.  A failed eigensolve
+    raises its LinAlgError.
     """
     rec = recurrence(spec)
     x = eigh_tridiagonal(rec.a, np.sqrt(rec.b[1:]), eigvals_only=True)
-    for _ in range(_POLISH_STEPS):
-        dx = newton_step(spec, x)
-        x = np.where(np.isfinite(dx), x - dx, x)
-    return np.sort(x)
+    dx = newton_step(spec, x)
+    return np.sort(np.where(np.isfinite(dx), x - dx, x))
 
 
 def certify(x, spec: PolynomialSpec):

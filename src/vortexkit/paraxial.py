@@ -332,20 +332,23 @@ def find_vortices(field: BeamField, margin: int = 4):
     # plaquettes whose whole neighbourhood is near the noise floor carry no signal
     level = mag[np.stack([idx, idx + 1, idx + nx, idx + nx + 1])]
     idx = idx[(level >= faint_level).any(axis=0)]
-    winding = np.rint(_circulation(u, idx, nx) / (2.0 * np.pi)).astype(int)
-    idx, winding = idx[winding != 0], winding[winding != 0]
     # a dead pixel with no dead neighbour: its charge is the circulation of its four
     # plaquettes, unless all are faint
-    ring = (-nx - 1, -nx, -nx + 1, -1, 1, nx - 1, nx, nx + 1)
-    for off in ring:
-        cores = cores[~dead[cores + off]]
-    quad = cores - nx - 1, cores - nx, cores - 1, cores
-    charge = np.rint(sum(_circulation(u, q, nx) for q in quad) / (2.0 * np.pi)).astype(int)
-    charge[np.logical_and.reduce([mag[cores + off] < faint_level for off in ring])] = 0
+    ring = np.array([-nx - 1, -nx, -nx + 1, -1, 1, nx - 1, nx, nx + 1])
+    cores = cores[~dead[cores[:, None] + ring].any(axis=1)]
+    # one pass of the edge rule: the candidates' windings, then each core's four plaquettes
+    circ = _circulation(u, np.concatenate([idx, cores - nx - 1, cores - nx, cores - 1, cores]), nx)
+    winding = np.rint(circ[:idx.size] / (2.0 * np.pi)).astype(int)
+    q0, q1, q2, q3 = circ[idx.size:].reshape(4, -1)
+    idx, winding = idx[winding != 0], winding[winding != 0]
+    charge = np.rint((q0 + q1 + q2 + q3) / (2.0 * np.pi)).astype(int)
+    charge[(mag[cores[:, None] + ring] < faint_level).all(axis=1)] = 0
     x = field.x()
     y = field.y()
     out = [((float(x[c % nx]), float(y[c // nx])), q)
            for c, q in zip(cores.tolist(), charge.tolist()) if q]
+    if not idx.size:
+        return out
     t = _plane_fit(amp, idx, nx)
     px = x[idx % nx] + (0.5 + t[:, 0]) * field.dx
     py = y[idx // nx] + (0.5 + t[:, 1]) * field.dy

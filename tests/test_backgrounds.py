@@ -333,16 +333,93 @@ class TestNewton:
         with pytest.raises(np.linalg.LinAlgError, match="^non-finite Newton Jacobian$"):
             backgrounds._newton_step(z, 1.0, bg, kirchhoff_field(z, 1.0, bg))
 
-    def test_step_refuses_rcond_below_eps(self):
-        # the constant field at [-1, 0.5, 2]: LU leaves a pivot of 1e-16, gecon gives rcond 2.1e-17
+    def test_step_refuses_rcond_below_eps(self, lapack_lookups):
+        # the constant field at [-1, 0.5, 2]: J is a graph Laplacian, singular; the Cholesky
+        # leaves a last pivot of 1.1e-8, and pocon gives rcond 2.1e-17 (LU's gecon 2.1e-17 as well)
         bg, z = CustomRational(poly=(0.5,)), np.array([-1.0, 0.5, 2.0])
         assert kirchhoff_jacobian(z, -1.0, bg)[1] == 0  # the n x n branch
         with pytest.raises(np.linalg.LinAlgError, match="^singular Newton step$"):
             backgrounds._newton_step(z, -1.0, bg, kirchhoff_field(z, -1.0, bg))
+        assert lapack_lookups == ["potrf"]
 
     def test_record_holds_python_scalars(self):
         sol = newton(cube, kirchhoff_step(1.0, CUBE), np.array([1.5]), 1e-14, 50)
         assert [type(v) for v in (sol.residual_inf, sol.iterations, sol.converged)] == [float, int, bool]
+
+
+@pytest.fixture
+def lapack_lookups(monkeypatch):
+    """The first routine name of each LAPACK lookup the Newton step makes, in order."""
+    import scipy.linalg.lapack
+
+    names, lookup = [], scipy.linalg.lapack.get_lapack_funcs
+
+    def spy(routines, arrays=()):
+        names.append(routines[0])
+        return lookup(routines, arrays)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", spy)
+    return names
+
+
+class TestLineCholesky:
+    """The one-strength line step is a Cholesky solve; every other step is an LU solve."""
+
+    @pytest.mark.parametrize("bg", [
+        HermiteLinear(), Coulomb(1.0), JacobiCharges(0.5, 0.5), CustomRational(poly=(-0.3, 1.7)),
+        CustomRational(poles=(-1.0, 0.3, 1.0), residues=(-0.5, -0.25, -0.4)),
+    ], ids=["hermite", "coulomb", "jacobi", "linear", "gap"])
+    @pytest.mark.parametrize("n", [7, 40, _BLOCK + 1])
+    def test_line_step_is_a_cholesky_solve(self, lapack_lookups, bg, n):
+        # J = graph Laplacian + diag(w'), w' > 0 at every point: symmetric bit for bit and positive definite
+        z = default_guess(n, bg)
+        f = kirchhoff_field(z, -1.0, bg)
+        jac = kirchhoff_jacobian(z, -1.0, bg)[0]
+        assert np.array_equal(jac, jac.T)
+        step = backgrounds._newton_step(z, -1.0, bg, f)
+        assert lapack_lookups == ["potrf"]
+        ref = np.linalg.solve(jac, -f)
+        assert np.abs(step - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", ["unequal-strengths", "laughlin-plane", "complex-analytic"])
+    def test_other_steps_are_lu_solves(self, lapack_lookups, case):
+        z, kappa, bg = {
+            "unequal-strengths": (default_guess(9, HermiteLinear()), -np.linspace(1.0, 2.0, 9), HermiteLinear()),
+            "laughlin-plane": (ring_guess(10, 1, 0), 1.0, ConjugateLinear(0.25)),
+            # a, complex symmetric, is not Hermitian: a Cholesky would solve another system
+            "complex-analytic": (default_guess(9, HermiteLinear()) + 0.3j, -1.0, HermiteLinear()),
+        }[case]
+        f = kirchhoff_field(z, kappa, bg)
+        step = backgrounds._newton_step(z, kappa, bg, f)
+        assert lapack_lookups == ["getrf"]
+        if case != "laughlin-plane":
+            ref = np.linalg.solve(kirchhoff_jacobian(z, kappa, bg)[0], -f)
+            assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_indefinite_line_jacobian_falls_back_to_lu(self, lapack_lookups):
+        # w = -x: w' = -1 < 0 leaves J indefinite, so potrf meets a pivot <= 0, and the LU solves the step as before
+        from scipy.linalg.lapack import get_lapack_funcs
+
+        bg = CustomRational(poly=(0.0, -1.0))
+        z = default_guess(7, bg)
+        f = kirchhoff_field(z, -1.0, bg)
+        jac = kirchhoff_jacobian(z, -1.0, bg)[0]
+        assert np.linalg.eigvalsh(jac).min() < 0 < np.linalg.eigvalsh(jac).max()
+        step = backgrounds._newton_step(z, -1.0, bg, f)
+        assert lapack_lookups == ["potrf", "getrf"]
+        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (jac,))
+        lu, piv, _ = getrf(jac)
+        assert np.array_equal(step, getrs(lu, piv, -f)[0])
+
+    def test_constant_field_is_refused_silently(self, tmp_path, capfd):
+        # J is the graph Laplacian alone, singular: refused as a singular step, and LAPACK prints nothing
+        config = tmp_path / "constant.json"
+        config.write_text(json.dumps({"equilibrium": {"family": "custom", "n": 4, "poly": [0.5]}}))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(config), "--out", str(out), "--quiet", "equilibrium"]) == 3
+        assert capfd.readouterr() == ("", "")
+        report = json.loads((out / "equilibrium.json").read_text())
+        assert (report["iterations"], report["converged"]) == (0, False)
 
 
 class TestKirchhoff:

@@ -170,6 +170,19 @@ class TestZeros:
         assert run(["--quiet", "--out", str(tmp_path), "zeros"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_recurrence_runs_twice(self, tmp_path, monkeypatch):
+        # the one polish in zeros, then the certificate: newton_step on all n zeros each time
+        calls = []
+        step = orthopoly.newton_step
+
+        def counting(spec, x):
+            calls.append(np.size(x))
+            return step(spec, x)
+
+        monkeypatch.setattr(orthopoly, "newton_step", counting)
+        assert run(["--quiet", "--out", str(tmp_path), "zeros", "--n", "12"]) == 0
+        assert calls == [12, 12]
+
     def test_nan_step_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(orthopoly, "newton_step", lambda spec, x: x * np.nan)
         assert run(["--out", str(tmp_path), "zeros", "--n", "5"]) == 3

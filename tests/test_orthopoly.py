@@ -432,7 +432,11 @@ def test_coulomb_line_solve_matches_zeros(n, l):
     PolynomialSpec("laguerre", 60, alpha=3.0),
     PolynomialSpec("jacobi", 60, alpha=0.5, beta=-0.5),
     JACOBI_NEAR_MINUS_ONE[157],
-], ids=["hermite100", "laguerre3_60", "jacobi_half_60", "jacobi_near_minus_one_157"])
+    PolynomialSpec("hermite", 300),
+    PolynomialSpec("laguerre", 200, alpha=3.0),
+    PolynomialSpec("jacobi", 400),
+], ids=["hermite100", "laguerre3_60", "jacobi_half_60", "jacobi_near_minus_one_157", "hermite300",
+        "laguerre3_200", "legendre400"])
 def test_zeros_match_mpmath(spec):
     # an oracle independent of the recurrence: mpmath's own polynomials at 40 digits, a root
     # found from each returned zero; the step's size is what `zeros` certifies
@@ -448,6 +452,20 @@ def test_zeros_match_mpmath(spec):
                           for xi in x])
     assert np.all(np.abs(x - truth) <= 1e-14 * scale)
     assert np.all(np.abs(newton_step(spec, x)) <= 1e-13 * scale)
+
+
+def test_zeros_polish_once(monkeypatch):
+    # one Newton step from the eigenvalues reaches the zeros to rounding (test_zeros_match_mpmath)
+    calls = []
+    step = orthopoly.newton_step
+
+    def counting(spec, x):
+        calls.append(x.size)
+        return step(spec, x)
+
+    monkeypatch.setattr(orthopoly, "newton_step", counting)
+    zeros(PolynomialSpec("hermite", 30))
+    assert calls == [30]
 
 
 def test_zeros_calls_the_module_eigensolver_once(monkeypatch):

@@ -1,19 +1,14 @@
 """Paraxial beam propagation, Laguerre-Gaussian vortex modes, vortex detection.
 
-Fields live on uniform power-of-two grids; free-space propagation applies the
-exact spectral phase exp(-i (kx^2+ky^2) dz / 2k) to the numpy.fft spectrum, so
-the split-step structure carries no splitting error and conserves energy to
-rounding.  The Fresnel factor is the outer product exp(-i ky^2 dz/2k)
-exp(-i kx^2 dz/2k) of 1-d factors (Goodman, Introduction to Fourier Optics,
-sec. 4.2).  An LG mode of radial index p and charge ell is a sum of
-r = 2p + |ell| + 1 Hermite-Gauss products h_{N-k}(x) h_k(y) (Beijersbergen et
-al. 1993), so `_lg_factors` returns it as two factors, an ny x r and an nx x r
-matrix, and `_slices` propagates it without a 2-d transform: the 1-d spectra
-of the factors' columns are taken once, and each slice costs a multiply of
-each by its 1-d Fresnel factor, r 1-d inverse transforms per axis, and one
-matrix product.  The aliasing check is taken from the factor spectra too.
+An LG mode of radial index p and charge ell is a sum of r = 2p + |ell| + 1
+Hermite-Gauss products h_{N-k}(x) h_k(y) (Beijersbergen et al. 1993), each of
+which propagates on the open plane in closed form (Siegman, Lasers, 1986,
+ch. 16).  So `_lg_factors` returns the mode at any z as two factors, an ny x r
+and an nx x r matrix, and `_slices` gives each slice of `beam` as their
+product: no transform, and no periodic box to wrap the spreading beam round.
 `propagate` moves any other field, such as a `ladder_apply` output or a loaded
-one, by one 2-d transform pair.
+one, through its periodic box: the exact spectral phase exp(-i (kx^2+ky^2) dz /
+2k) on one numpy.fft transform pair, which conserves energy to rounding.
 `ladder_apply` applies the Landau-level lowering and raising operators to a
 field by centered differences.
 """
@@ -99,16 +94,19 @@ def _hermite_functions(t, count):
     return h.T
 
 
-def _lg_factors(p, ell, w0, nx, ny, dx, dy):
-    """Laguerre-Gaussian LG_{p,ell} at the waist plane as factors (fy, fx), u = fy @ fx.T.
+def _lg_factors(p, ell, w0, nx, ny, dx, dy, zeta=0.0):
+    """Laguerre-Gaussian LG_{p,ell} at z = zeta z_R, z_R = k w0^2 / 2, as factors (fy, fx), u = fy @ fx.T.
 
-    With N = 2p + |ell|, u = sum_k c_k h_{N-k}(X) h_k(Y) over k = 0..N, X = sqrt(2) x / w0
-    and Y = sqrt(2) sign(ell) y / w0 (Beijersbergen, Allen, van der Veen & Woerdman,
-    Opt. Commun. 96 (1993) 123): c_k = (-1)^p (-i)^k b(p + |ell|, p, k), where
+    With N = 2p + |ell| and w = w0 sqrt(1 + zeta^2), u is sum_k c_k h_{N-k}(X) h_k(Y) over
+    k = 0..N, X = sqrt(2) x / w and Y = sqrt(2) sign(ell) y / w, times the chirp
+    exp(i zeta (X^2 + Y^2) / 2) and the Gouy phase exp(-i (N + 1) arctan zeta) (Siegman, Lasers,
+    1986, ch. 16; zeta = 0 is the waist).  Here c_k = (-1)^p (-i)^k b(p + |ell|, p, k)
+    (Beijersbergen, Allen, van der Veen & Woerdman, Opt. Commun. 96 (1993) 123), where
     b(n, m, k) is sqrt((N-k)! k! / (2^N n! m!)) times the coefficient of t^k in
-    (1 - t)^n (1 + t)^m.  Column k of fy (ny x (N+1), complex) is c_k h_k(Y) and column k
-    of fx (nx x (N+1), real) is h_{N-k}(X).  The sum is scaled to unit grid power, which
-    is sum(G_y * G_x) dx dy over the Gram matrices of the two factors.
+    (1 - t)^n (1 + t)^m.  Column k of fy (ny x (N+1), complex) is c_k h_k(Y) with its chirp
+    and the Gouy phase, and column k of fx (nx x (N+1)) is h_{N-k}(X) with its chirp.  The sum
+    is scaled to unit grid power, sum(G_y * G_x) dx dy over the Gram matrices of the factors,
+    which the chirps leave alone; the scaling carries the beam's amplitude w0 / w.
     """
     if not (p >= 0 and 0 < w0 < math.inf):  # NaN too: it would build NaN factors
         raise ValueError(f"need p >= 0 and a finite w0 > 0, got p={p} and w0={w0}")
@@ -120,8 +118,9 @@ def _lg_factors(p, ell, w0, nx, ny, dx, dy):
         raise ValueError(f"grid extent must cover >= 6 waists, got {nx * dx} x {ny * dy}")
     a = abs(ell)
     rank = 2 * p + a + 1
-    x = (np.arange(nx) - nx // 2) * (math.sqrt(2.0) * dx / w0)
-    y = (np.arange(ny) - ny // 2) * (math.copysign(math.sqrt(2.0), ell) * dy / w0)
+    w = w0 * math.hypot(1.0, zeta)
+    x = (np.arange(nx) - nx // 2) * (math.sqrt(2.0) * dx / w)
+    y = (np.arange(ny) - ny // 2) * (math.copysign(math.sqrt(2.0), ell) * dy / w)
     # b(n, m, k) up to the factor sqrt(N! / (2^N n! m!)) common to all k, which the scaling absorbs;
     # (-i)^k from a table, since complex powers above 100 are not exact
     c = np.array([(-1) ** p * (1, -1j, -1, 1j)[i % 4]
@@ -129,8 +128,13 @@ def _lg_factors(p, ell, w0, nx, ny, dx, dy):
                   / math.sqrt(math.comb(rank - 1, i)) for i in range(rank)])
     fy = _hermite_functions(y, rank) * c
     fx = _hermite_functions(x, rank)[:, ::-1]
-    fy *= 1.0 / math.sqrt(np.sum((fy.conj().T @ fy) * (fx.T @ fx)).real * dx * dy)
-    return fy, fx
+    power = np.sum((fy.conj().T @ fy) * (fx.T @ fx)).real * dx * dy
+    if not power > 0:  # the beam has spread so far past the grid that its samples there underflow
+        raise ValueError(f"LG({p},{ell}) has no power on the grid at z = {zeta} z_R")
+    fy *= 1.0 / math.sqrt(power)
+    # the chirps, and the Gouy phase in fy: all are 1 at the waist
+    fy = fy * np.exp(0.5j * zeta * y**2 - 1j * rank * math.atan(zeta))[:, None]
+    return fy, fx * np.exp(0.5j * zeta * x**2)[:, None]
 
 
 def lg_mode(p, ell, w0, nx, ny, dx, dy, k) -> BeamField:
@@ -181,40 +185,33 @@ def _warn_if_aliased(frac):
         )
 
 
-def _fresnel(n, d, dz, k):
-    """exp(-i kappa^2 dz / 2k) on the numpy.fft wavenumbers kappa of an n-point axis of spacing d."""
-    kappa = 2.0 * np.pi * np.fft.fftfreq(n, d)
-    return np.exp(1j * (-dz / (2.0 * k)) * kappa**2)
+def _slices(p, ell, w0, nx, ny, dx, dy, k, dz, count):
+    """Yield LG_{p,ell} at z = 0, then `count` fields each dz further along z.
 
-
-def _slices(fy, fx, dx, dy, k, dz, count):
-    """Yield the field fy @ fx.T at z = 0, then `count` fields each dz further along z.
-
-    The Fresnel factor is the outer product of its 1-d y and x factors, so the
-    spectrum of fy @ fx.T stays the product of the 1-d spectra of its factors:
-    slice s is ifft(fft(fy) py**s) @ ifft(fft(fx) px**s).T, with the running
-    products kept in place.  The 1-d transforms of the factors' r columns and
-    the aliasing check run only when the first propagated slice is asked for.
+    Slice s is fy @ fx.T from `_lg_factors` at zeta = s dz / z_R: the beam on the open
+    plane, sampled on the grid.  Before slice 0, the aliasing check runs once, on the 1-d
+    spectra of the waist factors: the beam's spectrum keeps its modulus along z, so a waist
+    that is resolved on the grid stays resolved, and a beam wider than the grid is cut off
+    at its edge, never wrapped round.
     """
-    field = BeamField(fy @ fx.T, dx, dy, k)
-    yield field
-    sy, sx = np.fft.fft(fy, axis=0), np.fft.fft(fx, axis=0)
-    _warn_if_aliased(_factor_energy_fraction_outer(sy, sx))
-    py, px = _fresnel(len(sy), dy, dz, k)[:, None], _fresnel(len(sx), dx, dz, k)[:, None]
-    for s in range(1, count + 1):
-        sy *= py
-        sx *= px
-        # rebinding field keeps no earlier slice alive here: the caller decides which it holds
-        field = replace(field, amplitude=np.fft.ifft(sy, axis=0) @ np.fft.ifft(sx, axis=0).T, z=s * dz)
-        yield field
+    waist = _lg_factors(p, ell, w0, nx, ny, dx, dy)
+    _warn_if_aliased(_factor_energy_fraction_outer(*(np.fft.fft(f, axis=0) for f in waist)))
+    for s in range(count + 1):
+        # zeta = 2 s dz / (k w0^2), divided in steps so that a w0^2 below the floats cannot divide by 0
+        fy, fx = _lg_factors(p, ell, w0, nx, ny, dx, dy, 2.0 * s * dz / k / w0 / w0) if s else waist
+        yield BeamField(fy @ fx.T, dx, dy, k, s * dz)
 
 
 def propagate(field: BeamField, dz) -> BeamField:
-    """Free-space propagation of any field by dz using the exact spectral factor: one 2-d
-    transform, the aliasing check on its spectrum, and one inverse transform."""
+    """Free-space propagation of any field by dz in its periodic box: one 2-d transform, the
+    aliasing check on its spectrum, the exact spectral factor exp(-i kappa^2 dz / 2k) as the
+    outer product of its y and x factors on the numpy.fft wavenumbers kappa, and one
+    inverse transform."""
     spec = np.fft.fft2(field.amplitude)
     _warn_if_aliased(_spectral_energy_fraction_outer(spec))
-    spec *= _fresnel(field.ny, field.dy, dz, field.k)[:, None] * _fresnel(field.nx, field.dx, dz, field.k)
+    py, px = (np.exp(1j * (-dz / (2.0 * field.k)) * (2.0 * np.pi * np.fft.fftfreq(n, d)) ** 2)
+              for n, d in ((field.ny, field.dy), (field.nx, field.dx)))
+    spec *= py[:, None] * px
     return replace(field, amplitude=np.fft.ifft2(spec), z=field.z + dz)
 
 

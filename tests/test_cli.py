@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vortexkit
-from vortexkit import cli, orthopoly
+from vortexkit import cli, orthopoly, paraxial
 from vortexkit.backgrounds import NewtonResult
 
 
@@ -613,13 +613,40 @@ class TestBeam:
         assert out == "" and err.startswith("aliasing: ") and "15.54%" in err
         assert not (tmp_path / "vortex_track.csv").exists()
 
+    def test_aliased_run_writes_nothing(self, tmp_path, capsys):
+        # the aliasing check runs before slice 0: field_000.bin used to be written ahead of exit 5
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "beam": {"p": 20, "ell": 80, "w0": 0.5, "grid": 128, "dx": 0.0625, "k": 100.0, "slices": 2,
+                     "save_fields": True}
+        }))
+        out = tmp_path / "out"
+        assert run(["--config", str(config), "--out", str(out), "beam"]) == 5
+        assert "15.54%" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_beam_spread_past_the_grid_exit_2(self, tmp_path, capsys):
+        # at z = 2e297 z_R the LG(0,1) samples on the grid underflow: no slice can be scaled to unit power
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"beam": {"z_total": 1e300}}))
+        assert run(["--config", str(config), "--out", str(tmp_path / "out"), "beam"]) == 2
+        assert "has no power on the grid" in capsys.readouterr().err
+
     def test_no_2d_transform(self, tmp_path, monkeypatch):
-        # the mode is propagated as Hermite-Gauss factors: 1-d transforms and one matrix product per slice
+        # each slice is the product of the mode's Hermite-Gauss factors at its z, in closed form: no
+        # inverse transform runs, and the forward 1-d transforms of the two waist factors (128 x r,
+        # r = 5) feed the one aliasing check
         calls = []
-        for name in ("fft2", "ifft2"):
-            monkeypatch.setattr(np.fft, name, lambda *args, name=name, **kwargs: calls.append(name))
+        for name in ("fft", "ifft", "fft2", "ifft2"):
+            def spy(a, *args, name=name, real=getattr(np.fft, name), **kwargs):
+                calls.append((name, np.shape(a)))
+                return real(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, spy)
+        check = paraxial._factor_energy_fraction_outer
+        monkeypatch.setattr(paraxial, "_factor_energy_fraction_outer",
+                            lambda sy, sx: calls.append("check") or check(sy, sx))
         assert run(["--quiet", "--out", str(tmp_path), "beam", "--p", "1", "--ell", "2", "--slices", "3"]) == 0
-        assert calls == []
+        assert calls == [("fft", (128, 5)), ("fft", (128, 5)), "check"]
 
     def test_save_fields(self, tmp_path):
         config = tmp_path / "cfg.json"
